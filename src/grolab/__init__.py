@@ -1,7 +1,8 @@
 """grolab: rigorous numerics for the improved Grothendieck lower bound.
 
 Modules:
-    gauss     -- Gaussian density/CDF, Hermite polynomials, panel quadrature
+    gauss     -- Gaussian density/CDF, Hermite polynomials, exact cell
+                 moments, and the panel quadrature kept as an oracle
     baseline  -- Davie-Reeds bound: eta/lambda solvers, F(alpha), optimizer
     profiles  -- 1-D profiles, primal/dual values, gap certificates, LP fill
     pairing   -- third-chaos pairing constants and inequalities
@@ -35,6 +36,7 @@ from .gauss import (
     QuadratureSpec,
     gauss_integrate,
     gaussian_cdf,
+    gaussian_moments,
     gaussian_pdf,
     h3_tail_integral,
     hermite_eval,

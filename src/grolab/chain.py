@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import log_ndtr, ndtri
 
 from .baseline import DAVIE_REEDS_C, LAMBDA_STAR, solve_eta_star
 from .errors import DomainError
@@ -299,7 +299,7 @@ def log_tail_envelope_margin(a: float) -> float:
     a = float(a)
     if a < 2.3:
         raise DomainError(f"envelope is only claimed for a >= 2.3, got {a}")
-    log_sf = float(_norm.logsf(a))          # log Phi(-a)
+    log_sf = float(log_ndtr(-a))            # log Phi(-a)
     log_pdf = -0.5 * a * a - math.log(SQRT_2PI)
     return math.log(0.583) + log_sf + math.log(-log_sf) - log_pdf
 
@@ -316,7 +316,7 @@ def strip_case_checks() -> list[tuple[str, float, float, bool]]:
     checks: list[tuple[str, float, float, bool]] = []
 
     # Half-space first moment at mass 1.25e-10, then its log envelope.
-    a = float(_norm.isf(1.25 * d_prime))
+    a = -float(ndtri(1.25 * d_prime))        # Phi(-a) = 1.25 d'
     halfspace = 2.0 * gaussian_pdf(a)
     envelope = 0.583 * 2.5 * d_prime * math.log(1.0 / (1.25 * d_prime))
     checks.append(("halfspace_moment <= envelope", halfspace, envelope,

@@ -15,7 +15,7 @@ import numpy as np
 from . import baseline, chain, explorer, pairing, profiles
 from .certify import all_certified_checks
 from .errors import GrolabError
-from .gauss import QuadratureSpec, gauss_integrate, hermite_eval
+from .gauss import QuadratureSpec, gauss_integrate_with_error
 from .reporting import (
     Check,
     VerificationOutcome,
@@ -31,17 +31,22 @@ COMMANDS = ("constants", "baseline", "profile", "pairing", "chain", "explore",
             "verify-all")
 
 
+DEFAULT_SEED = 20260809
+
+
 class UsageError(GrolabError, ValueError):
     """Bad command, flag, or config value; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; None for beta, epsilon or grid selects the suite's default."""
+
     command: str
     quadrature: QuadratureSpec = QuadratureSpec()
     output_path: str | None = None
     certified: bool = False
-    seed: int = 20260809
+    seed: int = DEFAULT_SEED
     beta: float | None = None
     epsilon: float | None = None
     grid: int | None = None
@@ -51,6 +56,17 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
+        # The ranges are the domains of Philox keys, chain.final_chain,
+        # chain.kappa_eff and profiles.lp_maximize.
+        if not 0 <= self.seed < 2 ** 128:
+            raise UsageError(f"seed must lie in [0, 2^128), got {self.seed}")
+        if self.beta is not None and not 0.0 < self.beta < 1e-10:
+            raise UsageError(f"beta must lie in (0, 1e-10), got {self.beta}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < 0.01:
+            raise UsageError(
+                f"epsilon must lie in (0, 0.01), got {self.epsilon}")
+        if self.grid is not None and self.grid < 64:
+            raise UsageError(f"grid must be >= 64, got {self.grid}")
 
 
 # -- suites -------------------------------------------------------------------
@@ -102,15 +118,45 @@ def _baseline_checks(cfg: RunConfig) -> list[Check]:
     return checks
 
 
+def _closed_form_vs_quadrature(params: baseline.ReedsParams,
+                               member: profiles.Profile,
+                               spec: QuadratureSpec) -> Check:
+    """The closed forms against the adaptive quadrature oracle.
+
+    D(-alpha) and V(member) are integrated by quadrature over [-T, T] under
+    the configured spec.  Reports the larger excess of |closed - quadrature|
+    over the quadrature's returned error bound; passes when it is <= 1e-14.
+    """
+    eta, mu = params.eta, -params.alpha
+
+    def dual_integrand(z):
+        a, b = profiles.A_B_eval(z, params)
+        return a + np.abs(b - mu * z)
+
+    def primal_integrand(z):
+        a, b = profiles.A_B_eval(z, params)
+        return a + member.evaluate(z) * b
+
+    dual_quad, dual_err = gauss_integrate_with_error(
+        dual_integrand, spec, kinks=(-eta, 0.0, eta))
+    primal_quad, primal_err = gauss_integrate_with_error(
+        primal_integrand, spec,
+        kinks=(*member.breakpoints, -member.z_cut, member.z_cut, -eta, eta))
+    excess = max(
+        abs(profiles.dual_value(mu, params) - (dual_quad + mu * params.alpha))
+        - dual_err,
+        abs(profiles.V_value(member, params) - primal_quad) - primal_err)
+    return bound_check("closed_form_vs_quadrature", 1e-14, excess, "<=")
+
+
 def _profile_checks(cfg: RunConfig) -> list[Check]:
     lam_lit = 0.197479091
     params = baseline.ReedsParams.at_reeds_point(lam_lit)
-    spec = cfg.quadrature
-    f_dual = profiles.F_value_dual(params, spec)
+    f_dual = profiles.F_value_dual(params)
     target = (1.0 - lam_lit) / baseline.davie_reeds_bound(lam_lit)
     checks = [approx_check("F_dual_vs_ratio", target, f_dual, 1e-10)]
-    grid = cfg.grid if cfg.grid else 1024
-    lp_prof, lp_val = profiles.lp_maximize(params, grid, spec)
+    grid = 1024 if cfg.grid is None else cfg.grid
+    lp_prof, lp_val = profiles.lp_maximize(params, grid)
     checks.append(approx_check("lp_vs_dual", f_dual, lp_val, 1e-8))
     if cfg.save_profile:
         with open(cfg.save_profile, "w", encoding="utf-8", newline="\n") as fh:
@@ -120,19 +166,19 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
             loaded = profiles.profile_from_text(fh.read())
         cert = profiles.gap_certificate(
             loaded, baseline.ReedsParams(lam=lam_lit,
-                                         alpha=profiles.moment(loaded, spec)),
-            spec)
+                                         alpha=profiles.moment(loaded)))
         checks.append(approx_check("loaded_profile_gap_identity",
                                    cert.tail_integral, cert.gap, 1e-10))
     worst = 0.0
     for k in range(12):
         prof = explorer.sample_feasible_profile(cfg.seed + k, params)
-        cert = profiles.gap_certificate(prof, params, spec)
+        cert = profiles.gap_certificate(prof, params)
         worst = max(worst, abs(cert.gap - cert.tail_integral))
     checks.append(bound_check("gap_identity_max_dev", 1e-10, worst, "<="))
     member = explorer.sample_theta_member(cfg.seed, lam=lam_lit)
-    cert = profiles.gap_certificate(member, params, spec)
+    cert = profiles.gap_certificate(member, params)
     checks.append(approx_check("maximizer_gap_zero", 0.0, cert.gap, 1e-12))
+    checks.append(_closed_form_vs_quadrature(params, member, cfg.quadrature))
     return checks
 
 
@@ -150,7 +196,7 @@ def _pairing_checks(cfg: RunConfig) -> list[Check]:
     for k in range(20):
         member = explorer.sample_theta_member(cfg.seed + 1000 + k,
                                               lam=0.197479091)
-        a_val, bound = pairing.A_bound_check(member, eta, cfg.quadrature)
+        a_val, bound = pairing.A_bound_check(member, eta)
         if a_val > bound + 1e-10:
             ok = False
     checks.append(flag_check("A_bound_20_members", ok))
@@ -161,7 +207,7 @@ def _pairing_checks(cfg: RunConfig) -> list[Check]:
 
 
 def _chain_checks(cfg: RunConfig) -> list[Check]:
-    epsilon = cfg.epsilon if cfg.epsilon else chain.EPSILON_STAR
+    epsilon = chain.EPSILON_STAR if cfg.epsilon is None else cfg.epsilon
     keff = chain.kappa_eff(epsilon, chain.KAPPA0, chain.K0,
                            chain.L0, baseline.LAMBDA_STAR)
     checks = [bound_check(f"kappa_eff(eps={epsilon:g})", 0.0058, keff, ">=")]
@@ -170,7 +216,7 @@ def _chain_checks(cfg: RunConfig) -> list[Check]:
         drop = chain.neighborhood_drop(params)
         checks.append(bound_check(f"neighborhood_drop_{beta:g}",
                                   0.0057 * beta, drop, ">="))
-    beta = cfg.beta if cfg.beta else chain.BETA_STAR
+    beta = chain.BETA_STAR if cfg.beta is None else cfg.beta
     report = chain.final_chain(beta)
     if beta == chain.BETA_STAR:
         checks.append(approx_check("final_drop", 4.56e-27, report.final_drop,
@@ -190,19 +236,16 @@ def _chain_checks(cfg: RunConfig) -> list[Check]:
 
 
 def _explore_checks(cfg: RunConfig) -> list[Check]:
-    spec = cfg.quadrature
     params = baseline.ReedsParams.at_reeds_point(0.197479091)
     betas = [1e-3 / 2 ** k for k in range(4)]
     checks = []
     for k in range(2):
         member = explorer.sample_theta_member(cfg.seed + 2000 + k,
                                               lam=0.197479091)
-        rows = explorer.beta_derivative_scan(member, params, betas, spec)
+        rows = explorer.beta_derivative_scan(member, params, betas)
         limit = explorer.richardson_limit(rows)
-        a_val = gauss_integrate(
-            lambda z: member.evaluate(z) * hermite_eval(3, z), spec,
-            kinks=list(member.breakpoints) + [-member.z_cut, member.z_cut],
-            interval=(-member.z_cut, member.z_cut))
+        m = profiles.theta_moments(member, member.z_cut)
+        a_val = float(m[3] - 3.0 * m[1])   # int theta H3 pdf over the window
         b_val, _, kq = pairing.kappa_Q(params.eta)
         expected = (b_val * b_val - a_val * a_val) / 6.0
         checks.append(approx_check(f"scan_limit_{k}", expected, limit, 1e-6))
@@ -211,7 +254,7 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
     ok = True
     for k in range(5):
         start = explorer.sample_feasible_profile(cfg.seed + 3000 + k, params)
-        _, values = explorer.sign_ascent(start, params, 6, spec)
+        _, values = explorer.sign_ascent(start, params, 6)
         if any(v2 < v1 - 1e-10 for v1, v2 in zip(values, values[1:])):
             ok = False
     checks.append(flag_check("sign_ascent_monotone", ok))
@@ -220,7 +263,7 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
         member, explorer.McConfig(dimension=1, samples=100_000, seed=cfg.seed),
         params, 0.0)
     truth = explorer.r_lambda_norm_1d(
-        explorer.ConditionalNormInput(member, params, 0.0), spec)
+        explorer.ConditionalNormInput(member, params, 0.0))
     checks.append(bound_check("mc_within_4_sigma", 4.0 * se, abs(est - truth),
                               "<="))
     return checks
@@ -288,10 +331,10 @@ def sweep(parameter: str, rng: tuple[float, float, int],
     elif parameter == "grid":
         lines.append("grid,lp_value,abs_error_vs_dual")
         params = baseline.ReedsParams.at_reeds_point(0.197479091)
-        f_dual = profiles.F_value_dual(params, config.quadrature)
+        f_dual = profiles.F_value_dual(params)
         sizes = sorted({int(round(g)) for g in np.geomspace(lo, hi, steps)})
         for size in sizes:
-            _, val = profiles.lp_maximize(params, size, config.quadrature)
+            _, val = profiles.lp_maximize(params, size)
             lines.append(f"{size},{val:.17g},{abs(val - f_dual):.17g}")
     else:
         raise UsageError(f"unknown sweep parameter {parameter!r}")
@@ -300,9 +343,11 @@ def sweep(parameter: str, rng: tuple[float, float, int],
 
 # -- config file and argument handling ----------------------------------------
 
+# Keys of QuadratureSpec, the oracle behind closed_form_vs_quadrature.
+_QUADRATURE_KEYS = {"truncation": float, "rel_tol": float, "abs_tol": float,
+                    "max_subdivisions": int}
 _CONFIG_KEYS = {"seed", "certified", "beta", "epsilon", "grid", "out",
-                "truncation", "rel_tol", "abs_tol", "max_subdivisions",
-                "profile", "save_profile"}
+                "profile", "save_profile", *_QUADRATURE_KEYS}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -338,23 +383,21 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         return None
 
     try:
-        quad = QuadratureSpec(
-            truncation=pick(None, "truncation", float) or 12.0,
-            rel_tol=pick(None, "rel_tol", float) or 1e-12,
-            abs_tol=pick(None, "abs_tol", float) or 1e-14,
-            max_subdivisions=pick(None, "max_subdivisions", int) or 4000,
-        )
+        quad = QuadratureSpec(**{key: pick(None, key, cast)
+                                 for key, cast in _QUADRATURE_KEYS.items()
+                                 if key in file_vals})
     except GrolabError as exc:
         raise UsageError(str(exc)) from exc
 
     certified = args.certified or file_vals.get("certified", "").lower() in (
         "1", "true", "yes")
+    seed = pick(args.seed, "seed", int)
     return RunConfig(
         command=args.command,
         quadrature=quad,
         output_path=pick(args.out, "out", str),
         certified=certified,
-        seed=pick(args.seed, "seed", int) or 20260809,
+        seed=DEFAULT_SEED if seed is None else seed,
         beta=pick(args.beta, "beta", float),
         epsilon=pick(args.epsilon, "epsilon", float),
         grid=pick(args.grid, "grid", int),

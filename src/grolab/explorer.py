@@ -3,8 +3,9 @@ alternating sign ascent, and Monte Carlo cross-checks.
 
 The 1-D representation treats a profile theta as the conditional bias of a
 +-1-valued function given the distinguished Gaussian coordinate; the norm
-integrals are then exact one-dimensional quadratures, and the perturbation
-scan recovers the zonal pairing coefficient as a numerical derivative.
+integrals are then exact one-dimensional closed forms (cubic polynomials
+times the Gaussian density on cells), and the perturbation scan recovers the
+zonal pairing coefficient as a numerical derivative.
 """
 
 from __future__ import annotations
@@ -16,21 +17,16 @@ import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star
 from .errors import DomainError, FeasibilityError
-from .gauss import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    gauss_integrate,
-    gaussian_cdf,
-    gaussian_pdf,
-    hermite_eval,
-)
+from .gauss import gaussian_moments, gaussian_pdf, hermite_eval
 from .profiles import (
     FEASIBILITY_TOL,
     Profile,
+    V_value,
+    _cells,
     _dedupe_edges,
     moment,
-    psi_eval,
     repair_to_theta,
+    theta_moments,
 )
 
 
@@ -62,9 +58,8 @@ class McConfig:
             raise DomainError(f"samples must be >= 1e4, got {self.samples}")
 
 
-def _check_feasible(profile: Profile, params: ReedsParams,
-                    spec: QuadratureSpec) -> None:
-    m = moment(profile, spec)
+def _check_feasible(profile: Profile, params: ReedsParams) -> None:
+    m = moment(profile)
     if abs(m - params.alpha) > FEASIBILITY_TOL:
         raise FeasibilityError(
             f"profile moment {m:.15g} != alpha {params.alpha:.15g}",
@@ -72,82 +67,74 @@ def _check_feasible(profile: Profile, params: ReedsParams,
         )
 
 
-def r_lambda_norm_1d(inp: ConditionalNormInput,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def r_lambda_norm_1d(inp: ConditionalNormInput) -> float:
     """Exact L1 norm of the unperturbed operator on the profile's witness.
 
-    Uses the conditional decomposition: a closed-form even part plus the
-    quadrature of theta against the odd kernel psi.
+    By the conditional decomposition the norm is the even part int A pdf
+    plus int theta psi pdf with the odd kernel psi = B, which is the primal
+    objective V(theta).
     """
     if inp.beta != 0.0:
         raise DomainError("r_lambda_norm_1d requires beta = 0")
-    _check_feasible(inp.profile, inp.params, spec)
-    params = inp.params
-    eta = params.eta
-    even_part = 2.0 * params.lam * (gaussian_cdf(eta) - 0.5) \
-        + 2.0 * params.alpha * gaussian_pdf(eta)
-    profile = inp.profile
-    odd_part_integral = gauss_integrate(
-        lambda z: profile.evaluate(z) * psi_eval(z, params),
-        spec,
-        kinks=list(profile.breakpoints) + [-profile.z_cut, profile.z_cut,
-                                           -eta, eta],
-    )
-    return even_part + odd_part_integral
+    _check_feasible(inp.profile, inp.params)
+    return V_value(inp.profile, inp.params)
 
 
-def _h3_coefficient(profile: Profile, spec: QuadratureSpec) -> float:
+def _h3_coefficient(profile: Profile) -> float:
     """Zonal third-chaos coefficient: E[theta H3] / 6."""
-    val = gauss_integrate(
-        lambda z: profile.evaluate(z) * hermite_eval(3, z),
-        spec,
-        kinks=list(profile.breakpoints) + [-profile.z_cut, profile.z_cut],
-    )
-    return val / 6.0
+    m = theta_moments(profile)
+    return float(m[3] - 3.0 * m[1]) / 6.0
 
 
-def _cubic_kinks(alpha: float, lam: float, coeff: float, limit: float) -> list[float]:
-    """Real roots of alpha z - lam - coeff H3(z) = 0 and its mirror image.
+def _cubic_roots(alpha: float, lam: float, coeff: float) -> np.ndarray:
+    """All real roots of g(z) = alpha z - lam - coeff H3(z), Newton-polished.
 
-    These are the absolute-value switch points of the perturbed integrand.
+    g and its mirror -g(-z) switch the absolute values of the perturbed
+    integrand, so these roots and their negatives are its kinks.
     """
-    if coeff == 0.0:
-        return [lam / alpha, -lam / alpha]
-    # -coeff z^3 + (alpha + 3 coeff) z - lam = 0
+    # g(z) = -coeff z^3 + (alpha + 3 coeff) z - lam; np.roots drops a zero
+    # leading coefficient, leaving the single root lam / alpha.
     roots = np.roots([-coeff, 0.0, alpha + 3.0 * coeff, -lam])
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-12 and abs(r.real) < limit:
-            out.append(float(r.real))
-            out.append(-float(r.real))
-    return out
+    real = roots.real[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))]
+
+    def g(z):
+        return (alpha + 3.0 * coeff - coeff * z * z) * z - lam
+
+    for _ in range(4):
+        slope = alpha + 3.0 * coeff - 3.0 * coeff * real * real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(slope != 0.0, g(real) / slope, 0.0)
+        better = np.abs(g(real - step)) < np.abs(g(real))
+        real = np.where(better, real - step, real)
+    return real
 
 
-def r_lambda_beta_norm_1d(inp: ConditionalNormInput,
-                          spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def r_lambda_beta_norm_1d(inp: ConditionalNormInput) -> float:
     """Norm of the perturbed operator on the two-point witness for theta.
 
     Integrand: p(z) |alpha z - lam - beta c3 H3| + q(z) |alpha z + lam - beta c3 H3|
     with p = (1 + theta)/2, q = (1 - theta)/2 and c3 the zonal coefficient.
+    Both cubics keep their sign between consecutive kinks, so on each cell
+    the integrand is one cubic polynomial.
     """
-    _check_feasible(inp.profile, inp.params, spec)
+    _check_feasible(inp.profile, inp.params)
     params, profile, beta = inp.params, inp.profile, inp.beta
-    c3 = _h3_coefficient(profile, spec)
-    coeff = beta * c3
+    lam = params.lam
+    coeff = beta * _h3_coefficient(profile)
+    roots = _cubic_roots(params.alpha, lam, coeff)
+    edges, mid, theta = _cells(profile, kinks=np.concatenate((roots, -roots)))
+    core = params.alpha * mid - coeff * hermite_eval(3, mid)
+    p_sign = 0.5 * (1.0 + theta) * np.sign(core - lam)
+    q_sign = 0.5 * (1.0 - theta) * np.sign(core + lam)
+    moments = gaussian_moments(edges)
+    # int (core -+ lam) pdf per cell
+    core_int = (params.alpha + 3.0 * coeff) * moments[1] - coeff * moments[3]
+    return float(p_sign @ (core_int - lam * moments[0])
+                 + q_sign @ (core_int + lam * moments[0]))
 
-    def integrand(z):
-        theta = profile.evaluate(z)
-        core = params.alpha * z - coeff * hermite_eval(3, z)
-        return 0.5 * (1.0 + theta) * np.abs(core - params.lam) \
-            + 0.5 * (1.0 - theta) * np.abs(core + params.lam)
 
-    kinks = list(profile.breakpoints) + [-profile.z_cut, profile.z_cut]
-    kinks.extend(_cubic_kinks(params.alpha, params.lam, coeff, spec.truncation))
-    return gauss_integrate(integrand, spec, kinks=kinks)
-
-
-def beta_derivative_scan(profile: Profile, params: ReedsParams, betas,
-                         spec: QuadratureSpec = DEFAULT_SPEC) -> list[tuple[float, float]]:
+def beta_derivative_scan(profile: Profile, params: ReedsParams,
+                         betas) -> list[tuple[float, float]]:
     """(beta, norm drop / beta) along a decreasing positive beta sequence.
 
     The second coordinates converge (first order in beta) to the zonal
@@ -158,10 +145,10 @@ def beta_derivative_scan(profile: Profile, params: ReedsParams, betas,
         raise DomainError("betas must be positive")
     if any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise DomainError("betas must decrease toward 0")
-    base = r_lambda_norm_1d(ConditionalNormInput(profile, params, 0.0), spec)
+    base = r_lambda_norm_1d(ConditionalNormInput(profile, params, 0.0))
     rows = []
     for beta in betas:
-        val = r_lambda_beta_norm_1d(ConditionalNormInput(profile, params, beta), spec)
+        val = r_lambda_beta_norm_1d(ConditionalNormInput(profile, params, beta))
         rows.append((beta, (base - val) / beta))
     return rows
 
@@ -186,8 +173,7 @@ def _reflect(profile: Profile) -> Profile:
                    tail_rule="const", tail_values=(right, left))
 
 
-def _ascent_step(profile: Profile, lam: float, alpha: float,
-                 spec: QuadratureSpec) -> Profile:
+def _ascent_step(profile: Profile, lam: float, alpha: float) -> Profile:
     """One alternating-maximization update of the conditional profile.
 
     The new witness is the sign of the operator output: sign(z) outside the
@@ -203,8 +189,8 @@ def _ascent_step(profile: Profile, lam: float, alpha: float,
     return Profile(z_cut=eta, breakpoints=tuple(inner), values=tuple(vals))
 
 
-def sign_ascent(initial: Profile, params: ReedsParams, iterations: int,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[Profile, list[float]]:
+def sign_ascent(initial: Profile, params: ReedsParams,
+                iterations: int) -> tuple[Profile, list[float]]:
     """Alternating maximization of the norm starting from a profile.
 
     Each step replaces the profile by the conditional bias of the sign of
@@ -215,20 +201,20 @@ def sign_ascent(initial: Profile, params: ReedsParams, iterations: int,
         raise DomainError(f"iterations must be >= 1, got {iterations}")
     lam = params.lam
     cur = initial
-    m = moment(cur, spec)
+    m = moment(cur)
     if m < 0.0:
         cur, m = _reflect(cur), -m
     if m <= 1e-12:
         raise DomainError("initial profile has vanishing first moment")
     values = [r_lambda_norm_1d(
-        ConditionalNormInput(cur, ReedsParams(lam=lam, alpha=m), 0.0), spec)]
+        ConditionalNormInput(cur, ReedsParams(lam=lam, alpha=m), 0.0))]
     for _ in range(iterations):
-        cur = _ascent_step(cur, lam, m, spec)
-        m = moment(cur, spec)
+        cur = _ascent_step(cur, lam, m)
+        m = moment(cur)
         if m < 0.0:
             cur, m = _reflect(cur), -m
         values.append(r_lambda_norm_1d(
-            ConditionalNormInput(cur, ReedsParams(lam=lam, alpha=m), 0.0), spec))
+            ConditionalNormInput(cur, ReedsParams(lam=lam, alpha=m), 0.0)))
     return cur, values
 
 
@@ -243,14 +229,14 @@ def mc_norm_estimate(theta_spec: Profile, config: McConfig,
     """
     if config.dimension not in (1, 2):
         raise DomainError(f"dimension must be 1 or 2, got {config.dimension}")
-    _check_feasible(theta_spec, params, DEFAULT_SPEC)
+    _check_feasible(theta_spec, params)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     x = rng.standard_normal((config.samples, config.dimension))
     z = x[:, 0]
     u = rng.random(config.samples)
     bias = theta_spec.evaluate(z)
     f = np.where(u < 0.5 * (1.0 + bias), 1.0, -1.0)
-    c3 = _h3_coefficient(theta_spec, DEFAULT_SPEC)
+    c3 = _h3_coefficient(theta_spec)
     vals = np.abs(params.alpha * z - params.lam * f
                   - beta * c3 * hermite_eval(3, z))
     est = float(np.mean(vals))
@@ -300,10 +286,9 @@ def sample_feasible_profile(seed: int, params: ReedsParams, z_cut: float = 1.0,
     return Profile.from_grid(blended, z_cut=z_cut)
 
 
-def scan_csv(profile: Profile, params: ReedsParams, betas,
-             spec: QuadratureSpec = DEFAULT_SPEC) -> str:
+def scan_csv(profile: Profile, params: ReedsParams, betas) -> str:
     """CSV of a perturbation scan: beta, norm_drop, drop_over_beta, limit."""
-    rows = beta_derivative_scan(profile, params, betas, spec)
+    rows = beta_derivative_scan(profile, params, betas)
     lines = ["beta,norm_drop,drop_over_beta,derivative_limit_estimate"]
     for i, (beta, ratio) in enumerate(rows):
         if i >= 1:

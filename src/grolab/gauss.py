@@ -1,10 +1,16 @@
-"""Gaussian measure primitives: density, CDF, Hermite polynomials, quadrature.
+"""Gaussian measure primitives: density, CDF, Hermite polynomials, moments.
 
-Everything downstream integrates against the standard Gaussian weight, so one
-adaptive panel rule lives here.  Integrands are piecewise smooth with a small
-number of known kink locations (absolute values switching branch); panels are
-aligned with the kinks, which restores spectral accuracy of the fixed-order
-Gauss-Legendre rule inside each panel.
+Every integral the library needs is a piecewise polynomial of degree <= 3
+times the standard Gaussian density, so one exact primitive lives here:
+`gaussian_moments`, the moments int_a^b z^k pdf(z) dz (k = 0..3) of an array
+of cells.  An integral is then a dot product of per-cell polynomial
+coefficients with these moments.
+
+The adaptive Gauss-Legendre panel rule is kept as an independent oracle: the
+tests check the closed forms against it, and the `closed_form_vs_quadrature`
+verification check does the same at run time.  Integrands are piecewise
+smooth with known kink locations; panels are aligned with the kinks, which
+restores spectral accuracy of the fixed-order rule inside each panel.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for every Gaussian integral in the library.
+    """Controls for the adaptive quadrature oracle.
 
     truncation: half-width of the integration window; Gaussian mass outside
         is bounded into the error estimate rather than ignored.
@@ -92,7 +98,7 @@ def hermite_eval(k: int, z):
     raise DomainError(f"hermite_eval supports k in 0..3, got {k}")
 
 
-# Exact antiderivative helpers used throughout for piecewise-constant profiles.
+# Scalar closed forms; the tests use them as references for gaussian_moments.
 
 def interval_mass(a: float, b: float) -> float:
     """Gaussian measure of [a, b]."""
@@ -120,15 +126,38 @@ def h3_tail_integral(eta: float) -> float:
     return -2.0 * (1.0 - eta * eta) * gaussian_pdf(eta)
 
 
-class GaussianClosedForms:
-    """Namespace collecting the exact formulas the test suite cross-checks."""
+# pdf(z) and Phi(-|z|) underflow to exactly 0.0 for |z| >= 38.6, so clipping
+# edges (infinite ones included) to +-40 leaves every moment unchanged.
+_EDGE_CLIP = 40.0
 
-    pdf = staticmethod(gaussian_pdf)
-    cdf = staticmethod(gaussian_cdf)
-    interval_mass = staticmethod(interval_mass)
-    interval_z_moment = staticmethod(interval_z_moment)
-    tail_first_moment = staticmethod(tail_first_moment)
-    h3_tail_integral = staticmethod(h3_tail_integral)
+
+def gaussian_moments(edges) -> np.ndarray:
+    """Exact moments I_k = int_{e_i}^{e_{i+1}} z^k pdf(z) dz, k = 0..3.
+
+    edges is a nondecreasing sequence of n + 1 cell edges, which may start at
+    -inf and end at +inf.  Returns an array of shape (4, n) whose row k holds
+    I_k of every cell.
+
+    I_0 is the Phi difference written as 2 Phi(e) - 1 = sign(e) (1 - erfc(|e|
+    / sqrt 2)) with the two parts differenced separately: for a cell on one
+    side of 0 the sign parts cancel exactly and only the erfc values of that
+    tail are subtracted, so far-tail cells keep their relative accuracy.  The
+    higher moments follow from I_k = (k - 1) I_{k-2} + a^{k-1} pdf(a) -
+    b^{k-1} pdf(b) on each cell [a, b].
+    """
+    e = np.minimum(np.maximum(np.asarray(edges, dtype=float), -_EDGE_CLIP),
+                   _EDGE_CLIP)
+    s = np.sign(e)
+    s_erfc = s * erfc(np.abs(e) / _SQRT2)
+    pdf = np.exp(-0.5 * e * e) * INV_SQRT_2PI
+    z_pdf = e * pdf
+    zz_pdf = e * z_pdf
+    out = np.empty((4, e.size - 1))
+    out[0] = 0.5 * ((s[1:] - s[:-1]) - (s_erfc[1:] - s_erfc[:-1]))
+    out[1] = pdf[:-1] - pdf[1:]
+    out[2] = out[0] + (z_pdf[:-1] - z_pdf[1:])
+    out[3] = 2.0 * out[1] + (zz_pdf[:-1] - zz_pdf[1:])
+    return out
 
 
 # Fixed-order Gauss-Legendre nodes for the panel rule (7 vs 15 points gives

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FeasibilityError, InternalCheckError
-from .gauss import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    SQRT_2PI,
-    gauss_integrate,
-    gaussian_cdf,
-    gaussian_pdf,
-    hermite_eval,
-)
-from .profiles import Profile, moment
+from .gauss import SQRT_2PI, gaussian_cdf, gaussian_pdf
+from .profiles import Profile, moment, theta_moments
 
 # Inner moments must vanish this tightly for the |A| bound hypothesis.
 _INNER_MOMENT_TOL = 1e-9
@@ -113,8 +105,7 @@ class PairingConstants:
                    K0_upper=K0_upper(eta))
 
 
-def A_bound_check(profile: Profile, eta: float,
-                  spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[float, float]:
+def A_bound_check(profile: Profile, eta: float) -> tuple[float, float]:
     """(|int_{-eta}^{eta} H3 theta pdf|, eta^2 (pdf(0) - pdf(eta))).
 
     Requires the profile's inner moment on (-eta, eta) to vanish; that is
@@ -123,20 +114,14 @@ def A_bound_check(profile: Profile, eta: float,
     eta = float(eta)
     if eta <= 0.0:
         raise DomainError(f"A_bound_check requires eta > 0, got {eta}")
-    kinks = list(profile.breakpoints) + [-profile.z_cut, profile.z_cut]
-    inner_m = gauss_integrate(
-        lambda z: z * profile.evaluate(z), spec, kinks=kinks,
-        interval=(-eta, eta),
-    )
+    m = theta_moments(profile, eta)
+    inner_m = float(m[1])
     if abs(inner_m) > _INNER_MOMENT_TOL:
         raise FeasibilityError(
             f"inner moment {inner_m:.3g} must vanish on (-{eta}, {eta})",
             residual=inner_m,
         )
-    a_val = gauss_integrate(
-        lambda z: hermite_eval(3, z) * profile.evaluate(z), spec, kinks=kinks,
-        interval=(-eta, eta),
-    )
+    a_val = float(m[3] - 3.0 * m[1])
     bound = eta * eta * (gaussian_pdf(0.0) - gaussian_pdf(eta))
     return abs(a_val), bound
 
@@ -156,8 +141,7 @@ def _sign_tails_beyond(profile: Profile, eta: float) -> bool:
     return True
 
 
-def mombd_lower(profile: Profile, eta: float,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def mombd_lower(profile: Profile, eta: float) -> float:
     """First moment of a profile with sign tails beyond eta < 1/2.
 
     Returns the moment and verifies it clears the worst-case closed form
@@ -171,7 +155,7 @@ def mombd_lower(profile: Profile, eta: float,
         raise FeasibilityError(
             f"profile must equal sign(z) for |z| > {eta}"
         )
-    m = moment(profile, spec)
+    m = moment(profile)
     worst = 2.0 * (2.0 * math.exp(-0.5 * eta * eta) - 1.0) / SQRT_2PI
     if m < worst - 1e-12:
         raise InternalCheckError(

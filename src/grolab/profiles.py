@@ -5,6 +5,11 @@ piecewise-constant values on an inner window plus symbolic tails (sign(z) or
 per-side constants).  The operations here evaluate the primal objective V,
 its dual certificate, the exact optimality-gap tail integral, the discretized
 bathtub maximizer, and the quantitative gap lower bounds used downstream.
+
+Every integral here is a piecewise polynomial of degree <= 3 times the
+Gaussian density: the line is cut into cells on which theta is constant and
+the other factors are polynomials, and the integral is a dot product of the
+per-cell coefficients with gauss.gaussian_moments.
 """
 
 from __future__ import annotations
@@ -17,15 +22,7 @@ import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star, solve_h
 from .errors import DomainError, FeasibilityError, InternalCheckError
-from .gauss import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    gauss_integrate,
-    gaussian_cdf,
-    gaussian_pdf,
-    interval_mass,
-    interval_z_moment,
-)
+from .gauss import gaussian_cdf, gaussian_moments, gaussian_pdf
 
 SIGN_TAILS = "sign"
 CONST_TAILS = "const"
@@ -134,6 +131,38 @@ def _dedupe_edges(points, lo: float, hi: float) -> list[float]:
     return out
 
 
+def _partition(points, window: float = math.inf):
+    """Cells of (-window, window) cut at the points inside it.
+
+    Returns (edges, mid): the n + 1 cell edges, infinite at both ends when
+    the window is, and a point inside each cell.
+    """
+    edges = np.array([-window, *_dedupe_edges(points, -window, window), window])
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    if math.isinf(window):
+        mid[0], mid[-1] = edges[1] - 1.0, edges[-2] + 1.0
+    return edges, mid
+
+
+def _cells(profile: Profile, kinks=(), window: float = math.inf):
+    """Cells of (-window, window) on which theta is constant, also cut at kinks.
+
+    Returns (edges, mid, theta) with theta the profile's value on each cell.
+    """
+    edges, mid = _partition(
+        [*profile.breakpoints, -profile.z_cut, profile.z_cut, *kinks], window)
+    return edges, mid, profile.evaluate(mid)
+
+
+def theta_moments(profile: Profile, window: float = math.inf) -> np.ndarray:
+    """(int theta(z) z^k pdf(z) dz over |z| < window)_{k=0..3}, exactly.
+
+    With the default infinite window the symbolic tails are included.
+    """
+    edges, _, theta = _cells(profile, window=window)
+    return gaussian_moments(edges) @ theta
+
+
 def _rebuild(profile: Profile, lo: float, hi: float, extra_edges=(),
              override=None) -> Profile:
     """Profile restricted to (lo, hi) with sign tails, optional cell override.
@@ -179,24 +208,6 @@ def A_B_eval(z, params: ReedsParams):
     return a, b
 
 
-# -- closed-form tail pieces -------------------------------------------------
-
-def _tail_A(c: float, params: ReedsParams) -> float:
-    """int_c^inf A(z) pdf(z) dz for c >= 0."""
-    eta = params.eta
-    if c >= eta:
-        return params.alpha * gaussian_pdf(c)
-    return params.lam * interval_mass(c, eta) + params.alpha * gaussian_pdf(eta)
-
-
-def _tail_B(c: float, params: ReedsParams) -> float:
-    """int_c^inf B(z) pdf(z) dz for c >= 0."""
-    eta = params.eta
-    if c >= eta:
-        return -params.lam * gaussian_cdf(-c)
-    return -params.alpha * interval_z_moment(c, eta) - params.lam * gaussian_cdf(-eta)
-
-
 def _int_A_full(params: ReedsParams) -> float:
     """int_R A(z) pdf(z) dz in closed form."""
     eta = params.eta
@@ -205,45 +216,30 @@ def _int_A_full(params: ReedsParams) -> float:
 
 # -- moments and objective ---------------------------------------------------
 
-def moment(profile: Profile, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """First Gaussian moment int z theta(z) pdf(z) dz; tails in closed form."""
-    inner = gauss_integrate(
-        lambda z: z * profile.evaluate(z),
-        spec,
-        kinks=profile.breakpoints,
-        interval=(-profile.z_cut, profile.z_cut),
-    )
-    left, right = profile.tail_values
-    tail = (right - left) * gaussian_pdf(profile.z_cut)
-    return inner + tail
+def moment(profile: Profile) -> float:
+    """First Gaussian moment int z theta(z) pdf(z) dz, tails included."""
+    return float(theta_moments(profile)[1])
 
 
-def V_value(profile: Profile, params: ReedsParams,
-            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def V_value(profile: Profile, params: ReedsParams) -> float:
     """Primal objective V(theta) = int (A + theta B) pdf.
 
     Evaluated whether or not theta meets the moment constraint; feasibility
     is the caller's concern (see gap_certificate).
     """
-    zc = profile.z_cut
     eta = params.eta
-
-    def integrand(z):
-        a, b = A_B_eval(z, params)
-        return a + profile.evaluate(z) * b
-
-    inner = gauss_integrate(
-        integrand, spec,
-        kinks=list(profile.breakpoints) + [-eta, eta],
-        interval=(-zc, zc),
-    )
-    left, right = profile.tail_values
-    tails = 2.0 * _tail_A(zc, params) + (right - left) * _tail_B(zc, params)
-    return inner + tails
+    edges, mid, theta = _cells(profile, kinks=(-eta, eta))
+    moments = gaussian_moments(edges)
+    inner = np.abs(mid) < eta
+    sign = np.sign(mid)
+    # A = lambda, B = -alpha z inside (-eta, eta); A = alpha |z|, B = -lambda
+    # sign(z) outside.
+    c0 = np.where(inner, params.lam, -params.lam * sign * theta)
+    c1 = np.where(inner, -params.alpha * theta, params.alpha * sign)
+    return float(c0 @ moments[0] + c1 @ moments[1])
 
 
-def dual_value(mu: float, params: ReedsParams,
-               spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def dual_value(mu: float, params: ReedsParams) -> float:
     """Dual functional D(mu) = int A pdf + mu alpha + int |B - mu z| pdf."""
     mu = float(mu)
     eta = params.eta
@@ -251,12 +247,15 @@ def dual_value(mu: float, params: ReedsParams,
     if -params.alpha < mu < 0.0:
         w = params.lam / abs(mu)
         kinks.extend((-w, w))
-
-    def integrand(z):
-        _, b = A_B_eval(z, params)
-        return np.abs(b - mu * z)
-
-    term = gauss_integrate(integrand, spec, kinks=kinks)
+    edges, mid = _partition(kinks)
+    # B - mu z is linear on each cell and keeps its sign there.
+    sign = np.sign(mid)
+    inner = np.abs(mid) < eta
+    c0 = np.where(inner, 0.0, -params.lam * sign)
+    c1 = np.where(inner, -params.alpha, 0.0) - mu
+    flip = np.sign(c0 + c1 * mid)
+    moments = gaussian_moments(edges)
+    term = float((flip * c0) @ moments[0] + (flip * c1) @ moments[1])
     return _int_A_full(params) + mu * params.alpha + term
 
 
@@ -272,20 +271,20 @@ def _dual_anchor(params: ReedsParams) -> float:
     return (params.alpha - 2.0 * gaussian_pdf(eta)) / denom
 
 
-def _dual_attained_value(params: ReedsParams, spec: QuadratureSpec) -> float:
+def _dual_attained_value(params: ReedsParams) -> float:
     if abs(_dual_anchor(params)) > 1.0:
         raise DomainError(
             "dual certificate is not attained at mu = -alpha for these params"
         )
-    return dual_value(-params.alpha, params, spec)
+    return dual_value(-params.alpha, params)
 
 
 @lru_cache(maxsize=256)
-def _cached_dual(params: ReedsParams, spec: QuadratureSpec) -> float:
-    return _dual_attained_value(params, spec)
+def _cached_dual(params: ReedsParams) -> float:
+    return _dual_attained_value(params)
 
 
-def F_value_dual(params: ReedsParams, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def F_value_dual(params: ReedsParams) -> float:
     """Optimal value of the moment-constrained maximization, via the dual.
 
     Only offered inside the window |alpha - alpha*(lambda)| < 1/100 where the
@@ -298,7 +297,7 @@ def F_value_dual(params: ReedsParams, spec: QuadratureSpec = DEFAULT_SPEC) -> fl
             f"F_value_dual requires |alpha - {alpha_star:.6f}| < 0.01, "
             f"got alpha={params.alpha}"
         )
-    return _cached_dual(params, spec)
+    return _cached_dual(params)
 
 
 @dataclass(frozen=True)
@@ -338,83 +337,46 @@ class GapInputs:
                 raise DomainError(f"GapInputs.{name} must be nonnegative")
 
 
-def gap_tail_integral(profile: Profile, params: ReedsParams,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def gap_tail_integral(profile: Profile, params: ReedsParams) -> float:
     """int_{|z|>eta} (alpha |z| - lambda)(1 - theta(z) sign(z)) pdf(z) dz."""
     eta = params.eta
-    zc = profile.z_cut
-    total = 0.0
-    if zc > eta:
-        def integrand(z):
-            defect = 1.0 - profile.evaluate(z) * np.sign(z)
-            return np.where(np.abs(z) > eta,
-                            (params.alpha * np.abs(z) - params.lam) * defect, 0.0)
-
-        total += gauss_integrate(
-            integrand, spec,
-            kinks=list(profile.breakpoints) + [-eta, eta],
-            interval=(-zc, zc),
-        )
-    start = max(eta, zc)
-    left, right = profile.tail_values
-    # int_c^inf (alpha z - lambda) pdf = alpha pdf(c) - lambda Phi(-c), c >= eta
-    base = params.alpha * gaussian_pdf(start) - params.lam * gaussian_cdf(-start)
-    total += ((1.0 - right) + (1.0 + left)) * base
-    return total
+    edges, mid, theta = _cells(profile, kinks=(-eta, eta))
+    moments = gaussian_moments(edges)
+    sign = np.sign(mid)
+    defect = np.where(np.abs(mid) > eta, 1.0 - theta * sign, 0.0)
+    return float(-params.lam * defect @ moments[0]
+                 + params.alpha * (defect * sign) @ moments[1])
 
 
-def gap_certificate(profile: Profile, params: ReedsParams,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> GapCertificate:
+def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
     """Optimality certificate for a feasible profile.
 
     Feasibility means the first moment matches params.alpha within tolerance;
     the returned gap F - V is cross-checked against the closed tail integral.
     """
-    m = moment(profile, spec)
+    m = moment(profile)
     residual = m - params.alpha
     if abs(residual) > FEASIBILITY_TOL:
         raise FeasibilityError(
             f"profile moment {m:.15g} != alpha {params.alpha:.15g}",
             residual=residual,
         )
-    F = _dual_attained_value(params, spec)
-    V = V_value(profile, params, spec)
-    tail = gap_tail_integral(profile, params, spec)
+    F = _dual_attained_value(params)
+    V = V_value(profile, params)
+    tail = gap_tail_integral(profile, params)
     return GapCertificate(primal_V=V, dual_D=F, gap=F - V, tail_integral=tail,
                           mu=-params.alpha)
 
 
 # -- discretized maximization (bathtub fill) ---------------------------------
 
-def _cell_B_integral(lo: float, hi: float, params: ReedsParams) -> float:
-    """Exact int_lo^hi B(z) pdf(z) dz, splitting at the kinks +-eta."""
-    eta = params.eta
-    total = 0.0
-    # piece inside (-eta, eta): B = -alpha z
-    plo, phi = max(lo, -eta), min(hi, eta)
-    if phi > plo:
-        total -= params.alpha * interval_z_moment(plo, phi)
-    # piece in (eta, inf): B = -lambda
-    plo, phi = max(lo, eta), hi
-    if phi > plo:
-        total -= params.lam * interval_mass(plo, phi)
-    # piece in (-inf, -eta): B = +lambda
-    plo, phi = lo, min(hi, -eta)
-    if phi > plo:
-        total += params.lam * interval_mass(plo, phi)
-    return total
-
-
-def lp_maximize(params: ReedsParams, grid_size: int,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> tuple[Profile, float]:
+def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     """Exact solution of the grid-discretized moment-constrained LP.
 
     Single equality constraint plus box bounds: the maximizer is a bathtub
     fill ordered by objective-per-moment ratio, with one fractional tie
     group found by a parametric threshold.  Sign tails are kept symbolic
-    beyond the grid window.  Cell integrals are closed forms, so the
-    quadrature spec is not consulted; it stays in the signature as part of
-    the operation contract.
+    beyond the grid window.  Cell integrals are closed forms.
     """
     if grid_size < 64:
         raise DomainError(f"grid_size must be >= 64, got {grid_size}")
@@ -424,8 +386,16 @@ def lp_maximize(params: ReedsParams, grid_size: int,
     eta = params.eta
     z_cut = max(eta, solve_h(alpha)) + 1.0
     edges = np.linspace(-z_cut, z_cut, grid_size + 1)
-    a = np.array([interval_z_moment(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
-    c = np.array([_cell_B_integral(lo, hi, params) for lo, hi in zip(edges[:-1], edges[1:])])
+    # Cut the grid at the kinks +-eta of B, integrate B = lambda, -alpha z,
+    # -lambda on the pieces, and sum the pieces back into their grid cells.
+    pieces = np.union1d(edges, (-eta, eta))
+    mid = 0.5 * (pieces[:-1] + pieces[1:])
+    cell = np.searchsorted(edges, mid) - 1
+    moments = gaussian_moments(pieces)
+    b_int = np.where(np.abs(mid) < eta, -alpha * moments[1],
+                     -params.lam * np.sign(mid) * moments[0])
+    a = np.bincount(cell, weights=moments[1], minlength=grid_size)
+    c = np.bincount(cell, weights=b_int, minlength=grid_size)
 
     target = alpha - 2.0 * gaussian_pdf(z_cut)
     abs_a = np.abs(a)
@@ -505,114 +475,73 @@ def elem_identity_check(x: float, y: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def inner_moment_defect(profile: Profile, eta_star: float,
-                        spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+def inner_moment_defect(profile: Profile, eta_star: float) -> float:
     """|int_{-eta*}^{eta*} z theta(z) pdf(z) dz|."""
-    return abs(_inner_moment_signed(profile, eta_star, spec))
-
-def _inner_moment_signed(profile: Profile, eta_star: float,
-                         spec: QuadratureSpec) -> float:
-    kinks = list(profile.breakpoints) + [-profile.z_cut, profile.z_cut]
-    return gauss_integrate(
-        lambda z: z * profile.evaluate(z),
-        spec,
-        kinks=kinks,
-        interval=(-eta_star, eta_star),
-    )
-
-
-def _inner_moment_closed(profile: Profile, eta_star: float) -> float:
-    """Exact int_{-eta*}^{eta*} z theta pdf via per-cell antiderivatives."""
-    cuts = _dedupe_edges(
-        list(profile.breakpoints) + [-profile.z_cut, profile.z_cut],
-        -eta_star, eta_star)
-    edges = [-eta_star, *cuts, eta_star]
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        theta = float(profile.evaluate(np.array([mid]))[0])
-        total += theta * interval_z_moment(a, b)
-    return total
+    return abs(float(theta_moments(profile, eta_star)[1]))
 
 
 # -- constructive projection onto the maximizing set -------------------------
 
-def _repair_G(profile: Profile, s: float, eta_star: float, t: float) -> float:
-    """Capacity integral int_{eta*/2 < |z| < t} z (sign(z) + s theta(z)) pdf dz.
+def _repair_threshold(profile: Profile, s: float, eta_star: float,
+                      delta: float) -> float:
+    """Smallest t with G(t) >= delta for the capacity integral
 
-    theta is piecewise constant, so after folding the negative side onto
-    u = -z each piece reduces to pdf differences:
-        G(t) = int_{half}^{t} u [(1 + s theta(u)) + (1 - s theta(-u))] pdf(u) du.
+        G(t) = int_{eta*/2 < |z| < t} z (sign(z) + s theta(z)) pdf dz
+             = int_{half}^{t} u [(1 + s theta(u)) + (1 - s theta(-u))] pdf(u) du,
+
+    the negative side folded onto u = -z.  The weight w is constant on each
+    folded cell, so G is tabulated cumulatively at the cell edges and
+    inverted exactly inside the crossing cell [c, d]:
+        pdf(t) = pdf(c) - r / w  <=>  t^2 = c^2 - 2 log1p(-r / (w pdf(c))),
+    with r the part of delta left after the cells below c.
     """
     half = eta_star / 2.0
-    if t <= half:
-        return 0.0
-    cuts = {half, t}
-    for b in profile.breakpoints:
-        if half < abs(b) < t:
-            cuts.add(abs(b))
-    if half < profile.z_cut < t:
-        cuts.add(profile.z_cut)
-    cuts = sorted(cuts)
-    total = 0.0
-    for a_, b_ in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (a_ + b_)
-        th_pos = float(profile.evaluate(np.array([mid]))[0])
-        th_neg = float(profile.evaluate(np.array([-mid]))[0])
-        piece = interval_z_moment(a_, b_)
-        total += ((1.0 + s * th_pos) + (1.0 - s * th_neg)) * piece
-    return total
+    cuts = np.array([half, *_dedupe_edges(np.abs(profile.breakpoints),
+                                          half, eta_star), eta_star])
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    weight = (1.0 + s * profile.evaluate(mid)) + (1.0 - s * profile.evaluate(-mid))
+    capacity = np.cumsum(weight * gaussian_moments(cuts)[1])
+    if capacity[-1] < delta - 1e-13:
+        raise InternalCheckError(
+            f"repair capacity {capacity[-1]} below defect {delta}"
+        )
+    j = int(np.searchsorted(capacity, delta))
+    if j == len(capacity):
+        return eta_star
+    rest = delta - (capacity[j - 1] if j else 0.0)
+    c = float(cuts[j])
+    t_sq = c * c - 2.0 * math.log1p(-rest / (weight[j] * gaussian_pdf(c)))
+    return min(math.sqrt(t_sq), float(cuts[j + 1]))
 
 
-def repair_to_theta(profile: Profile, spec: QuadratureSpec = DEFAULT_SPEC,
+def repair_to_theta(profile: Profile,
                     lam: float = LAMBDA_STAR) -> tuple[Profile, float]:
     """Project a profile onto the maximizer set: sign tails at eta*, zero
     inner moment.  Returns the repaired profile and the L1 cost of the move.
 
     Follows the constructive two-step proof: fix the tails first, then flip
     theta toward -sign on a band eta*/2 < |z| < t0 whose capacity absorbs the
-    inner-moment defect; t0 is found by bisection on the capacity integral.
+    inner-moment defect; t0 solves the capacity equation exactly.
     eta* is tied to the supplied lambda so callers stay on one Reeds point.
     """
     eta_star = solve_eta_star(lam)
-    zc = profile.z_cut
 
-    # Step 1: tail cost and the tail-fixed profile on (-eta*, eta*).
-    def tail_defect(z):
-        return (1.0 - profile.evaluate(z) * np.sign(z)) * (np.abs(z) > eta_star)
-
-    hi = max(zc, eta_star)
-    tail_cost = gauss_integrate(
-        tail_defect, spec,
-        kinks=list(profile.breakpoints) + [-eta_star, eta_star, -zc, zc],
-        interval=(-hi, hi),
-    )
-    left, right = profile.tail_values
-    start = max(eta_star, zc)
-    tail_cost += ((1.0 - right) + (1.0 + left)) * gaussian_cdf(-start)
+    # Step 1: tail cost int_{|z|>eta*} |sign(z) - theta| pdf and the
+    # tail-fixed profile on (-eta*, eta*).
+    edges, mid, theta = _cells(profile, kinks=(-eta_star, eta_star))
+    sign = np.sign(mid)
+    defect = np.where(np.abs(mid) > eta_star, 1.0 - theta * sign, 0.0)
+    tail_cost = float(defect @ gaussian_moments(edges)[0])
 
     fixed = _rebuild(profile, -eta_star, eta_star)
 
-    inner = _inner_moment_closed(fixed, eta_star)
+    inner = float(theta_moments(fixed, eta_star)[1])
     delta = abs(inner)
     if delta <= 1e-15:
         return fixed, tail_cost
 
     s = 1.0 if inner >= 0.0 else -1.0
-    capacity = _repair_G(fixed, s, eta_star, eta_star)
-    if capacity < delta - 1e-13:
-        raise InternalCheckError(
-            f"repair capacity {capacity} below defect {delta}"
-        )
-    lo_t, hi_t = eta_star / 2.0, eta_star
-    for _ in range(80):
-        mid = 0.5 * (lo_t + hi_t)
-        if _repair_G(fixed, s, eta_star, mid) < delta:
-            lo_t = mid
-        else:
-            hi_t = mid
-    t0 = 0.5 * (lo_t + hi_t)
-
+    t0 = _repair_threshold(fixed, s, eta_star, delta)
     half = eta_star / 2.0
 
     def override(mid):
@@ -623,13 +552,11 @@ def repair_to_theta(profile: Profile, spec: QuadratureSpec = DEFAULT_SPEC,
     repaired = _rebuild(fixed, -eta_star, eta_star,
                         extra_edges=(-t0, -half, half, t0), override=override)
 
-    inner_cost = gauss_integrate(
-        lambda z: np.abs(repaired.evaluate(z) - fixed.evaluate(z)),
-        spec,
-        kinks=list(repaired.breakpoints) + list(fixed.breakpoints),
-        interval=(-eta_star, eta_star),
-    )
-    residual = _inner_moment_closed(repaired, eta_star)
+    edges, mid, theta = _cells(repaired, kinks=fixed.breakpoints,
+                               window=eta_star)
+    moved = np.abs(theta - fixed.evaluate(mid))
+    inner_cost = float(moved @ gaussian_moments(edges)[0])
+    residual = float(theta_moments(repaired, eta_star)[1])
     if abs(residual) > 1e-13:
         raise InternalCheckError(
             f"repair left inner moment {residual}; expected 0"

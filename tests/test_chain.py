@@ -227,6 +227,23 @@ def test_gaussian_tail_envelope():
         log_tail_envelope_margin(2.0)
 
 
+def test_gaussian_tail_envelope_matches_scipy_stats():
+    # the special-function forms agree with the scipy.stats reference
+    from scipy.stats import norm
+
+    for a in np.linspace(2.3, 40.0, 400):
+        a = float(a)
+        log_sf = float(norm.logsf(a))
+        log_pdf = float(norm.logpdf(a))
+        ref = math.log(0.583) + log_sf + math.log(-log_sf) - log_pdf
+        assert log_tail_envelope_margin(a) == pytest.approx(ref, rel=1e-14,
+                                                            abs=1e-14)
+    halfspace = dict((name, value) for name, value, _, _ in
+                     strip_case_checks())["halfspace_moment <= envelope"]
+    assert halfspace == pytest.approx(2.0 * norm.pdf(norm.isf(1.25e-10)),
+                                      rel=1e-14)
+
+
 def test_strip_case_checks():
     checks = strip_case_checks()
     assert len(checks) == 8

@@ -1,9 +1,24 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grolab
+
 from grolab.certify import all_certified_checks
-from grolab.cli import RunConfig, UsageError, main, run, sweep
+from grolab.cli import (
+    DEFAULT_SEED,
+    RunConfig,
+    UsageError,
+    build_config,
+    main,
+    run,
+    sweep,
+)
 from grolab.profiles import profile_from_text
 from grolab.reporting import (
     Check,
@@ -167,3 +182,64 @@ def test_config_file_errors(tmp_path):
     malformed.write_text("just some text\n", encoding="utf-8")
     assert main(["constants", "--config", str(malformed)]) == 2
     assert main(["constants", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def _args(**flags):
+    base = dict(command="profile", config=None, out=None, certified=False,
+                seed=None, beta=None, epsilon=None, grid=None)
+    return argparse.Namespace(**{**base, **flags})
+
+
+def test_seed_zero_is_kept():
+    assert build_config(_args(seed=0)).seed == 0
+    assert build_config(_args()).seed == DEFAULT_SEED
+    assert main(["pairing", "--seed", "0"]) == 0
+    assert main(["pairing", "--seed", "-1"]) == 2
+
+
+def test_beta_out_of_range_exits_2():
+    assert main(["chain", "--beta", "0"]) == 2
+    assert main(["chain", "--beta", "1e-3"]) == 2
+    assert build_config(_args(beta=8e-25)).beta == 8e-25
+
+
+def test_epsilon_out_of_range_exits_2():
+    assert main(["chain", "--epsilon", "0"]) == 2
+    assert main(["chain", "--epsilon", "0.5"]) == 2
+    assert build_config(_args(epsilon=1e-7)).epsilon == 1e-7
+
+
+def test_grid_out_of_range_exits_2():
+    assert main(["profile", "--grid", "0"]) == 2
+    assert main(["profile", "--grid", "63"]) == 2
+    assert build_config(_args(grid=64)).grid == 64
+
+
+def test_quadrature_config_out_of_range_exits_2(tmp_path):
+    for line in ("truncation = 0", "truncation = 4", "rel_tol = 0",
+                 "abs_tol = 1e-3", "max_subdivisions = 0", "rel_tol = nan"):
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert main(["profile", "--config", str(cfg)]) == 2, line
+
+
+def test_quadrature_config_governs_cross_check(tmp_path):
+    outcome = run(RunConfig(command="profile"))
+    cross = [c for c in outcome.checks
+             if c.name.startswith("closed_form_vs_quadrature")]
+    assert len(cross) == 1 and cross[0].passed
+    # too few subdivisions for the oracle: the run stops with exit 1
+    cfg = tmp_path / "quad.cfg"
+    cfg.write_text("max_subdivisions = 1\n", encoding="utf-8")
+    assert main(["profile", "--config", str(cfg)]) == 1
+    cfg.write_text("truncation = 9\nrel_tol = 1e-10\n", encoding="utf-8")
+    assert main(["profile", "--config", str(cfg)]) == 0
+
+
+def test_cli_import_skips_scipy_stats():
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(grolab.__file__).resolve().parents[1])}
+    code = "import sys, grolab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

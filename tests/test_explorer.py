@@ -83,6 +83,51 @@ def test_perturbed_norm_first_order_drop(params):
     assert 0.0057e-10 <= drop <= 0.12e-10
 
 
+def test_perturbed_norm_matches_quadrature(params, spec):
+    # the closed form (kinks at the Newton-polished cubic roots) against the
+    # adaptive oracle, with the oracle's kinks taken from np.roots alone
+    # beta = 4 makes alpha + 3 beta c3 < 0: three real kinks on each side
+    for seed, beta in ((41, 1e-3), (42, 0.05), (43, 0.4), (44, 4.0)):
+        member = sample_theta_member(seed, lam=LAM)
+        c3 = gauss_integrate(lambda z: member.evaluate(z) * hermite_eval(3, z),
+                             spec, kinks=[*member.breakpoints, -member.z_cut,
+                                          member.z_cut]) / 6.0
+        coeff = beta * c3
+        roots = np.roots([-coeff, 0.0, params.alpha + 3.0 * coeff, -LAM])
+        real = [float(r.real) for r in roots if abs(r.imag) < 1e-9]
+        assert len(real) == (3 if beta == 4.0 else 1)
+
+        def integrand(z):
+            theta = member.evaluate(z)
+            core = params.alpha * z - coeff * hermite_eval(3, z)
+            return 0.5 * (1.0 + theta) * np.abs(core - LAM) \
+                + 0.5 * (1.0 - theta) * np.abs(core + LAM)
+
+        oracle = gauss_integrate(
+            integrand, spec, kinks=[*member.breakpoints, -member.z_cut,
+                                    member.z_cut, *real, *(-r for r in real)])
+        val = r_lambda_beta_norm_1d(ConditionalNormInput(member, params, beta))
+        assert val == pytest.approx(oracle, abs=1e-13)
+
+
+def test_cubic_kinks_all_real_roots(params):
+    # tiny positive coefficients put two roots far outside any quadrature
+    # window (near +-sqrt(alpha / coeff)); all of them are kept and polished
+    from grolab.explorer import _cubic_roots
+
+    alpha = params.alpha
+    for coeff, count in ((0.0, 1), (1e-11, 3), (1e-4, 3), (-0.05, 1)):
+        assert len(_cubic_roots(alpha, LAM, coeff)) == count
+    assert np.max(np.abs(_cubic_roots(alpha, LAM, 1e-11))) > 1e5
+    # polished to about one rounding of the largest term (np.roots alone
+    # leaves residuals up to ~5e-16 of it, e.g. at coeff = 1e-8)
+    for coeff in [*np.geomspace(1e-17, 0.1, 60), *-np.geomspace(1e-17, 0.25, 60)]:
+        for r in _cubic_roots(alpha, LAM, coeff):
+            g = (alpha + 3.0 * coeff - coeff * r * r) * r - LAM
+            scale = LAM + abs(alpha * r) + abs(coeff * hermite_eval(3, r))
+            assert abs(g) <= 2e-16 * scale, (coeff, r)
+
+
 def test_scan_limits_random_members(params):
     _, _, kq = kappa_Q(params.eta)
     for seed in range(20):

@@ -8,9 +8,12 @@ from grolab.gauss import (
     QuadratureSpec,
     gauss_integrate,
     gaussian_cdf,
+    gaussian_moments,
     gaussian_pdf,
     h3_tail_integral,
     hermite_eval,
+    interval_mass,
+    interval_z_moment,
     tail_first_moment,
 )
 
@@ -137,17 +140,89 @@ def test_closed_forms_match_quadrature(rng, spec):
         assert abs(h3_quad - h3_tail_integral(eta)) < 1e-12
 
 
-def test_closed_form_namespace():
-    from grolab.gauss import GaussianClosedForms as cf
+def test_closed_forms_match_kernel(rng):
+    for a, b in np.sort(rng.uniform(-4.0, 4.0, (50, 2)), axis=1):
+        m = gaussian_moments([a, b])[:, 0]
+        assert m[0] == pytest.approx(interval_mass(a, b), abs=1e-15)
+        assert m[1] == pytest.approx(interval_z_moment(a, b), abs=1e-15)
+    for eta in rng.uniform(0.0, 3.0, 50):
+        m = gaussian_moments([eta, math.inf])[:, 0]
+        assert m[1] == pytest.approx(tail_first_moment(eta), abs=1e-15)
+        assert 2.0 * (m[3] - 3.0 * m[1]) == pytest.approx(
+            h3_tail_integral(eta), abs=1e-15)
 
-    assert cf.pdf(0.0) == gaussian_pdf(0.0)
-    assert cf.cdf(1.0) == gaussian_cdf(1.0)
-    assert cf.interval_mass(-1.0, 1.0) == pytest.approx(
-        gaussian_cdf(1.0) - gaussian_cdf(-1.0), abs=0)
-    assert cf.interval_z_moment(0.0, 1.0) == pytest.approx(
-        gaussian_pdf(0.0) - gaussian_pdf(1.0), abs=0)
-    assert cf.tail_first_moment(0.5) == gaussian_pdf(0.5)
-    assert cf.h3_tail_integral(1.0) == 0.0
+
+# Tight enough that the oracle's own error is far below the 1e-14 budget.
+_ORACLE = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-17, max_subdivisions=20000)
+# pdf underflows to 0 beyond 38.6, so this window is the whole line.
+_WINDOW = 40.0
+
+
+def _oracle_moments(a, b):
+    lo, hi = max(a, -_WINDOW), min(b, _WINDOW)
+    if not lo < hi:
+        return np.zeros(4)
+    return np.array([gauss_integrate(lambda z, k=k: z ** k, _ORACLE,
+                                     interval=(lo, hi)) for k in range(4)])
+
+
+def _assert_kernel_matches_oracle(cells):
+    for a, b in cells:
+        kernel = gaussian_moments([a, b])[:, 0]
+        oracle = _oracle_moments(a, b)
+        assert np.max(np.abs(kernel - oracle)) <= 1e-14, (a, b, kernel, oracle)
+
+
+def test_moments_random_cells(rng):
+    _assert_kernel_matches_oracle(np.sort(rng.uniform(-7.0, 7.0, (60, 2)),
+                                          axis=1))
+
+
+def test_moments_cells_straddling_zero(rng):
+    cells = [(-w * u, w * (1.0 - u)) for w, u in
+             zip(rng.uniform(1e-6, 6.0, 30), rng.uniform(0.0, 1.0, 30))]
+    _assert_kernel_matches_oracle(cells + [(-1e-9, 1e-9), (0.0, 0.0)])
+
+
+def test_moments_far_tail_cells(rng):
+    right = np.sort(rng.uniform(8.0, 14.0, (20, 2)), axis=1)
+    cells = [*right, *(-right[:, ::-1])]
+    _assert_kernel_matches_oracle(cells)
+    # relative accuracy survives far out: Phi(-12) - Phi(-13) on either side
+    exact = 0.5 * (math.erfc(12.0 / math.sqrt(2.0))
+                   - math.erfc(13.0 / math.sqrt(2.0)))
+    m = gaussian_moments([-13.0, -12.0, 12.0, 13.0])
+    assert m[0, 0] == pytest.approx(exact, rel=1e-14)
+    assert m[0, 2] == pytest.approx(exact, rel=1e-14)
+
+
+def test_moments_infinite_edges(rng):
+    inf = math.inf
+    cells = [(-inf, inf), (-inf, 0.0), (0.0, inf), (-inf, -9.0), (9.0, inf)]
+    cells += [(-inf, float(x)) for x in rng.uniform(-5.0, 5.0, 10)]
+    cells += [(float(x), inf) for x in rng.uniform(-5.0, 5.0, 10)]
+    _assert_kernel_matches_oracle(cells)
+    whole = gaussian_moments([-inf, inf])[:, 0]
+    assert np.array_equal(whole, [1.0, 0.0, 1.0, 0.0])
+
+
+def test_moments_lp_grid():
+    # the 16384-cell grid lp_maximize uses at the Reeds point: every 16th
+    # cell plus the cells at 0 against the oracle, the totals against the
+    # full-window moments
+    edges = np.linspace(-2.2, 2.2, 16385)
+    m = gaussian_moments(edges)
+    assert m.shape == (4, 16384)
+    picks = sorted({*range(0, 16384, 16), 8191, 8192, 16383})
+    for i in picks:
+        oracle = _oracle_moments(edges[i], edges[i + 1])
+        assert np.max(np.abs(m[:, i] - oracle)) <= 1e-14, i
+    total = _oracle_moments(-2.2, 2.2)
+    assert np.max(np.abs(m.sum(axis=1) - total)) <= 1e-14
+    # cells have width 2.7e-4, so each I_1 equals its midpoint rule to O(h^3)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    h = edges[1] - edges[0]
+    assert np.max(np.abs(m[1] - mid * gaussian_pdf(mid) * h)) <= h ** 3
 
 
 def test_quadrature_spec_validation():

@@ -147,6 +147,21 @@ def test_dual_reference_values(params):
     assert dual_value(0.0, params) >= f - 1e-12
 
 
+def test_dual_value_matches_quadrature(params, spec):
+    # the closed form against the adaptive oracle over a grid of mu
+    eta = params.eta
+    for mu in np.linspace(-1.5, 1.5, 61):
+        mu = float(mu)
+        kinks = [-eta, 0.0, eta]
+        if -params.alpha < mu < 0.0:
+            kinks += [-params.lam / mu, params.lam / mu]
+        oracle = gauss_integrate(
+            lambda z: A_B_eval(z, params)[0]
+            + np.abs(A_B_eval(z, params)[1] - mu * z), spec, kinks=kinks)
+        assert dual_value(mu, params) == pytest.approx(
+            oracle + mu * params.alpha, abs=1e-13)
+
+
 def test_F_value_dual_window(params):
     assert F_value_dual(params) == pytest.approx(
         (1.0 - LAM) / 1.676956674215576, abs=1e-10)
@@ -402,9 +417,49 @@ def test_repair_random_profiles(rng, eta_star, spec):
         assert repaired.tail_rule == "sign"
         assert repaired.z_cut == pytest.approx(eta_star, abs=0)
         assert inner_moment_defect(repaired, eta_star) <= 1e-12
-        delta = inner_moment_defect(rough, eta_star, spec)
+        delta = inner_moment_defect(rough, eta_star)
         upper = _tail_sign_defect(rough, eta_star, spec) + 2.0 * delta / eta_star
         assert cost <= upper + 1e-10
+
+
+def _capacity_reference(profile, s, eta_star, t):
+    """G(t) = int_{eta*/2 < |z| < t} z (sign(z) + s theta(z)) pdf, piece by
+    piece (the folded form, one pdf difference per piece)."""
+    half = eta_star / 2.0
+    if t <= half:
+        return 0.0
+    cuts = sorted({half, t, *(abs(b) for b in profile.breakpoints
+                              if half < abs(b) < t)})
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (a + b)
+        th_pos = float(profile.evaluate(mid))
+        th_neg = float(profile.evaluate(-mid))
+        total += ((1.0 + s * th_pos) + (1.0 - s * th_neg)) \
+            * interval_z_moment(a, b)
+    return total
+
+
+def test_repair_threshold_inverts_capacity(rng, eta_star):
+    # the exact inversion against bisection on the piecewise capacity
+    from grolab.profiles import _repair_threshold
+
+    for k in range(20):
+        fixed = Profile.from_grid(rng.uniform(-1.0, 1.0, 10), z_cut=eta_star)
+        inner = sum(v * interval_z_moment(a, b) for a, b, v in fixed.cell_bounds())
+        s = 1.0 if inner >= 0.0 else -1.0
+        delta = abs(inner)
+        t0 = _repair_threshold(fixed, s, eta_star, delta)
+        lo, hi = eta_star / 2.0, eta_star
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if _capacity_reference(fixed, s, eta_star, mid) < delta:
+                lo = mid
+            else:
+                hi = mid
+        assert t0 == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+        assert _capacity_reference(fixed, s, eta_star, t0) == pytest.approx(
+            delta, abs=1e-15)
 
 
 # -- gap lower bounds ------------------------------------------------------------
