@@ -14,7 +14,7 @@ import numpy as np
 
 from . import baseline, chain, explorer, pairing, profiles
 from .certify import all_certified_checks
-from .errors import GrolabError
+from .errors import DomainError, GrolabError
 from .gauss import QuadratureSpec, gauss_integrate_with_error
 from .reporting import (
     Check,
@@ -162,8 +162,15 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
         with open(cfg.save_profile, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(profiles.profile_to_text(lp_prof) + "\n")
     if cfg.profile_path:
-        with open(cfg.profile_path, encoding="utf-8") as fh:
-            loaded = profiles.profile_from_text(fh.read())
+        try:
+            with open(cfg.profile_path, encoding="utf-8") as fh:
+                loaded = profiles.profile_from_text(fh.read())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(
+                f"cannot read profile {cfg.profile_path}: {exc}") from exc
+        except DomainError as exc:
+            raise UsageError(
+                f"invalid profile {cfg.profile_path}: {exc}") from exc
         cert = profiles.gap_certificate(
             loaded, baseline.ReedsParams(lam=lam_lit,
                                          alpha=profiles.moment(loaded)))

@@ -15,7 +15,7 @@ per-cell coefficients with gauss.gaussian_moments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +39,9 @@ class Profile:
 
     breakpoints are the interior cell boundaries (strictly increasing, inside
     the window); values has one entry per cell, len(breakpoints) + 1 total.
+    Both are stored as tuples of Python floats, whatever sequence or array
+    was passed; the cell edges and values are also kept once as read-only
+    float64 arrays for evaluate and edges.
     """
 
     z_cut: float
@@ -46,51 +49,62 @@ class Profile:
     values: tuple[float, ...]
     tail_rule: str = SIGN_TAILS
     tail_values: tuple[float, float] = (-1.0, 1.0)
+    _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.z_cut) and self.z_cut > 0.0):
-            raise DomainError(f"z_cut must be positive, got {self.z_cut}")
-        bp = tuple(float(b) for b in self.breakpoints)
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
+        z_cut = self.z_cut
+        if not (math.isfinite(z_cut) and z_cut > 0.0):
+            raise DomainError(f"z_cut must be positive, got {z_cut}")
+        bp = np.array(self.breakpoints, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if len(vals) != len(bp) + 1:
             raise DomainError(
                 f"need len(values) == len(breakpoints) + 1, got {len(vals)} vs {len(bp)}"
             )
-        if any(not (-self.z_cut < b < self.z_cut) for b in bp):
-            raise DomainError("breakpoints must lie strictly inside (-z_cut, z_cut)")
-        if any(b2 - b1 <= 0.0 for b1, b2 in zip(bp, bp[1:])):
+        edges = np.concatenate(([-z_cut], bp, [z_cut]))
+        # Strictly increasing edges <=> breakpoints inside the window and
+        # strictly increasing (NaN fails every comparison); the slow branch
+        # only picks the message.
+        if not (edges[1:] > edges[:-1]).all():
+            if not ((-z_cut < bp) & (bp < z_cut)).all():
+                raise DomainError("breakpoints must lie strictly inside (-z_cut, z_cut)")
             raise DomainError("breakpoints must be strictly increasing")
-        if any(abs(v) > 1.0 + 1e-15 for v in vals):
+        if not np.abs(vals).max() <= 1.0 + 1e-15:  # "not <=" rejects NaN
             raise DomainError("profile values must lie in [-1, 1]")
         if self.tail_rule not in (SIGN_TAILS, CONST_TAILS):
             raise DomainError(f"unknown tail rule {self.tail_rule!r}")
         if self.tail_rule == SIGN_TAILS:
-            object.__setattr__(self, "tail_values", (-1.0, 1.0))
+            tv = (-1.0, 1.0)
         else:
             tv = (float(self.tail_values[0]), float(self.tail_values[1]))
-            if any(abs(v) > 1.0 for v in tv):
+            if not all(abs(v) <= 1.0 for v in tv):
                 raise DomainError("tail constants must lie in [-1, 1]")
-            object.__setattr__(self, "tail_values", tv)
+        edges.flags.writeable = False
+        vals.flags.writeable = False
+        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+        object.__setattr__(self, "tail_values", tv)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_values", vals)
 
     @property
     def edges(self) -> np.ndarray:
-        """All cell boundaries including +-z_cut."""
-        return np.concatenate(([-self.z_cut], self.breakpoints, [self.z_cut]))
+        """All cell boundaries including +-z_cut (read-only)."""
+        return self._edges
 
     def evaluate(self, z) -> np.ndarray:
         """Vectorized theta(z) for any real z (tails included)."""
         z = np.asarray(z, dtype=float)
-        edges = self.edges
-        idx = np.clip(np.searchsorted(edges, z, side="right") - 1, 0, len(self.values) - 1)
-        out = np.asarray(self.values, dtype=float)[idx]
+        idx = np.clip(np.searchsorted(self._edges, z, side="right") - 1,
+                      0, len(self._values) - 1)
+        out = self._values[idx]
         out = np.where(z < -self.z_cut, self.tail_values[0], out)
         out = np.where(z >= self.z_cut, self.tail_values[1], out)
         return out
 
     def cell_bounds(self):
-        edges = self.edges
+        edges = self._edges
         return zip(edges[:-1], edges[1:], self.values)
 
     @classmethod
@@ -399,48 +413,45 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
 
     target = alpha - 2.0 * gaussian_pdf(z_cut)
     abs_a = np.abs(a)
-    if abs(target) > abs_a.sum() + 1e-12:
+    total = abs_a.sum()
+    if abs(target) > total + 1e-12:
         raise DomainError("moment target unreachable on this grid")
 
     # theta_i(mu) = sign(c_i - mu a_i); as mu grows past c_i/a_i the cell's
-    # moment contribution drops from |a_i| to -|a_i|.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(abs_a > 0.0, c / a, -np.inf)
-    order = np.argsort(ratio, kind="stable")
-    sorted_ratio = ratio[order]
-    drop = 2.0 * abs_a[order]
-    m_before = abs_a.sum() - np.concatenate(([0.0], np.cumsum(drop)[:-1]))
-    m_after = m_before - drop
+    # moment contribution drops from |a_i| to -|a_i|.  A zero-moment cell (the
+    # symmetric middle cell of an odd grid, where c = 0 too) has no ratio and
+    # moves neither the moment nor the value; it stays out of the walk at 0.
+    walk = np.flatnonzero(abs_a > 0.0)
+    ratio = c[walk] / a[walk]
+    rank = np.argsort(ratio, kind="stable")
+    order = walk[rank]
+    sorted_ratio = ratio[rank]
+    # Flips go in ascending ratio order, ties grouped (mirror cells share their
+    # ratio exactly); the group that would cross the target gets a common
+    # fractional value instead.
+    starts = np.flatnonzero(np.concatenate(([True], np.abs(np.diff(sorted_ratio))
+                                            > 1e-12 * (1.0 + np.abs(sorted_ratio[:-1])))))
+    group_drop = np.add.reduceat(2.0 * abs_a[order], starts)
+    # running[k] is the moment before group k flips, subtracted in walk order.
+    running = np.subtract.accumulate(np.concatenate(([total], group_drop)))
+    crossing = np.flatnonzero(running[1:] < target - 1e-15)
 
-    theta = np.where(a >= 0.0, 1.0, -1.0)  # state before any flip
-    # Walk the flips in ascending ratio order, grouping ties (mirror cells
-    # share their ratio exactly); the group that would cross the target gets
-    # a common fractional value instead.
-    i = 0
-    n = len(order)
-    running = abs_a.sum()
-    while i < n:
-        j = i
-        while j + 1 < n and abs(sorted_ratio[j + 1] - sorted_ratio[i]) <= 1e-12 * (
-                1.0 + abs(sorted_ratio[i])):
-            j += 1
-        group = order[i:j + 1]
-        group_drop = float(np.sum(drop[i:j + 1]))
-        if running - group_drop >= target - 1e-15:
-            theta[group] = -np.sign(a[group])  # zero-moment cells get 0
-            running -= group_drop
-            i = j + 1
-            continue
-        rest = running - float(np.sum(abs_a[group]))
+    theta = np.sign(a)  # state before any flip; zero-moment cells stay 0
+    if crossing.size == 0:
+        theta[order] *= -1.0
+    else:
+        k = int(crossing[0])
+        lo = starts[k]
+        hi = starts[k + 1] if k + 1 < len(starts) else len(order)
+        group = order[lo:hi]
+        theta[order[:lo]] *= -1.0
         denom = float(np.sum(abs_a[group]))
-        t = (target - rest) / denom if denom > 0.0 else 0.0
-        theta[group] = min(1.0, max(-1.0, t)) * np.sign(a[group])
-        break
+        t = (target - (running[k] - denom)) / denom
+        theta[group] *= min(1.0, max(-1.0, t))
 
     value = _int_A_full(params) + float(np.dot(c, theta)) \
         - 2.0 * params.lam * gaussian_cdf(-z_cut)
-    prof = Profile(z_cut=z_cut, breakpoints=tuple(edges[1:-1]),
-                   values=tuple(np.clip(theta, -1.0, 1.0)))
+    prof = Profile(z_cut=z_cut, breakpoints=edges[1:-1], values=theta)
     return prof, value
 
 
@@ -600,33 +611,43 @@ def gap_lower_large_delta(d: float, alpha_err: float, lam: float) -> float:
 
 def profile_to_text(profile: Profile) -> str:
     """Flat text format: z_cut, breakpoints..., values..., tail token."""
-    tokens = [repr(profile.z_cut)]
-    tokens.extend(repr(b) for b in profile.breakpoints)
-    tokens.extend(repr(v) for v in profile.values)
     if profile.tail_rule == SIGN_TAILS:
-        tokens.append("sign")
+        tail = "sign"
     else:
         left, right = profile.tail_values
-        tokens.append(f"const:{left!r}:{right!r}")
-    return ",".join(tokens)
+        tail = f"const:{left!r}:{right!r}"
+    return ",".join((repr(profile.z_cut), *map(repr, profile.breakpoints),
+                     *map(repr, profile.values), tail))
 
 
 def profile_from_text(text: str) -> Profile:
-    tokens = [t.strip() for t in text.strip().split(",") if t.strip()]
+    """Inverse of profile_to_text.
+
+    Whitespace around tokens and empty tokens are ignored; malformed or
+    out-of-range input raises DomainError.
+    """
+    tokens = [t for t in map(str.strip, text.split(",")) if t]
     if len(tokens) < 3 or len(tokens) % 2 == 0:
         raise DomainError(f"malformed profile text ({len(tokens)} tokens)")
     tail_token = tokens[-1]
     ncells = (len(tokens) - 3) // 2 + 1
-    z_cut = float(tokens[0])
-    bp = tuple(float(t) for t in tokens[1:ncells])
-    vals = tuple(float(t) for t in tokens[ncells:-1])
     if tail_token == "sign":
-        return Profile(z_cut=z_cut, breakpoints=bp, values=vals)
-    if tail_token.startswith("const:"):
-        parts = tail_token.split(":")
-        if len(parts) != 3:
+        tail_rule, tail_values = SIGN_TAILS, ()
+    elif tail_token.startswith("const:"):
+        tail_rule, tail_values = CONST_TAILS, tail_token.split(":")[1:]
+        if len(tail_values) != 2:
             raise DomainError(f"malformed tail token {tail_token!r}")
-        return Profile(z_cut=z_cut, breakpoints=bp, values=vals,
-                       tail_rule=CONST_TAILS,
-                       tail_values=(float(parts[1]), float(parts[2])))
-    raise DomainError(f"unknown tail token {tail_token!r}")
+    else:
+        raise DomainError(f"unknown tail token {tail_token!r}")
+    # fromiter drops each parsed float at once: no list of 16k float objects
+    # sits beside the arrays Profile builds (peak memory of large profiles).
+    try:
+        z_cut = float(tokens[0])
+        bp = np.fromiter(map(float, tokens[1:ncells]), float, ncells - 1)
+        vals = np.fromiter(map(float, tokens[ncells:-1]), float, ncells)
+        tail_values = tuple(map(float, tail_values))
+    except ValueError as exc:
+        raise DomainError(f"unparsable profile token: {exc}") from exc
+    # Sign tails ignore tail_values.
+    return Profile(z_cut=z_cut, breakpoints=bp, values=vals,
+                   tail_rule=tail_rule, tail_values=tail_values)

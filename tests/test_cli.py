@@ -174,6 +174,22 @@ def test_config_file_and_profile_io(tmp_path):
     assert main(["profile", "--config", str(cfg2)]) == 0
 
 
+@pytest.mark.parametrize("text", [
+    None,                               # missing file
+    "1.0,abc,0.5,0.5,sign",             # non-numeric token
+    "1.0,0.0,1.5,0.5,sign",             # value outside [-1, 1]
+    "1.0,0.0,nan,0.5,sign",             # NaN value
+])
+def test_bad_profile_file_exits_2(tmp_path, text, capsys):
+    saved = tmp_path / "profile.txt"
+    if text is not None:
+        saved.write_text(text + "\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"profile = {saved}\n", encoding="utf-8")
+    assert main(["profile", "--config", str(cfg)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from grolab.explorer import sample_feasible_profile, sample_theta_member
 from grolab.gauss import (
     gauss_integrate,
     gaussian_cdf,
+    gaussian_moments,
     gaussian_pdf,
     interval_mass,
     interval_z_moment,
@@ -19,6 +21,7 @@ from grolab.profiles import (
     F_value_dual,
     Profile,
     V_value,
+    _int_A_full,
     dual_value,
     elem_identity_check,
     gap_certificate,
@@ -40,19 +43,44 @@ from conftest import LAM
 
 # -- Profile type -------------------------------------------------------------
 
+_INVALID_PROFILES = [
+    # (z_cut, breakpoints, values, tail_rule, tail_values, message)
+    (1.0, (0.5, 0.2), (0.0, 0.0, 0.0), "sign", (-1.0, 1.0), "strictly increasing"),
+    (1.0, (0.2, 0.2), (0.0, 0.0, 0.0), "sign", (-1.0, 1.0), "strictly increasing"),
+    (1.0, (1.5,), (0.0, 0.0), "sign", (-1.0, 1.0), "strictly inside"),
+    (1.0, (-1.0,), (0.0, 0.0), "sign", (-1.0, 1.0), "strictly inside"),
+    (1.0, (math.nan,), (0.0, 0.0), "sign", (-1.0, 1.0), "strictly inside"),
+    (1.0, (0.5, 0.2, 1.5), (0.0,) * 4, "sign", (-1.0, 1.0), "strictly inside"),
+    (1.0, (), (1.5,), "sign", (-1.0, 1.0), "values must lie"),
+    (1.0, (0.0,), (0.5, math.nan), "sign", (-1.0, 1.0), "values must lie"),
+    (1.0, (), (0.0, 0.0), "sign", (-1.0, 1.0), "len(values)"),
+    (1.0, (), (0.0,), "weird", (-1.0, 1.0), "unknown tail rule"),
+    (1.0, (), (0.0,), "const", (1.5, 0.0), "tail constants"),
+    (1.0, (), (0.0,), "const", (math.nan, 0.2), "tail constants"),
+    (-1.0, (), (0.0,), "sign", (-1.0, 1.0), "z_cut must be positive"),
+    (math.nan, (), (0.0,), "sign", (-1.0, 1.0), "z_cut must be positive"),
+]
+
+
 def test_profile_validation():
-    with pytest.raises(DomainError):
-        Profile(z_cut=1.0, breakpoints=(0.5, 0.2), values=(0.0, 0.0, 0.0))
-    with pytest.raises(DomainError):
-        Profile(z_cut=1.0, breakpoints=(1.5,), values=(0.0, 0.0))
-    with pytest.raises(DomainError):
-        Profile(z_cut=1.0, breakpoints=(), values=(1.5,))
-    with pytest.raises(DomainError):
-        Profile(z_cut=1.0, breakpoints=(), values=(0.0, 0.0))
-    with pytest.raises(DomainError):
-        Profile(z_cut=1.0, breakpoints=(), values=(0.0,), tail_rule="weird")
-    with pytest.raises(DomainError):
-        Profile(z_cut=-1.0, breakpoints=(), values=(0.0,))
+    # the same error, checked in the same order, for tuples and arrays
+    for z_cut, bp, vals, rule, tails, message in _INVALID_PROFILES:
+        for wrap in (tuple, np.array):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                Profile(z_cut=z_cut, breakpoints=wrap(bp), values=wrap(vals),
+                        tail_rule=rule, tail_values=tails)
+
+
+def test_profile_fields_are_python_floats():
+    from_tuple = Profile(z_cut=1.0, breakpoints=(0.0,), values=(-0.5, 0.5))
+    from_array = Profile(z_cut=1.0, breakpoints=np.array([0.0]),
+                         values=np.array([-0.5, 0.5], dtype=np.float32))
+    assert from_array == from_tuple
+    assert hash(from_array) == hash(from_tuple)
+    assert repr(from_array) == repr(from_tuple)
+    assert all(type(v) is float for v in from_array.breakpoints + from_array.values)
+    with pytest.raises(ValueError):
+        from_array.edges[0] = 0.0  # the cached edges are read-only
 
 
 def test_profile_evaluate():
@@ -225,8 +253,10 @@ def test_gap_certificate_infeasible(params):
 # -- discretized maximization --------------------------------------------------
 
 def test_lp_matches_dual(params):
-    _, val = lp_maximize(params, 4096)
-    assert val == pytest.approx(F_value_dual(params), abs=1e-8)
+    # odd grids have a zero-moment middle cell, which must stay out of the walk
+    for grid in (4096, 65, 1025, 16385):
+        _, val = lp_maximize(params, grid)
+        assert val == pytest.approx(F_value_dual(params), abs=1e-8), grid
 
 
 def test_lp_convergence(params):
@@ -303,6 +333,66 @@ def test_lp_domain_errors(params):
         lp_maximize(params, 32)
     with pytest.raises(DomainError):
         lp_maximize(ReedsParams(lam=LAM, alpha=0.799), 256)
+
+
+def _lp_maximize_reference(params, grid_size):
+    """lp_maximize with the tie groups walked one at a time."""
+    alpha = params.alpha
+    eta = params.eta
+    z_cut = max(eta, solve_h(alpha)) + 1.0
+    edges = np.linspace(-z_cut, z_cut, grid_size + 1)
+    pieces = np.union1d(edges, (-eta, eta))
+    mid = 0.5 * (pieces[:-1] + pieces[1:])
+    cell = np.searchsorted(edges, mid) - 1
+    moments = gaussian_moments(pieces)
+    b_int = np.where(np.abs(mid) < eta, -alpha * moments[1],
+                     -params.lam * np.sign(mid) * moments[0])
+    a = np.bincount(cell, weights=moments[1], minlength=grid_size)
+    c = np.bincount(cell, weights=b_int, minlength=grid_size)
+    target = alpha - 2.0 * gaussian_pdf(z_cut)
+    abs_a = np.abs(a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(abs_a > 0.0, c / a, -np.inf)
+    order = np.argsort(ratio, kind="stable")
+    sorted_ratio = ratio[order]
+    drop = 2.0 * abs_a[order]
+    theta = np.where(a >= 0.0, 1.0, -1.0)
+    i = 0
+    n = len(order)
+    running = abs_a.sum()
+    while i < n:
+        j = i
+        while j + 1 < n and abs(sorted_ratio[j + 1] - sorted_ratio[i]) <= 1e-12 * (
+                1.0 + abs(sorted_ratio[i])):
+            j += 1
+        group = order[i:j + 1]
+        group_drop = float(np.sum(drop[i:j + 1]))
+        if running - group_drop >= target - 1e-15:
+            theta[group] = -np.sign(a[group])
+            running -= group_drop
+            i = j + 1
+            continue
+        rest = running - float(np.sum(abs_a[group]))
+        denom = float(np.sum(abs_a[group]))
+        t = (target - rest) / denom if denom > 0.0 else 0.0
+        theta[group] = min(1.0, max(-1.0, t)) * np.sign(a[group])
+        break
+    value = _int_A_full(params) + float(np.dot(c, theta)) \
+        - 2.0 * params.lam * gaussian_cdf(-z_cut)
+    prof = Profile(z_cut=z_cut, breakpoints=tuple(edges[1:-1]),
+                   values=tuple(np.clip(theta, -1.0, 1.0)))
+    return prof, value
+
+
+def test_lp_walk_matches_reference():
+    # the array walk reproduces the per-group loop bit for bit on even grids
+    for grid in (64, 1024, 16384):
+        for lam in np.linspace(0.18, 0.215, 8):
+            params = ReedsParams.at_reeds_point(float(lam))
+            prof, value = lp_maximize(params, grid)
+            ref_prof, ref_value = _lp_maximize_reference(params, grid)
+            assert prof == ref_prof and value == ref_value, (grid, lam)
+            assert profile_to_text(prof) == profile_to_text(ref_prof)
 
 
 # -- structural helpers ---------------------------------------------------------
@@ -515,7 +605,48 @@ def test_profile_text_roundtrip(rng):
 
 
 def test_profile_text_malformed():
-    with pytest.raises(DomainError):
-        profile_from_text("1.0,0.5")
-    with pytest.raises(DomainError):
-        profile_from_text("1.0,0.0,1.0,-1.0,bogus")
+    for text in ("1.0,0.5",                      # too few tokens
+                 "1.0,0.0,1.0,-1.0,bogus",       # unknown tail token
+                 "1.0,0.0,1.0,-1.0,const:0.5",   # tail token without both sides
+                 "1.0,abc,0.5,0.5,sign",         # unparsable breakpoint
+                 "1.0,0.0,0.5,0.5,const:x:0.2",  # unparsable tail constant
+                 "1.0,0.0,nan,0.5,sign",         # NaN value
+                 "1.0,0.0,0.5,0.5,const:nan:0.2",  # NaN tail constant
+                 "1.0,0.0,1.5,0.5,sign"):         # value outside [-1, 1]
+        with pytest.raises(DomainError):
+            profile_from_text(text)
+
+
+def _profile_to_text_reference(profile):
+    tokens = [repr(profile.z_cut)]
+    tokens.extend(repr(b) for b in profile.breakpoints)
+    tokens.extend(repr(v) for v in profile.values)
+    if profile.tail_rule == "sign":
+        tokens.append("sign")
+    else:
+        left, right = profile.tail_values
+        tokens.append(f"const:{left!r}:{right!r}")
+    return ",".join(tokens)
+
+
+def test_profile_text_matches_reference(params):
+    lp_prof, _ = lp_maximize(params, 1024)
+    cases = [
+        lp_prof,
+        Profile(z_cut=0.5, breakpoints=(-0.0,), values=(-0.0, 0.0),
+                tail_rule="const", tail_values=(-0.0, 0.75)),
+        Profile(z_cut=1.25, breakpoints=(-0.3, 1e-300, 0.7),
+                values=(0.125, -1.0, 0.33333333333333331, 1.0)),
+    ]
+    for prof in cases:
+        text = profile_to_text(prof)
+        assert text == _profile_to_text_reference(prof)
+        back = profile_from_text(text)
+        assert back == prof and profile_to_text(back) == text
+
+
+def test_profile_text_parser_tolerance():
+    prof = profile_from_text(" 1.0 , 0.0,,0.5, 0.5 , sign")
+    assert prof == Profile(z_cut=1.0, breakpoints=(0.0,), values=(0.5, 0.5))
+    const = profile_from_text("\n0.5 ,\t0.1 ,const:-0.25:0.75\n")
+    assert const.tail_values == (-0.25, 0.75) and const.values == (0.1,)
