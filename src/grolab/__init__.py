@@ -9,6 +9,7 @@ Modules:
     chain     -- stability constants and the final inequality chain
     intervals -- outward-rounded interval kernel
     certify   -- interval-certified re-derivations of the headline numbers
+    claims    -- the paper's numeric targets, each stated once
     explorer  -- norm scans, sign ascent, Monte Carlo cross-checks
     cli       -- the `grolab` command
 """

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .baseline import LAMBDA_STAR
-from .chain import ALPHA_MIN, EPSILON_STAR, K0, KAPPA0, L0, RHO_STAR
+from .chain import (ALPHA_ERR, ALPHA_MIN, BETA_STAR, DEFECT_D, DETUNED_BOUND,
+                    EPSILON_STAR, K0, KAPPA0, L0, NEAR_DROP_COEFF, RHO_STAR)
+from .claims import BOUNDS, LAM_LIT, PAIRING, TARGETS
 from .errors import InternalCheckError
 from .intervals import (
     Interval,
@@ -31,6 +33,28 @@ class CertifiedCheck:
     hi: float
     requirement: str
     passed: bool
+
+
+def _spell(x: float) -> str:
+    """Shortest round-trip digits, spelled 7 and 1e-9 rather than 7.0 and 1e-09."""
+    s = repr(float(x)).replace("e-0", "e-")
+    return s[:-2] if s.endswith(".0") else s
+
+
+def _within(name: str, iv: Interval, claim: str) -> CertifiedCheck:
+    """iv inside the +-tolerance window of the claims.TARGETS entry."""
+    target, tol = TARGETS[claim]
+    return CertifiedCheck(name, iv.lo, iv.hi,
+                          f"within {_spell(target)} +- {_spell(tol)}",
+                          iv.within(target, tol))
+
+
+def _beyond(name: str, iv: Interval, relation: str, bound: float) -> CertifiedCheck:
+    """iv strictly on the side of bound that relation (">", ">=", "<=") names."""
+    passed = (iv.strictly_above(bound) if relation.startswith(">")
+              else iv.strictly_below(bound))
+    return CertifiedCheck(name, iv.lo, iv.hi, f"{relation} {_spell(bound)}",
+                          passed)
 
 
 def _eta_equation_iv(x: float, lam: Interval) -> Interval:
@@ -97,29 +121,24 @@ def _bound_derivative_iv(lam: float) -> Interval:
 
 
 def certified_baseline_checks() -> list[CertifiedCheck]:
-    lam = 0.197479091
-    eta, alpha, _ = _denominator_iv(lam)
-    bound = bound_enclosure(lam)
-    d_left = _bound_derivative_iv(LAMBDA_STAR - 1e-8)
-    d_right = _bound_derivative_iv(LAMBDA_STAR + 1e-8)
-    checks = [
-        CertifiedCheck("baseline_bound", bound.lo, bound.hi,
-                       "within 1.676956674215576 +- 1e-12",
-                       bound.within(1.676956674215576, 1e-12)),
-        CertifiedCheck("eta_star", eta.lo, eta.hi,
-                       "within 0.255730213173163 +- 1e-11",
-                       eta.within(0.255730213173163, 1e-11)),
-        CertifiedCheck("alpha_star", alpha.lo, alpha.hi,
-                       "within 0.772216503281451 +- 1e-11",
-                       alpha.within(0.772216503281451, 1e-11)),
+    eta, alpha, _ = _denominator_iv(LAM_LIT)
+    bound = bound_enclosure(LAM_LIT)
+    # The argmax lies within the lambda_star claim's window: the bound's
+    # derivative changes sign across it.
+    _, step = TARGETS["lambda_star"]
+    d_left = _bound_derivative_iv(LAMBDA_STAR - step)
+    d_right = _bound_derivative_iv(LAMBDA_STAR + step)
+    return [
+        _within("baseline_bound", bound, "davie_reeds_bound"),
+        _within("eta_star", eta, "eta_star"),
+        _within("alpha_star", alpha, "alpha_star"),
         CertifiedCheck("argmax_bracket_left", d_left.lo, d_left.hi,
-                       "derivative > 0 at lambda* - 1e-8",
+                       f"derivative > 0 at lambda* - {_spell(step)}",
                        d_left.strictly_above(0.0)),
         CertifiedCheck("argmax_bracket_right", d_right.lo, d_right.hi,
-                       "derivative < 0 at lambda* + 1e-8",
+                       f"derivative < 0 at lambda* + {_spell(step)}",
                        d_right.strictly_below(0.0)),
     ]
-    return checks
 
 
 def _pairing_ivs(eta: Interval) -> dict[str, Interval]:
@@ -138,28 +157,9 @@ def _pairing_ivs(eta: Interval) -> dict[str, Interval]:
             "t2": t2, "transverse": transverse, "pairing_lower": pairing}
 
 
-_PAIRING_TARGETS = {
-    "B": -0.721715133242779,
-    "A_max": 0.000839319067615,
-    "kappa_Q": 0.086812004849191,
-    "p": 0.201840836034193,
-    "s1": 0.0256680575214142,
-    "t2": 0.00436174503419317,
-    "transverse": 0.0414080846777763,
-    "pairing_lower": 0.0454039202,
-}
-
-
 def certified_pairing_checks() -> list[CertifiedCheck]:
-    eta = eta_star_enclosure(0.197479091)
-    ivs = _pairing_ivs(eta)
-    checks = []
-    for name, target in _PAIRING_TARGETS.items():
-        iv = ivs[name]
-        checks.append(CertifiedCheck(
-            f"pairing_{name}", iv.lo, iv.hi,
-            f"within {target!r} +- 1e-9", iv.within(target, 1e-9)))
-    return checks
+    ivs = _pairing_ivs(eta_star_enclosure(LAM_LIT))
+    return [_within(f"pairing_{name}", ivs[name], name) for name in PAIRING]
 
 
 def kappa_eff_enclosure(epsilon: float = EPSILON_STAR) -> Interval:
@@ -203,47 +203,41 @@ def drop_per_beta_enclosure(beta: float) -> Interval:
 
 
 def certified_chain_checks() -> list[CertifiedCheck]:
-    checks = []
-    keff = kappa_eff_enclosure()
-    checks.append(CertifiedCheck("kappa_eff", keff.lo, keff.hi,
-                                 "> 0.0058", keff.strictly_above(0.0058)))
-    for beta in (1e-10, 8e-25):
-        d = drop_per_beta_enclosure(beta)
-        checks.append(CertifiedCheck(
-            f"neighborhood_drop_per_beta_{beta:g}", d.lo, d.hi,
-            ">= 0.0057", d.strictly_above(0.0057)))
+    checks = [_beyond("kappa_eff", kappa_eff_enclosure(), ">",
+                      BOUNDS["kappa_eff"])]
+    for beta in (1e-10, BETA_STAR):
+        checks.append(_beyond(f"neighborhood_drop_per_beta_{beta:g}",
+                              drop_per_beta_enclosure(beta), ">=",
+                              BOUNDS["neighborhood_drop_per_beta"]))
 
     kstrip_hi = (Interval.exact(8.0) * c_z0_upper_enclosure(0.36).sqrt()
                  / (Interval.exact(ALPHA_MIN) * SQRT_2PI))
-    checks.append(CertifiedCheck("K_strip(0.36, 0.6)", kstrip_hi.lo, kstrip_hi.hi,
-                                 "<= 7", kstrip_hi.strictly_below(7.0)))
+    checks.append(_beyond("K_strip(0.36, 0.6)", kstrip_hi, "<=",
+                          BOUNDS["K_strip"]))
 
     # Final chain at the reference beta.
-    beta = Interval.exact(8e-25)
+    beta = Interval.exact(BETA_STAR)
     lam = Interval.exact(LAMBDA_STAR)
-    d_in, ae = Interval.exact(1e-10), Interval.exact(1e-12)
+    d_in, ae = Interval.exact(DEFECT_D), Interval.exact(ALPHA_ERR)
     one = Interval.exact(1.0)
     branch_a = d_in * (lam / 8.0 - ae)
     inner = d_in * (one - ae * 4.0) / 8.0 - ae * 6.4
     branch_b = inner.square() * (Interval.exact(0.98) / 8.0)
     gap = Interval(min(branch_a.lo, branch_b.lo), min(branch_a.hi, branch_b.hi))
-    b1 = -(Interval.exact(0.0057) * beta)
-    b2 = beta - Interval.exact(0.9e-24)
+    b1 = -(Interval.exact(NEAR_DROP_COEFF) * beta)
+    b2 = beta - Interval.exact(DETUNED_BOUND)
     b3 = beta - gap
     worst = Interval(max(b1.lo, b2.lo, b3.lo), max(b1.hi, b2.hi, b3.hi))
     drop = -worst
-    checks.append(CertifiedCheck("final_drop", drop.lo, drop.hi,
-                                 "within 4.56e-27 +- 1e-30",
-                                 drop.within(4.56e-27, 1e-30)))
+    checks.append(_within("final_drop", drop, "final_drop"))
 
-    bound = bound_enclosure(0.197479091)
+    bound = bound_enclosure(LAM_LIT)
     increment = bound.square() * drop / (one - lam)
-    checks.append(CertifiedCheck("kg_increment", increment.lo, increment.hi,
-                                 ">= 1.596e-26",
-                                 increment.strictly_above(1.596e-26)))
-    checks.append(CertifiedCheck("kg_increment_exceeds_1e-26",
-                                 increment.lo, increment.hi, "> 1e-26",
-                                 increment.strictly_above(1e-26)))
+    exceeds = BOUNDS["kg_increment_exceeds"]
+    checks.append(_beyond("kg_increment", increment, ">=",
+                          BOUNDS["kg_increment"]))
+    checks.append(_beyond(f"kg_increment_exceeds_{_spell(exceeds)}",
+                          increment, ">", exceeds))
     return checks
 
 

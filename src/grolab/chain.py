@@ -33,20 +33,16 @@ RHO_STAR = 0.7
 ALPHA_MIN = 0.6
 NEAR_DROP_COEFF = 0.0057
 BETA_STAR = 8e-25
+# Inputs of the final chain's second and third branches: the bound for
+# profiles with a detuned first moment, and the defect size and alpha error
+# at which the large-defect gap bound is taken.
+DETUNED_BOUND = 0.9e-24
+DEFECT_D = 1e-10
+ALPHA_ERR = 1e-12
 
 # Coefficient (e / sqrt(3))^3 = 3.86546..., rounded up to the 3.87 the chain uses.
 P3_COEFF = 3.87
 _P3_COEFF_EXACT = (math.e / math.sqrt(3.0)) ** 3
-
-
-def l2_operator_norm(lam: float) -> float:
-    """Operator norm of the shifted projection on L2: max(1 - lambda, lambda).
-
-    Defined for completeness; no downstream formula consumes it.
-    """
-    if not (0.0 < lam < 1.0):
-        raise DomainError(f"lambda must lie in (0, 1), got {lam}")
-    return max(1.0 - lam, lam)
 
 
 def C_z0(z0: float) -> float:
@@ -136,16 +132,6 @@ def kappa_eff(epsilon: float, kappa0: float, K0_const: float,
         raise DomainError(f"epsilon must lie in (0, 1/100), got {epsilon}")
     leak = P3_COEFF * epsilon * math.log(2.0 / epsilon) ** 1.5
     return kappa0 - leak - sign_stability(epsilon, L0_const, lam) * K0_const
-
-
-def pairing_stability_lower(epsilon: float, kappa0: float, K0_const: float,
-                            L0_const: float, lam: float) -> float:
-    """Lower bound for the pairing on an epsilon-neighborhood.
-
-    Identical formula to kappa_eff; named separately so the neighborhood
-    stability statement has its own operation.
-    """
-    return kappa_eff(epsilon, kappa0, K0_const, L0_const, lam)
 
 
 @dataclass(frozen=True)
@@ -264,10 +250,10 @@ def kg_lower_bound(final_drop: float, lam: float, c: float) -> float:
 def final_chain(beta: float) -> ChainReport:
     """Evaluate the three-branch case analysis at the given beta.
 
-    Branch 1: the near-neighborhood drop -0.0057 beta.
-    Branch 2: beta - 9e-25 (profiles with a detuned first moment).
-    Branch 3: beta minus the large-defect gap bound at d = 1e-10,
-              alpha error 1e-12.
+    Branch 1: the near-neighborhood drop -NEAR_DROP_COEFF beta.
+    Branch 2: beta - DETUNED_BOUND (profiles with a detuned first moment).
+    Branch 3: beta minus the large-defect gap bound at d = DEFECT_D,
+              alpha error ALPHA_ERR.
     The worst (largest) branch is the certified change of the operator norm;
     its negative is the final drop.
     """
@@ -275,8 +261,8 @@ def final_chain(beta: float) -> ChainReport:
     if not (0.0 < beta < 1e-10):
         raise DomainError(f"beta must lie in (0, 1e-10), got {beta}")
     b1 = -NEAR_DROP_COEFF * beta
-    b2 = beta - 0.9e-24
-    b3 = beta - gap_lower_large_delta(1e-10, 1e-12, LAMBDA_STAR)
+    b2 = beta - DETUNED_BOUND
+    b3 = beta - gap_lower_large_delta(DEFECT_D, ALPHA_ERR, LAMBDA_STAR)
     drop = -max(b1, b2, b3)
     increment = kg_lower_bound(drop, LAMBDA_STAR, DAVIE_REEDS_C) if drop > 0.0 else 0.0
     keff = kappa_eff(EPSILON_STAR, KAPPA0, K0, L0, LAMBDA_STAR)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import baseline, chain, explorer, pairing, profiles
 from .certify import all_certified_checks
+from .claims import BOUNDS, LAM_LIT, PAIRING, TARGETS
 from .errors import DomainError, GrolabError
 from .gauss import QuadratureSpec, gauss_integrate_with_error
 from .reporting import (
@@ -28,7 +29,7 @@ from .reporting import (
 )
 
 COMMANDS = ("constants", "baseline", "profile", "pairing", "chain", "explore",
-            "verify-all")
+            "verify-all", "sweep")
 
 
 DEFAULT_SEED = 20260809
@@ -71,40 +72,39 @@ class RunConfig:
 
 # -- suites -------------------------------------------------------------------
 
-def _constants_checks(cfg: RunConfig) -> list[Check]:
-    lam_lit = 0.197479091
-    eta = baseline.solve_eta_star(lam_lit)
-    cons = pairing.PairingConstants.at_eta(eta)
-    checks = [
-        approx_check("davie_reeds_bound", 1.676956674215576,
-                     baseline.davie_reeds_bound(lam_lit), 1e-12),
-        approx_check("lambda_star", 0.19747909099498196,
-                     baseline.optimize_lambda(), 1e-8),
-        approx_check("eta_star", 0.255730213173163, eta, 1e-11),
-        approx_check("alpha_star", 0.772216503281451, lam_lit / eta, 1e-11),
-        approx_check("B", -0.721715133242779, cons.B, 1e-9),
-        approx_check("A_max", 0.000839319067615, cons.A_max, 1e-9),
-        approx_check("kappa_Q", 0.086812004849191, cons.kappa_Q, 1e-9),
-        approx_check("p", 0.201840836034193, cons.p, 1e-9),
-        approx_check("s1", 0.0256680575214142, cons.s1, 1e-9),
-        approx_check("t2", 0.00436174503419317, cons.t2, 1e-9),
-        approx_check("transverse", 0.0414080846777763, cons.transverse, 1e-9),
-        approx_check("pairing_lower", 0.0454039202, cons.pairing_lower, 1e-9),
-        bound_check("K0_upper", 0.359, cons.K0_upper, "<="),
+def _target_check(name: str, actual: float) -> Check:
+    target, tol = TARGETS[name]
+    return approx_check(name, target, actual, tol)
+
+
+def _baseline_constants() -> list[Check]:
+    eta = baseline.solve_eta_star(LAM_LIT)
+    return [
+        _target_check("davie_reeds_bound", baseline.davie_reeds_bound(LAM_LIT)),
+        _target_check("lambda_star", baseline.optimize_lambda()),
+        _target_check("eta_star", eta),
+        _target_check("alpha_star", LAM_LIT / eta),
     ]
+
+
+def _pairing_constants() -> list[Check]:
+    cons = pairing.PairingConstants.at_eta(baseline.solve_eta_star(LAM_LIT))
+    checks = [_target_check(name, getattr(cons, name)) for name in PAIRING]
+    checks.append(bound_check("K0_upper", BOUNDS["K0_upper"], cons.K0_upper,
+                              "<="))
     return checks
 
 
 def _baseline_checks(cfg: RunConfig) -> list[Check]:
-    lam_lit = 0.197479091
     lam_opt = baseline.optimize_lambda()
-    checks = _constants_checks(cfg)[:4]
-    fp, _ = baseline.F_derivatives(0.772216503281451, lam_lit)
+    checks = _baseline_constants()
+    alpha_lit, _ = TARGETS["alpha_star"]
+    fp, _ = baseline.F_derivatives(alpha_lit, LAM_LIT)
     checks.append(approx_check("F_prime_at_alpha_star", 0.0, fp, 1e-9))
-    den = baseline.reeds_denominator(lam_lit)
-    params = baseline.ReedsParams.at_reeds_point(lam_lit)
+    den = baseline.reeds_denominator(LAM_LIT)
+    params = baseline.ReedsParams.at_reeds_point(LAM_LIT)
     checks.append(approx_check("F_equals_denominator", den,
-                               baseline.F_value(params.alpha, lam_lit), 1e-12))
+                               baseline.F_value(params.alpha, LAM_LIT), 1e-12))
     # quadratic-drop scan of F over the full alpha grid
     alpha_star = lam_opt / baseline.solve_eta_star(lam_opt)
     f_star = baseline.F_value(alpha_star, lam_opt)
@@ -150,17 +150,21 @@ def _closed_form_vs_quadrature(params: baseline.ReedsParams,
 
 
 def _profile_checks(cfg: RunConfig) -> list[Check]:
-    lam_lit = 0.197479091
-    params = baseline.ReedsParams.at_reeds_point(lam_lit)
+    params = baseline.ReedsParams.at_reeds_point(LAM_LIT)
     f_dual = profiles.F_value_dual(params)
-    target = (1.0 - lam_lit) / baseline.davie_reeds_bound(lam_lit)
+    target = (1.0 - LAM_LIT) / baseline.davie_reeds_bound(LAM_LIT)
     checks = [approx_check("F_dual_vs_ratio", target, f_dual, 1e-10)]
     grid = 1024 if cfg.grid is None else cfg.grid
     lp_prof, lp_val = profiles.lp_maximize(params, grid)
     checks.append(approx_check("lp_vs_dual", f_dual, lp_val, 1e-8))
     if cfg.save_profile:
-        with open(cfg.save_profile, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(profiles.profile_to_text(lp_prof) + "\n")
+        try:
+            with open(cfg.save_profile, "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(profiles.profile_to_text(lp_prof) + "\n")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write profile {cfg.save_profile}: {exc}") from exc
     if cfg.profile_path:
         try:
             with open(cfg.profile_path, encoding="utf-8") as fh:
@@ -172,7 +176,7 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
             raise UsageError(
                 f"invalid profile {cfg.profile_path}: {exc}") from exc
         cert = profiles.gap_certificate(
-            loaded, baseline.ReedsParams(lam=lam_lit,
+            loaded, baseline.ReedsParams(lam=LAM_LIT,
                                          alpha=profiles.moment(loaded)))
         checks.append(approx_check("loaded_profile_gap_identity",
                                    cert.tail_integral, cert.gap, 1e-10))
@@ -182,7 +186,7 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
         cert = profiles.gap_certificate(prof, params)
         worst = max(worst, abs(cert.gap - cert.tail_integral))
     checks.append(bound_check("gap_identity_max_dev", 1e-10, worst, "<="))
-    member = explorer.sample_theta_member(cfg.seed, lam=lam_lit)
+    member = explorer.sample_theta_member(cfg.seed, lam=LAM_LIT)
     cert = profiles.gap_certificate(member, params)
     checks.append(approx_check("maximizer_gap_zero", 0.0, cert.gap, 1e-12))
     checks.append(_closed_form_vs_quadrature(params, member, cfg.quadrature))
@@ -190,8 +194,8 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
 
 
 def _pairing_checks(cfg: RunConfig) -> list[Check]:
-    checks = _constants_checks(cfg)[4:]
-    eta = baseline.solve_eta_star(0.197479091)
+    checks = _pairing_constants()
+    eta = baseline.solve_eta_star(LAM_LIT)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     a = rng.uniform(-10, 10, 100_000)
     b = rng.uniform(-10, 10, 100_000)
@@ -201,15 +205,14 @@ def _pairing_checks(cfg: RunConfig) -> list[Check]:
                              bool(np.all(lhs <= rhs + 1e-12))))
     ok = True
     for k in range(20):
-        member = explorer.sample_theta_member(cfg.seed + 1000 + k,
-                                              lam=0.197479091)
+        member = explorer.sample_theta_member(cfg.seed + 1000 + k, lam=LAM_LIT)
         a_val, bound = pairing.A_bound_check(member, eta)
         if a_val > bound + 1e-10:
             ok = False
     checks.append(flag_check("A_bound_20_members", ok))
     # at the solved eta, 2 eta pdf(eta) equals lambda, so t2 = p - lambda
     p, _, t2 = pairing.inner_constants(eta)
-    checks.append(approx_check("t2_identity", p - 0.197479091, t2, 1e-9))
+    checks.append(approx_check("t2_identity", p - LAM_LIT, t2, 1e-9))
     return checks
 
 
@@ -217,22 +220,25 @@ def _chain_checks(cfg: RunConfig) -> list[Check]:
     epsilon = chain.EPSILON_STAR if cfg.epsilon is None else cfg.epsilon
     keff = chain.kappa_eff(epsilon, chain.KAPPA0, chain.K0,
                            chain.L0, baseline.LAMBDA_STAR)
-    checks = [bound_check(f"kappa_eff(eps={epsilon:g})", 0.0058, keff, ">=")]
-    for beta in (1e-10, 8e-25):
+    checks = [bound_check(f"kappa_eff(eps={epsilon:g})", BOUNDS["kappa_eff"],
+                          keff, ">=")]
+    for beta in (1e-10, chain.BETA_STAR):
         params = chain.ChainParams.reference_defaults(beta)
         drop = chain.neighborhood_drop(params)
-        checks.append(bound_check(f"neighborhood_drop_{beta:g}",
-                                  0.0057 * beta, drop, ">="))
+        checks.append(bound_check(
+            f"neighborhood_drop_{beta:g}",
+            BOUNDS["neighborhood_drop_per_beta"] * beta, drop, ">="))
     beta = chain.BETA_STAR if cfg.beta is None else cfg.beta
     report = chain.final_chain(beta)
     if beta == chain.BETA_STAR:
-        checks.append(approx_check("final_drop", 4.56e-27, report.final_drop,
-                                   1e-30))
-    checks.append(bound_check("kg_increment", 1.596e-26,
+        checks.append(_target_check("final_drop", report.final_drop))
+    checks.append(bound_check("kg_increment", BOUNDS["kg_increment"],
                               report.kg_increment, ">="))
-    checks.append(bound_check("K_strip", 7.0, chain.K_strip(0.36, 0.6), "<="))
-    checks.append(bound_check("L0_bound", 2.66, chain.L0_bound(0.6), "<="))
-    checks.append(bound_check("C_z0", 1.7, chain.C_z0(0.36), "<="))
+    checks.append(bound_check("K_strip", BOUNDS["K_strip"],
+                              chain.K_strip(0.36, 0.6), "<="))
+    checks.append(bound_check("L0_bound", BOUNDS["L0_bound"],
+                              chain.L0_bound(0.6), "<="))
+    checks.append(bound_check("C_z0", BOUNDS["C_z0"], chain.C_z0(0.36), "<="))
     env_ok = all(chain.log_tail_envelope_margin(float(a)) >= 0.0
                  for a in np.linspace(2.3, 40.0, 500))
     checks.append(flag_check("gaussian_tail_envelope", env_ok))
@@ -243,12 +249,11 @@ def _chain_checks(cfg: RunConfig) -> list[Check]:
 
 
 def _explore_checks(cfg: RunConfig) -> list[Check]:
-    params = baseline.ReedsParams.at_reeds_point(0.197479091)
+    params = baseline.ReedsParams.at_reeds_point(LAM_LIT)
     betas = [1e-3 / 2 ** k for k in range(4)]
     checks = []
     for k in range(2):
-        member = explorer.sample_theta_member(cfg.seed + 2000 + k,
-                                              lam=0.197479091)
+        member = explorer.sample_theta_member(cfg.seed + 2000 + k, lam=LAM_LIT)
         rows = explorer.beta_derivative_scan(member, params, betas)
         limit = explorer.richardson_limit(rows)
         m = profiles.theta_moments(member, member.z_cut)
@@ -265,7 +270,7 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
         if any(v2 < v1 - 1e-10 for v1, v2 in zip(values, values[1:])):
             ok = False
     checks.append(flag_check("sign_ascent_monotone", ok))
-    member = explorer.sample_theta_member(cfg.seed + 4000, lam=0.197479091)
+    member = explorer.sample_theta_member(cfg.seed + 4000, lam=LAM_LIT)
     est, se = explorer.mc_norm_estimate(
         member, explorer.McConfig(dimension=1, samples=100_000, seed=cfg.seed),
         params, 0.0)
@@ -277,7 +282,7 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
 
 
 _SUITES = {
-    "constants": _constants_checks,
+    "constants": lambda cfg: _baseline_constants() + _pairing_constants(),
     "baseline": _baseline_checks,
     "profile": _profile_checks,
     "pairing": _pairing_checks,
@@ -302,8 +307,7 @@ def run(config: RunConfig) -> VerificationOutcome:
     return VerificationOutcome(checks=tuple(checks))
 
 
-def sweep(parameter: str, rng: tuple[float, float, int],
-          config: RunConfig) -> str:
+def sweep(parameter: str, rng: tuple[float, float, int]) -> str:
     """CSV sweep of one parameter over (lo, hi, steps)."""
     lo, hi, steps = rng
     if steps < 2:
@@ -337,7 +341,7 @@ def sweep(parameter: str, rng: tuple[float, float, int],
             lines.append(f"{beta:.17g},{drop / beta:.17g},{fin},{inc}")
     elif parameter == "grid":
         lines.append("grid,lp_value,abs_error_vs_dual")
-        params = baseline.ReedsParams.at_reeds_point(0.197479091)
+        params = baseline.ReedsParams.at_reeds_point(LAM_LIT)
         f_dual = profiles.F_value_dual(params)
         sizes = sorted({int(round(g)) for g in np.geomspace(lo, hi, steps)})
         for size in sizes:
@@ -431,10 +435,8 @@ def main(argv=None) -> int:
                     "Grothendieck lower bound.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        _add_common_flags(p)
-    sw = sub.add_parser("sweep")
-    _add_common_flags(sw)
+        _add_common_flags(sub.add_parser(name))
+    sw = sub.choices["sweep"]
     sw.add_argument("--parameter", required=True,
                     choices=("lambda", "epsilon", "beta", "grid"))
     sw.add_argument("--lo", type=float, required=True)
@@ -443,13 +445,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        cfg = build_config(args)
         if args.command == "sweep":
-            cfg = build_config(argparse.Namespace(command="constants",
-                                                  **{k: getattr(args, k) for k in
-                                                     ("config", "out", "certified",
-                                                      "seed", "beta", "epsilon",
-                                                      "grid")}))
-            csv_text = sweep(args.parameter, (args.lo, args.hi, args.steps), cfg)
+            csv_text = sweep(args.parameter, (args.lo, args.hi, args.steps))
             if cfg.output_path:
                 with open(cfg.output_path, "w", encoding="utf-8",
                           newline="\n") as fh:
@@ -457,19 +455,18 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(csv_text)
             return 0
-        cfg = build_config(args)
         outcome = run(cfg)
-    except UsageError as exc:
+        if cfg.output_path:
+            emit_report(outcome, cfg.output_path)
+        else:
+            sys.stdout.write(to_json(outcome_to_dict(outcome)) + "\n")
+    except (UsageError, OSError) as exc:   # OSError: --out is unwritable
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except GrolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if cfg.output_path:
-        emit_report(outcome, cfg.output_path)
-    else:
-        sys.stdout.write(to_json(outcome_to_dict(outcome)) + "\n")
     for check in outcome.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.name}", file=sys.stderr)

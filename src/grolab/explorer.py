@@ -23,7 +23,6 @@ from .profiles import (
     Profile,
     V_value,
     _cells,
-    _dedupe_edges,
     moment,
     repair_to_theta,
     theta_moments,
@@ -180,13 +179,8 @@ def _ascent_step(profile: Profile, lam: float, alpha: float) -> Profile:
     flat window |z| < lam/alpha and the negated bias inside it.
     """
     eta = lam / alpha
-    inner = _dedupe_edges(
-        list(profile.breakpoints) + [-profile.z_cut, profile.z_cut],
-        -eta, eta)
-    edges = [-eta, *inner, eta]
-    mids = np.array([(a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:])])
-    vals = -profile.evaluate(mids)
-    return Profile(z_cut=eta, breakpoints=tuple(inner), values=tuple(vals))
+    edges, _, theta = _cells(profile, window=eta)
+    return Profile(z_cut=eta, breakpoints=edges[1:-1], values=-theta)
 
 
 def sign_ascent(initial: Profile, params: ReedsParams,

@@ -177,41 +177,30 @@ def theta_moments(profile: Profile, window: float = math.inf) -> np.ndarray:
     return gaussian_moments(edges) @ theta
 
 
-def _rebuild(profile: Profile, lo: float, hi: float, extra_edges=(),
+def _rebuild(profile: Profile, window: float, extra_edges=(),
              override=None) -> Profile:
-    """Profile restricted to (lo, hi) with sign tails, optional cell override.
+    """Profile restricted to (-window, window) with sign tails, optional cell
+    override.
 
     override(mid) may return a replacement value for the cell centered at mid,
     or None to keep theta(mid).
     """
-    cuts = set(extra_edges)
-    cuts.update(b for b in profile.breakpoints)
-    if profile.z_cut < hi:
-        cuts.update((-profile.z_cut, profile.z_cut))
-    inner = _dedupe_edges(cuts, lo, hi)
-    edges = [lo, *inner, hi]
-    mids = np.array([(a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:])])
-    vals = profile.evaluate(mids)
+    edges, mids, vals = _cells(profile, kinks=extra_edges, window=window)
     if override is not None:
         vals = np.array([override(m) if override(m) is not None else v
                          for m, v in zip(mids, vals)])
     vals = np.clip(vals, -1.0, 1.0)
-    if abs(-hi - lo) > 1e-15:
-        raise DomainError("rebuilt window must be symmetric")
-    return Profile(z_cut=hi, breakpoints=tuple(inner), values=tuple(vals))
+    return Profile(z_cut=window, breakpoints=edges[1:-1], values=vals)
 
 
 # -- pointwise kernels -------------------------------------------------------
 
-def psi_eval(z, params: ReedsParams):
-    """psi(z) = (|alpha z - lambda| - |alpha z + lambda|) / 2 (odd in z)."""
-    az = params.alpha * np.asarray(z, dtype=float)
-    out = 0.5 * (np.abs(az - params.lam) - np.abs(az + params.lam))
-    return float(out) if np.ndim(z) == 0 else out
-
-
 def A_B_eval(z, params: ReedsParams):
-    """The even/odd split (A, B) of |alpha z -+ lambda|; psi coincides with B."""
+    """The even/odd split (A, B) of |alpha z -+ lambda|.
+
+    A = (|alpha z - lambda| + |alpha z + lambda|) / 2 is even in z and
+    B = (|alpha z - lambda| - |alpha z + lambda|) / 2 is odd.
+    """
     az = params.alpha * np.asarray(z, dtype=float)
     plus = np.abs(az + params.lam)
     minus = np.abs(az - params.lam)
@@ -335,22 +324,6 @@ class GapCertificate:
             )
 
 
-@dataclass(frozen=True)
-class GapInputs:
-    """Nonnegative ingredients of the quantitative gap lower bounds."""
-
-    d: float
-    delta: float
-    alpha_err: float
-    m: float = 0.0
-    J: float = 0.0
-
-    def __post_init__(self):
-        for name in ("d", "delta", "alpha_err", "m", "J"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"GapInputs.{name} must be nonnegative")
-
-
 def gap_tail_integral(profile: Profile, params: ReedsParams) -> float:
     """int_{|z|>eta} (alpha |z| - lambda)(1 - theta(z) sign(z)) pdf(z) dz."""
     eta = params.eta
@@ -459,19 +432,16 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
 
 def odd_part(profile: Profile) -> Profile:
     """(theta(z) - theta(-z)) / 2, on the symmetrized cell structure."""
-    bp = set(profile.breakpoints)
-    bp.update(-b for b in profile.breakpoints)
-    inner = _dedupe_edges(bp, -profile.z_cut, profile.z_cut)
-    edges = [-profile.z_cut, *inner, profile.z_cut]
-    mids = np.array([(a + b) / 2.0 for a, b in zip(edges[:-1], edges[1:])])
-    vals = 0.5 * (profile.evaluate(mids) - profile.evaluate(-mids))
+    edges, mids, theta = _cells(profile, kinks=[-b for b in profile.breakpoints],
+                                window=profile.z_cut)
+    vals = 0.5 * (theta - profile.evaluate(-mids))
     if profile.tail_rule == SIGN_TAILS:
-        return Profile(z_cut=profile.z_cut, breakpoints=tuple(inner),
-                       values=tuple(vals))
+        return Profile(z_cut=profile.z_cut, breakpoints=edges[1:-1],
+                       values=vals)
     left, right = profile.tail_values
     odd_right = 0.5 * (right - left)
-    return Profile(z_cut=profile.z_cut, breakpoints=tuple(inner),
-                   values=tuple(vals), tail_rule=CONST_TAILS,
+    return Profile(z_cut=profile.z_cut, breakpoints=edges[1:-1],
+                   values=vals, tail_rule=CONST_TAILS,
                    tail_values=(-odd_right, odd_right))
 
 
@@ -544,7 +514,7 @@ def repair_to_theta(profile: Profile,
     defect = np.where(np.abs(mid) > eta_star, 1.0 - theta * sign, 0.0)
     tail_cost = float(defect @ gaussian_moments(edges)[0])
 
-    fixed = _rebuild(profile, -eta_star, eta_star)
+    fixed = _rebuild(profile, eta_star)
 
     inner = float(theta_moments(fixed, eta_star)[1])
     delta = abs(inner)
@@ -560,8 +530,8 @@ def repair_to_theta(profile: Profile,
             return -s * math.copysign(1.0, mid)
         return None
 
-    repaired = _rebuild(fixed, -eta_star, eta_star,
-                        extra_edges=(-t0, -half, half, t0), override=override)
+    repaired = _rebuild(fixed, eta_star, extra_edges=(-t0, -half, half, t0),
+                        override=override)
 
     edges, mid, theta = _cells(repaired, kinks=fixed.breakpoints,
                                window=eta_star)

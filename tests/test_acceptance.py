@@ -8,6 +8,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from grolab import claims
 from grolab.baseline import (
     DAVIE_REEDS_C,
     LAMBDA_STAR,
@@ -58,6 +59,46 @@ from grolab.profiles import (
 
 LAM_LIT = 0.197479091
 
+# The paper's numbers, written out here rather than read from grolab.claims so
+# that a wrong edit to that table fails test_claims_table_matches_paper.
+# name -> (target, tolerance) for equality claims, (bound, None) for one-sided.
+PAPER = {
+    "davie_reeds_bound": (1.676956674215576, 1e-12),
+    "lambda_star": (0.19747909099498196, 1e-8),
+    "eta_star": (0.255730213173163, 1e-11),
+    "alpha_star": (0.772216503281451, 1e-11),
+    "B": (-0.721715133242779, 1e-9),
+    "A_max": (0.000839319067615, 1e-9),
+    "kappa_Q": (0.086812004849191, 1e-9),
+    "p": (0.201840836034193, 1e-9),
+    "s1": (0.0256680575214142, 1e-9),
+    "t2": (0.00436174503419317, 1e-9),
+    "transverse": (0.0414080846777763, 1e-9),
+    "pairing_lower": (0.0454039202, 1e-9),
+    "final_drop": (4.56e-27, 1e-30),
+    "K0_upper": (0.359, None),
+    "kappa_eff": (0.0058, None),
+    "neighborhood_drop_per_beta": (0.0057, None),
+    "kg_increment": (1.596e-26, None),
+    "kg_increment_exceeds": (1e-26, None),
+    "K_strip": (7.0, None),
+    "L0_bound": (2.66, None),
+    "C_z0": (1.7, None),
+}
+PAIRING = ("B", "A_max", "kappa_Q", "p", "s1", "t2", "transverse",
+           "pairing_lower")
+
+
+def paper_approx(name: str):
+    target, tol = PAPER[name]
+    return pytest.approx(target, abs=tol)
+
+
+def bound(name: str) -> float:
+    value, tol = PAPER[name]
+    assert tol is None, name
+    return value
+
 
 @contextlib.contextmanager
 def criterion(num: int, label: str):
@@ -71,34 +112,22 @@ def criterion(num: int, label: str):
 
 def test_criterion_1_baseline_constant():
     with criterion(1, "Davie-Reeds bound and optimal lambda"):
-        assert davie_reeds_bound(LAM_LIT) == pytest.approx(
-            1.676956674215576, abs=1e-12)
-        assert optimize_lambda() == pytest.approx(
-            0.19747909099498196, abs=1e-8)
+        assert davie_reeds_bound(LAM_LIT) == paper_approx("davie_reeds_bound")
+        assert optimize_lambda() == paper_approx("lambda_star")
 
 
 def test_criterion_2_reeds_point():
     with criterion(2, "Reeds point eta* and alpha*"):
         eta = solve_eta_star(LAM_LIT)
-        assert eta == pytest.approx(0.255730213173163, abs=1e-11)
-        assert LAM_LIT / eta == pytest.approx(0.772216503281451, abs=1e-11)
+        assert eta == paper_approx("eta_star")
+        assert LAM_LIT / eta == paper_approx("alpha_star")
 
 
 def test_criterion_3_pairing_constants():
     with criterion(3, "third-chaos pairing constants"):
         cons = PairingConstants.at_eta(solve_eta_star(LAM_LIT))
-        targets = {
-            "B": -0.721715133242779,
-            "A_max": 0.000839319067615,
-            "kappa_Q": 0.086812004849191,
-            "p": 0.201840836034193,
-            "s1": 0.0256680575214142,
-            "t2": 0.00436174503419317,
-            "transverse": 0.0414080846777763,
-            "pairing_lower": 0.0454039202,
-        }
-        for name, target in targets.items():
-            assert getattr(cons, name) == pytest.approx(target, abs=1e-9), name
+        for name in PAIRING:
+            assert getattr(cons, name) == paper_approx(name), name
 
 
 def test_criterion_4_dual_certificate():
@@ -127,18 +156,18 @@ def test_criterion_5_taylor_gap_scan():
 
 def test_criterion_6_kappa_eff_and_drop():
     with criterion(6, "kappa_eff and the neighborhood norm drop"):
-        assert kappa_eff(1e-7, KAPPA0, K0, L0, LAMBDA_STAR) >= 0.0058
+        assert kappa_eff(1e-7, KAPPA0, K0, L0, LAMBDA_STAR) >= bound("kappa_eff")
         for beta in (1e-10, 8e-25):
             drop = neighborhood_drop(ChainParams.reference_defaults(beta))
-            assert drop >= 0.0057 * beta
+            assert drop >= bound("neighborhood_drop_per_beta") * beta
 
 
 def test_criterion_7_final_chain():
     with criterion(7, "final inequality chain and the K_G increment"):
         report = final_chain(BETA_STAR)
-        assert report.final_drop == pytest.approx(4.56e-27, abs=1e-30)
-        assert report.kg_increment >= 1.596e-26
-        assert report.kg_increment > 1e-26
+        assert report.final_drop == paper_approx("final_drop")
+        assert report.kg_increment >= bound("kg_increment")
+        assert report.kg_increment > bound("kg_increment_exceeds")
 
 
 def test_criterion_8_property_suites():
@@ -232,3 +261,12 @@ def test_criterion_10_certified_intervals():
         for check in certified_chain_checks():
             assert check.passed, check.name
         assert all(c.passed for c in all_certified_checks())
+
+
+def test_claims_table_matches_paper():
+    assert claims.LAM_LIT == LAM_LIT
+    assert claims.PAIRING == PAIRING
+    table = {**claims.TARGETS,
+             **{name: (value, None) for name, value in claims.BOUNDS.items()}}
+    assert len(table) == len(claims.TARGETS) + len(claims.BOUNDS)
+    assert table == PAPER

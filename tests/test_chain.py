@@ -19,10 +19,8 @@ from grolab.chain import (
     kappa_eff,
     kg_lower_bound,
     l1_projection_bounds,
-    l2_operator_norm,
     log_tail_envelope_margin,
     neighborhood_drop,
-    pairing_stability_lower,
     sign_stability,
     strip_case_checks,
 )
@@ -123,7 +121,6 @@ def test_kappa_eff():
     eps = np.geomspace(1e-9, 9e-3, 30)
     vals = [kappa_eff(float(e), KAPPA0, K0, L0, LAMBDA_STAR) for e in eps]
     assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
-    assert pairing_stability_lower(1e-7, KAPPA0, K0, L0, LAMBDA_STAR) == val
 
 
 def test_neighborhood_drop():
@@ -250,10 +247,3 @@ def test_strip_case_checks():
     for name, value, bound, ok in checks:
         assert ok, f"{name}: {value} vs {bound}"
 
-
-def test_l2_operator_norm_unused_constant():
-    assert l2_operator_norm(LAMBDA_STAR) == pytest.approx(
-        1.0 - LAMBDA_STAR, abs=0)
-    assert l2_operator_norm(0.7) == 0.7
-    with pytest.raises(DomainError):
-        l2_operator_norm(1.2)

@@ -113,8 +113,7 @@ def test_main_byte_determinism(tmp_path):
 
 
 def test_sweep_lambda_peak():
-    cfg = RunConfig(command="constants")
-    csv_text = sweep("lambda", (0.15, 0.25, 101), cfg)
+    csv_text = sweep("lambda", (0.15, 0.25, 101))
     lines = csv_text.strip().splitlines()
     assert lines[0].startswith("lambda,")
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
@@ -124,13 +123,12 @@ def test_sweep_lambda_peak():
 
 
 def test_sweep_epsilon_crossing():
-    cfg = RunConfig(command="constants")
-    csv_text = sweep("epsilon", (1e-9, 1e-5, 50), cfg)
+    csv_text = sweep("epsilon", (1e-9, 1e-5, 50))
     rows = [ln.split(",") for ln in csv_text.strip().splitlines()[1:]]
     vals = [(float(e), float(k)) for e, k in rows]
     assert vals[0][1] > 0.0
     # kappa_eff stays positive through 1e-7 and goes negative before 1e-4
-    csv_wide = sweep("epsilon", (1e-7, 1e-4, 40), cfg)
+    csv_wide = sweep("epsilon", (1e-7, 1e-4, 40))
     wide = [ln.split(",") for ln in csv_wide.strip().splitlines()[1:]]
     wvals = [float(k) for _, k in wide]
     assert wvals[0] > 0.0
@@ -138,13 +136,12 @@ def test_sweep_epsilon_crossing():
 
 
 def test_sweep_validation():
-    cfg = RunConfig(command="constants")
     with pytest.raises(UsageError):
-        sweep("lambda", (0.2, 0.1, 5), cfg)
+        sweep("lambda", (0.2, 0.1, 5))
     with pytest.raises(UsageError):
-        sweep("lambda", (0.1, 0.2, 1), cfg)
+        sweep("lambda", (0.1, 0.2, 1))
     with pytest.raises(UsageError):
-        sweep("nonsense", (0.1, 0.2, 5), cfg)
+        sweep("nonsense", (0.1, 0.2, 5))
 
 
 def test_sweep_cli_entry(tmp_path):
@@ -158,6 +155,9 @@ def test_sweep_cli_entry(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--parameter", "lambda", "--lo", "0.1", "--hi", "0.2"])
     assert exc.value.code == 2  # missing --steps
+    # the common flags are validated as for every other command
+    assert main(["sweep", "--parameter", "grid", "--lo", "64", "--hi", "256",
+                 "--steps", "3", "--grid", "5"]) == 2
 
 
 def test_config_file_and_profile_io(tmp_path):
@@ -172,6 +172,22 @@ def test_config_file_and_profile_io(tmp_path):
     cfg2 = tmp_path / "run2.cfg"
     cfg2.write_text(f"profile = {saved}\n", encoding="utf-8")
     assert main(["profile", "--config", str(cfg2)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--out", "{missing}/r.json"],
+    ["sweep", "--parameter", "lambda", "--lo", "0.15", "--hi", "0.25",
+     "--steps", "3", "--out", "{missing}/s.csv"],
+    ["profile", "--config", "{cfg}"],   # save_profile = {missing}/x.txt
+], ids=["constants_out", "sweep_out", "save_profile"])
+def test_unwritable_output_exits_2(tmp_path, argv, capsys):
+    missing = tmp_path / "no-such-dir"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"save_profile = {missing}/x.txt\n", encoding="utf-8")
+    argv = [a.format(missing=missing, cfg=cfg) for a in argv]
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("text", [

@@ -34,7 +34,6 @@ from grolab.profiles import (
     odd_part,
     profile_from_text,
     profile_to_text,
-    psi_eval,
     repair_to_theta,
 )
 
@@ -95,17 +94,12 @@ def test_profile_evaluate():
 
 # -- kernels ------------------------------------------------------------------
 
-def test_psi_values(params):
-    assert psi_eval(0.0, params) == 0.0
-    assert psi_eval(0.1, params) == pytest.approx(-params.alpha * 0.1, abs=1e-15)
-    assert psi_eval(1.0, params) == pytest.approx(-LAM, abs=1e-15)
-
-
-def test_psi_matches_B_and_odd(params, rng):
+def test_A_B_parity(params, rng):
     z = rng.uniform(-4, 4, 200)
-    _, b = A_B_eval(z, params)
-    assert np.allclose(psi_eval(z, params), b, atol=0)
-    assert np.allclose(psi_eval(-z, params), -psi_eval(z, params), atol=0)
+    a, b = A_B_eval(z, params)
+    a_neg, b_neg = A_B_eval(-z, params)
+    assert np.array_equal(a_neg, a)    # A even
+    assert np.array_equal(b_neg, -b)   # B odd
 
 
 def test_A_B_values(params):
@@ -553,15 +547,6 @@ def test_repair_threshold_inverts_capacity(rng, eta_star):
 
 
 # -- gap lower bounds ------------------------------------------------------------
-
-def test_gap_inputs_validation():
-    from grolab.profiles import GapInputs
-
-    gi = GapInputs(d=1e-10, delta=0.0, alpha_err=1e-12)
-    assert gi.m == 0.0 and gi.J == 0.0
-    with pytest.raises(DomainError):
-        GapInputs(d=-1.0, delta=0.0, alpha_err=0.0)
-
 
 def test_gap_lower_small_delta():
     assert gap_lower_small_delta(1e-10, 0.0) == pytest.approx(
