@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .baseline import LAMBDA_STAR
 from .chain import (ALPHA_ERR, ALPHA_MIN, BETA_STAR, DEFECT_D, DETUNED_BOUND,
-                    EPSILON_STAR, K0, KAPPA0, L0, NEAR_DROP_COEFF, RHO_STAR)
+                    EPSILON_STAR, K0, KAPPA0, L0, NEAR_DROP_COEFF, P3_COEFF,
+                    RHO_STAR, STRIP_Z0)
 from .claims import BOUNDS, LAM_LIT, PAIRING, TARGETS
 from .errors import InternalCheckError
 from .intervals import (
@@ -165,26 +166,24 @@ def certified_pairing_checks() -> list[CertifiedCheck]:
 def kappa_eff_enclosure(epsilon: float = EPSILON_STAR) -> Interval:
     eps = Interval.exact(epsilon)
     log_term = (Interval.exact(2.0) / eps).log()
-    leak = Interval.exact(3.87) * eps * (log_term * log_term.sqrt())
+    leak = Interval.exact(P3_COEFF) * eps * (log_term * log_term.sqrt())
     inner = eps * Interval.exact(L0) * (Interval.exact(LAMBDA_STAR) + log_term * 0.5)
     stability = Interval.exact(8.0).sqrt() * inner.sqrt().sqrt() * Interval.exact(K0)
     return Interval.exact(KAPPA0) - leak - stability
 
 
-def c_z0_upper_enclosure(z0: float, pieces: int = 512) -> Interval:
-    """Bounds for sup_{|z|<=z0} of the strip polynomial via subdivided
-    interval evaluation (upper endpoint is a rigorous upper bound)."""
-    best_lo = 0.0
-    best_hi = 0.0
-    for i in range(pieces):
-        z = Interval(z0 * i / pieces, z0 * (i + 1) / pieces)
-        z2 = z.square()
-        h3 = z * z2 - z * 3.0
-        h2 = z2 - Interval.exact(1.0)
-        q = h3.square() / 6.0 + h2.square() / 2.0 + z2 + 1.0
-        best_lo = max(best_lo, q.lo)
-        best_hi = max(best_hi, q.hi)
-    return Interval(best_lo, best_hi)
+def c_z0_upper_enclosure(z0: float) -> Interval:
+    """Enclosure of sup_{|z|<=z0} of the strip polynomial
+    q = H3^2/6 + H2^2/2 + z^2 + 1.
+
+    q is even with q'(z) = z((z^2 - 1)^2 + 2) >= 0 for z >= 0, so the sup is
+    q(z0), evaluated once in interval arithmetic.
+    """
+    z = Interval.exact(z0)
+    z2 = z.square()
+    h3 = z * z2 - z * 3.0
+    h2 = z2 - Interval.exact(1.0)
+    return h3.square() / 6.0 + h2.square() / 2.0 + z2 + 1.0
 
 
 def drop_per_beta_enclosure(beta: float) -> Interval:
@@ -210,10 +209,10 @@ def certified_chain_checks() -> list[CertifiedCheck]:
                               drop_per_beta_enclosure(beta), ">=",
                               BOUNDS["neighborhood_drop_per_beta"]))
 
-    kstrip_hi = (Interval.exact(8.0) * c_z0_upper_enclosure(0.36).sqrt()
-                 / (Interval.exact(ALPHA_MIN) * SQRT_2PI))
-    checks.append(_beyond("K_strip(0.36, 0.6)", kstrip_hi, "<=",
-                          BOUNDS["K_strip"]))
+    kstrip = (Interval.exact(8.0) * c_z0_upper_enclosure(STRIP_Z0).sqrt()
+              / (Interval.exact(ALPHA_MIN) * SQRT_2PI))
+    checks.append(_beyond(f"K_strip({_spell(STRIP_Z0)}, {_spell(ALPHA_MIN)})",
+                          kstrip, "<=", BOUNDS["K_strip"]))
 
     # Final chain at the reference beta.
     beta = Interval.exact(BETA_STAR)

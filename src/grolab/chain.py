@@ -1,7 +1,7 @@
 """Stability-chain constants and the final inequality chain.
 
-Everything here is explicit scalar arithmetic: the strip constant, small-ball
-and projection bounds, the effective pairing constant on an L1 neighborhood,
+Everything here is explicit scalar arithmetic: the strip and small-ball
+constants, the effective pairing constant on an L1 neighborhood,
 the per-beta norm drop, and the closing chain that converts the drop into an
 increment for the Grothendieck lower bound.
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.special import log_ndtr, ndtri
 
 from .baseline import DAVIE_REEDS_C, LAMBDA_STAR, solve_eta_star
@@ -42,71 +41,35 @@ ALPHA_ERR = 1e-12
 
 # Coefficient (e / sqrt(3))^3 = 3.86546..., rounded up to the 3.87 the chain uses.
 P3_COEFF = 3.87
-_P3_COEFF_EXACT = (math.e / math.sqrt(3.0)) ** 3
+# Half-width of the strip on which the strip constant K_strip is taken.
+STRIP_Z0 = 0.36
 
 
 def C_z0(z0: float) -> float:
-    """sup over |z| <= z0 of H3(z)^2/6 + H2(z)^2/2 + z^2 + 1.
+    """sup over |z| <= z0 of q(z) = H3(z)^2/6 + H2(z)^2/2 + z^2 + 1.
 
-    Grid search with local refinement; the integrand is even so only [0, z0]
-    is scanned.
+    q is even and q'(z) = z^5 - 2z^3 + 3z = z((z^2 - 1)^2 + 2) >= 0 for
+    z >= 0, so q increases on [0, z0] and the sup is q(z0).
     """
     z0 = float(z0)
-    if z0 < 0.0:
-        raise DomainError(f"C_z0 requires z0 >= 0, got {z0}")
-
-    def q(z):
-        z2 = z * z
-        return (z2 * z - 3.0 * z) ** 2 / 6.0 + (z2 - 1.0) ** 2 / 2.0 + z2 + 1.0
-
-    if z0 == 0.0:
-        return q(0.0)
-    grid = np.linspace(0.0, z0, 100001)
-    vals = q(grid)
-    best = int(np.argmax(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
-    for _ in range(3):
-        fine = np.linspace(lo, hi, 1001)
-        fvals = q(fine)
-        b = int(np.argmax(fvals))
-        lo = fine[max(b - 1, 0)]
-        hi = fine[min(b + 1, len(fine) - 1)]
-    return float(np.max(q(np.linspace(lo, hi, 1001))))
+    if not (0.0 <= z0 < math.inf):
+        raise DomainError(f"C_z0 requires finite z0 >= 0, got {z0}")
+    z2 = z0 * z0
+    return (z2 * z0 - 3.0 * z0) ** 2 / 6.0 + (z2 - 1.0) ** 2 / 2.0 + z2 + 1.0
 
 
 def K_strip(z0: float, alpha_min: float) -> float:
     """Strip constant 8 sqrt(C_z0) / (alpha_min sqrt(2 pi))."""
-    if z0 <= 0.0 or alpha_min <= 0.0:
-        raise DomainError("K_strip requires positive inputs")
+    if not (0.0 < z0 < math.inf and 0.0 < alpha_min < math.inf):
+        raise DomainError("K_strip requires positive finite inputs")
     return 8.0 * math.sqrt(C_z0(z0)) / (alpha_min * SQRT_2PI)
 
 
 def L0_bound(alpha_min: float) -> float:
     """Small-ball constant 4 / (alpha_min sqrt(2 pi))."""
-    if alpha_min <= 0.0:
-        raise DomainError(f"alpha_min must be positive, got {alpha_min}")
+    if not (0.0 < alpha_min < math.inf):
+        raise DomainError(f"alpha_min must be positive and finite, got {alpha_min}")
     return 4.0 / (alpha_min * SQRT_2PI)
-
-
-def l1_projection_bounds(h_norm1: float) -> tuple[float, float]:
-    """(first-level, third-level) L1 projection bounds for small ||h||_1.
-
-    P1: 0.5 ||h|| log(1/||h||);  P3: (e/sqrt(3))^3 ||h|| log(1/||h||)^{3/2}.
-    """
-    h = float(h_norm1)
-    if not (0.0 < h <= 0.01):
-        raise DomainError(f"h_norm1 must lie in (0, 1/100], got {h}")
-    log_inv = math.log(1.0 / h)
-    return 0.5 * h * log_inv, _P3_COEFF_EXACT * h * log_inv ** 1.5
-
-
-def h3_tail_bound(s: float) -> float:
-    """Tail mass bound exp(-(s/e)^{2/3}/2 - 1/2) for third-chaos functions."""
-    s = float(s)
-    if s < math.e:
-        raise DomainError(f"h3_tail_bound requires s >= e, got {s}")
-    return math.exp(-0.5 * (s / math.e) ** (2.0 / 3.0) - 0.5)
 
 
 def sign_stability(epsilon: float, L0_const: float, lam: float) -> float:
@@ -142,7 +105,7 @@ class ChainParams:
     beta: float = 1e-10
     rho: float = RHO_STAR
     alpha_min: float = ALPHA_MIN
-    z0: float = 0.36
+    z0: float = STRIP_Z0
     kappa0: float = KAPPA0
     K0: float = K0
     L0: float = L0
@@ -157,9 +120,9 @@ class ChainParams:
             raise DomainError(f"rho must lie in (0, 1), got {self.rho}")
         if not (0.0 < self.alpha_min < 1.0):
             raise DomainError(f"alpha_min must lie in (0, 1), got {self.alpha_min}")
-        if self.z0 <= self.lam / self.alpha_min:
+        if not (self.lam / self.alpha_min < self.z0 < math.inf):
             raise DomainError(
-                f"z0={self.z0} must exceed lambda/alpha_min="
+                f"z0={self.z0} must be finite and exceed lambda/alpha_min="
                 f"{self.lam / self.alpha_min:.6f}"
             )
 
@@ -191,23 +154,6 @@ def neighborhood_drop(params: ChainParams) -> float:
         * params.beta ** (-(2.0 / 3.0) * (1.0 - params.rho)) - 0.5
     tail = 2.0 * params.beta * math.exp(exponent)
     return keff * params.beta - strip - tail
-
-
-def flip_correction(beta: float, t: float, z0: float, alpha_min: float) -> float:
-    """Bound K_strip beta t + 2 beta exp(-((t/(e beta))^{2/3})/2 - 1/2) on the
-    sign-flip correction term, for a cutoff t in (0, lambda*)."""
-    beta, t = float(beta), float(t)
-    if beta < 0.0:
-        raise DomainError(f"beta must be nonnegative, got {beta}")
-    if beta == 0.0:
-        return 0.0
-    if not (0.0 < t < LAMBDA_STAR):
-        raise DomainError(f"cutoff t must lie in (0, lambda*), got {t}")
-    if t / beta <= math.e:
-        raise DomainError(f"t/beta must exceed e, got {t / beta}")
-    strip = K_strip(z0, alpha_min) * beta * t
-    tail = 2.0 * beta * math.exp(-0.5 * (t / (math.e * beta)) ** (2.0 / 3.0) - 0.5)
-    return strip + tail
 
 
 @dataclass(frozen=True)

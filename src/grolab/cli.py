@@ -235,10 +235,12 @@ def _chain_checks(cfg: RunConfig) -> list[Check]:
     checks.append(bound_check("kg_increment", BOUNDS["kg_increment"],
                               report.kg_increment, ">="))
     checks.append(bound_check("K_strip", BOUNDS["K_strip"],
-                              chain.K_strip(0.36, 0.6), "<="))
+                              chain.K_strip(chain.STRIP_Z0, chain.ALPHA_MIN),
+                              "<="))
     checks.append(bound_check("L0_bound", BOUNDS["L0_bound"],
-                              chain.L0_bound(0.6), "<="))
-    checks.append(bound_check("C_z0", BOUNDS["C_z0"], chain.C_z0(0.36), "<="))
+                              chain.L0_bound(chain.ALPHA_MIN), "<="))
+    checks.append(bound_check("C_z0", BOUNDS["C_z0"],
+                              chain.C_z0(chain.STRIP_Z0), "<="))
     env_ok = all(chain.log_tail_envelope_margin(float(a)) >= 0.0
                  for a in np.linspace(2.3, 40.0, 500))
     checks.append(flag_check("gaussian_tail_envelope", env_ok))

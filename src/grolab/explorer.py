@@ -278,17 +278,3 @@ def sample_feasible_profile(seed: int, params: ReedsParams, z_cut: float = 1.0,
     t = min(1.0, max(0.0, t))
     blended = (1.0 - t) * values + t * target_pattern
     return Profile.from_grid(blended, z_cut=z_cut)
-
-
-def scan_csv(profile: Profile, params: ReedsParams, betas) -> str:
-    """CSV of a perturbation scan: beta, norm_drop, drop_over_beta, limit."""
-    rows = beta_derivative_scan(profile, params, betas)
-    lines = ["beta,norm_drop,drop_over_beta,derivative_limit_estimate"]
-    for i, (beta, ratio) in enumerate(rows):
-        if i >= 1:
-            limit = richardson_limit(rows[:i + 1])
-            limit_txt = f"{limit:.17g}"
-        else:
-            limit_txt = ""
-        lines.append(f"{beta:.17g},{beta * ratio:.17g},{ratio:.17g},{limit_txt}")
-    return "\n".join(lines) + "\n"

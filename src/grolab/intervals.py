@@ -48,10 +48,6 @@ class Interval:
     def exact(cls, x: float) -> "Interval":
         return cls(float(x), float(x))
 
-    @classmethod
-    def hull(cls, *xs: float) -> "Interval":
-        return cls(min(xs), max(xs))
-
     # -- arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "Interval":

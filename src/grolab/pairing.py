@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FeasibilityError, InternalCheckError
-from .gauss import SQRT_2PI, gaussian_cdf, gaussian_pdf
-from .profiles import Profile, moment, theta_moments
+from .gauss import gaussian_cdf, gaussian_pdf
+from .profiles import Profile, theta_moments
 
 # Inner moments must vanish this tightly for the |A| bound hypothesis.
 _INNER_MOMENT_TOL = 1e-9
@@ -124,44 +124,6 @@ def A_bound_check(profile: Profile, eta: float) -> tuple[float, float]:
     a_val = float(m[3] - 3.0 * m[1])
     bound = eta * eta * (gaussian_pdf(0.0) - gaussian_pdf(eta))
     return abs(a_val), bound
-
-
-def _sign_tails_beyond(profile: Profile, eta: float) -> bool:
-    """True when theta(z) = sign(z) for every |z| > eta."""
-    if profile.tail_values != (-1.0, 1.0):
-        return False
-    if profile.z_cut <= eta:
-        return True
-    edges = profile.edges
-    for lo, hi, v in zip(edges[:-1], edges[1:], profile.values):
-        if lo < -eta and v != -1.0:
-            return False
-        if hi > eta and v != 1.0:
-            return False
-    return True
-
-
-def mombd_lower(profile: Profile, eta: float) -> float:
-    """First moment of a profile with sign tails beyond eta < 1/2.
-
-    Returns the moment and verifies it clears the worst-case closed form
-    2 (2 exp(-eta^2/2) - 1) / sqrt(2 pi), attained when theta = -sign(z)
-    on the whole inner region.
-    """
-    eta = float(eta)
-    if not (0.0 < eta < 0.5):
-        raise DomainError(f"mombd_lower requires 0 < eta < 1/2, got {eta}")
-    if not _sign_tails_beyond(profile, eta):
-        raise FeasibilityError(
-            f"profile must equal sign(z) for |z| > {eta}"
-        )
-    m = moment(profile)
-    worst = 2.0 * (2.0 * math.exp(-0.5 * eta * eta) - 1.0) / SQRT_2PI
-    if m < worst - 1e-12:
-        raise InternalCheckError(
-            f"moment {m} fell below the guaranteed floor {worst}"
-        )
-    return m
 
 
 def signflip_check(a, b, beta):

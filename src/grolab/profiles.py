@@ -103,10 +103,6 @@ class Profile:
         out = np.where(z >= self.z_cut, self.tail_values[1], out)
         return out
 
-    def cell_bounds(self):
-        edges = self._edges
-        return zip(edges[:-1], edges[1:], self.values)
-
     @classmethod
     def constant(cls, value: float, z_cut: float, tail_rule: str = SIGN_TAILS,
                  tail_values=(-1.0, 1.0)) -> "Profile":
@@ -445,22 +441,6 @@ def odd_part(profile: Profile) -> Profile:
                    tail_values=(-odd_right, odd_right))
 
 
-def elem_identity_check(x: float, y: float) -> tuple[float, float]:
-    """Both sides of (|1-x| + |-1-y|)/2 = |1 - (x-y)/2| on [-1,1]^2."""
-    x, y = float(x), float(y)
-    if abs(x) > 1.0 or abs(y) > 1.0:
-        raise DomainError("elem_identity_check requires x, y in [-1, 1]")
-    s = 0.5 * (x - y)
-    lhs = 0.5 * (abs(1.0 - x) + abs(-1.0 - y))
-    rhs = abs(1.0 - s)
-    return lhs, rhs
-
-
-def inner_moment_defect(profile: Profile, eta_star: float) -> float:
-    """|int_{-eta*}^{eta*} z theta(z) pdf(z) dz|."""
-    return abs(float(theta_moments(profile, eta_star)[1]))
-
-
 # -- constructive projection onto the maximizing set -------------------------
 
 def _repair_threshold(profile: Profile, s: float, eta_star: float,
@@ -546,21 +526,6 @@ def repair_to_theta(profile: Profile,
 
 
 # -- quantitative gap lower bounds -------------------------------------------
-
-def gap_lower_small_delta(d: float, alpha_err: float) -> float:
-    """Gap bound (d - 2.6 |alpha - alpha*|)^2 / 32.7 in the small-defect regime."""
-    d, alpha_err = float(d), float(alpha_err)
-    if d < 0.0 or alpha_err < 0.0:
-        raise DomainError("d and alpha_err must be nonnegative")
-    if alpha_err >= 0.01:
-        raise DomainError(f"alpha_err must be < 1/100, got {alpha_err}")
-    lead = d - 2.6 * alpha_err
-    if lead <= 0.0:
-        raise DomainError(
-            f"bound degenerates: d - 2.6 alpha_err = {lead} must be positive"
-        )
-    return lead * lead / 32.7
-
 
 def gap_lower_large_delta(d: float, alpha_err: float, lam: float) -> float:
     """Two-branch gap bound in the large inner-defect regime."""

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from grolab.baseline import DAVIE_REEDS_C, LAMBDA_STAR
+from grolab.certify import c_z0_upper_enclosure
 from grolab.chain import (
+    ALPHA_MIN,
     BETA_STAR,
     C_z0,
     ChainParams,
@@ -13,12 +16,11 @@ from grolab.chain import (
     K0,
     L0,
     L0_bound,
+    P3_COEFF,
+    RHO_STAR,
     final_chain,
-    flip_correction,
-    h3_tail_bound,
     kappa_eff,
     kg_lower_bound,
-    l1_projection_bounds,
     log_tail_envelope_margin,
     neighborhood_drop,
     sign_stability,
@@ -28,28 +30,80 @@ from grolab.errors import DomainError
 
 
 def _poly(z):
-    return (z ** 3 - 3 * z) ** 2 / 6.0 + (z * z - 1) ** 2 / 2.0 + z * z + 1.0
+    """q(z) = H3^2/6 + H2^2/2 + z^2 + 1, in the same operation order as C_z0."""
+    z2 = z * z
+    return (z2 * z - 3.0 * z) ** 2 / 6.0 + (z2 - 1.0) ** 2 / 2.0 + z2 + 1.0
+
+
+# 0, the strip point, the z0 of both neighborhood-drop betas, and past z = 1.
+_Z0S = (0.0, 0.2, 0.36, *(1.0 / 3.0 + b ** RHO_STAR / ALPHA_MIN
+                          for b in (1e-10, BETA_STAR)), 1.7)
+
+
+def _polymul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_C_z0_derivative_is_nonnegative():
+    # q = H3^2/6 + H2^2/2 + z^2 + 1 in exact rationals, coefficients low first
+    h3 = [0, -3, 0, 1]
+    h2 = [-1, 0, 1]
+    q = [Fraction(0)] * 7
+    for k, c in enumerate(_polymul(h3, h3)):
+        q[k] += c / 6
+    for k, c in enumerate(_polymul(h2, h2)):
+        q[k] += c / 2
+    q[2] += 1
+    q[0] += 1
+    dq = [k * c for k, c in enumerate(q)][1:]
+    assert dq == [0, 3, 0, -2, 0, 1]
+    # q' = z ((z^2 - 1)^2 + 2), nonnegative for z >= 0: q increases there
+    shifted = _polymul(h2, h2)
+    shifted[0] += 2
+    assert _polymul([0, 1], shifted) == dq
 
 
 def test_C_z0_values():
     val = C_z0(0.36)
-    # independent coarse grid-sup oracle
-    oracle = max(_poly(z) for z in np.linspace(0, 0.36, 200001))
-    assert val == pytest.approx(oracle, abs=1e-9)
     assert val == pytest.approx(1.6864, abs=1e-4)
     assert val <= 1.7
     assert C_z0(0.0) == 1.5
     assert C_z0(0.2) <= C_z0(0.36)
     with pytest.raises(DomainError):
         C_z0(-0.1)
+    for z0 in _Z0S:
+        # the sup sits at the endpoint: exactly q(z0)
+        assert C_z0(z0) == _poly(z0)
+        # independent grid-sup oracles at two resolutions
+        for n in (100001, 200001):
+            oracle = float(np.max(_poly(np.linspace(0.0, z0, n))))
+            assert oracle <= C_z0(z0) + 1e-15
+            assert oracle == pytest.approx(C_z0(z0), abs=1e-9)
 
 
-def test_C_z0_resolution_convergence():
-    # the sup is stable under doubling the scan resolution
-    coarse = max(_poly(z) for z in np.linspace(0, 0.36, 50001))
-    fine = max(_poly(z) for z in np.linspace(0, 0.36, 100001))
-    assert abs(C_z0(0.36) - fine) < 1e-6
-    assert abs(fine - coarse) < 1e-6
+@pytest.mark.parametrize("z0", _Z0S)
+def test_c_z0_upper_enclosure_is_tight(z0):
+    iv = c_z0_upper_enclosure(z0)
+    assert iv.lo <= C_z0(z0) <= iv.hi
+    assert iv.hi - iv.lo < 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(DomainError):
+        C_z0(bad)
+    with pytest.raises(DomainError):
+        K_strip(bad, 0.6)
+    with pytest.raises(DomainError):
+        K_strip(0.36, bad)
+    with pytest.raises(DomainError):
+        L0_bound(bad)
+    with pytest.raises(DomainError):
+        ChainParams(z0=bad)
 
 
 def test_K_strip():
@@ -71,29 +125,13 @@ def test_L0_bound():
         L0_bound(-1.0)
 
 
-def test_l1_projection_bounds():
-    p1, p3 = l1_projection_bounds(1e-2)
-    assert p1 == pytest.approx(0.5e-2 * math.log(100.0), abs=1e-12)
-    assert p1 == pytest.approx(0.02303, abs=1e-5)
+def test_P3_COEFF():
     coeff = (math.e / math.sqrt(3.0)) ** 3
     assert coeff == pytest.approx(3.86546, abs=1e-4)
-    assert coeff <= 3.87
-    assert p3 == pytest.approx(coeff * 1e-2 * math.log(100.0) ** 1.5, abs=1e-12)
-    # the log(2/eps) variant used downstream
-    leak = 3.87 * 1e-7 * math.log(2e7) ** 1.5
+    assert coeff <= P3_COEFF
+    # the projection leak kappa_eff subtracts at epsilon = 1e-7
+    leak = P3_COEFF * 1e-7 * math.log(2e7) ** 1.5
     assert leak == pytest.approx(2.667e-5, abs=1e-8)
-    with pytest.raises(DomainError):
-        l1_projection_bounds(0.02)
-    with pytest.raises(DomainError):
-        l1_projection_bounds(0.0)
-
-
-def test_h3_tail_bound():
-    assert h3_tail_bound(math.e) == pytest.approx(math.exp(-1.0), abs=1e-15)
-    assert h3_tail_bound(8.0 * math.e) == pytest.approx(math.exp(-2.5), abs=1e-15)
-    assert 2.0 * h3_tail_bound(1e3) < 1e-10
-    with pytest.raises(DomainError):
-        h3_tail_bound(2.0)
 
 
 def test_sign_stability():
@@ -147,20 +185,6 @@ def test_chain_params_validation():
         ChainParams(rho=1.5)
     with pytest.raises(DomainError):
         ChainParams(z0=0.1)
-
-
-def test_flip_correction():
-    val = flip_correction(1e-10, 1e-7, 0.36, 0.6)
-    strip = K_strip(0.36, 0.6) * 1e-17
-    tail = 2e-10 * math.exp(-0.5 * (1e3 / math.e) ** (2.0 / 3.0) - 0.5)
-    assert val == pytest.approx(strip + tail, rel=1e-12)
-    assert val == pytest.approx(strip, rel=1e-4)
-    assert val <= 7e-17
-    assert flip_correction(0.0, 1e-7, 0.36, 0.6) == 0.0
-    with pytest.raises(DomainError):
-        flip_correction(1e-7, math.e * 1e-7, 0.36, 0.6)  # t / beta = e
-    with pytest.raises(DomainError):
-        flip_correction(1e-10, 0.3, 0.36, 0.6)  # t >= lambda*
 
 
 def test_final_chain_reference():

@@ -13,7 +13,6 @@ from grolab.explorer import (
     richardson_limit,
     sample_feasible_profile,
     sample_theta_member,
-    scan_csv,
     sign_ascent,
 )
 from grolab.gauss import gauss_integrate, hermite_eval
@@ -217,21 +216,6 @@ def test_mc_norm_estimate(params):
                          params, 0.0)
     with pytest.raises(DomainError):
         McConfig(dimension=1, samples=100, seed=1)
-
-
-def test_scan_csv_format(params):
-    member = sample_theta_member(13, lam=LAM)
-    csv_text = scan_csv(member, params, BETAS)
-    lines = csv_text.splitlines()
-    assert lines[0] == "beta,norm_drop,drop_over_beta,derivative_limit_estimate"
-    assert len(lines) == 1 + len(BETAS)
-    assert csv_text.endswith("\n")
-    assert "\r" not in csv_text
-    first = lines[1].split(",")
-    assert float(first[0]) == BETAS[0]
-    assert first[3] == ""  # no extrapolation for the first row
-    assert float(lines[-1].split(",")[3]) == pytest.approx(
-        richardson_limit(beta_derivative_scan(member, params, BETAS)), rel=1e-12)
 
 
 def test_sample_helpers(params, eta_star):

@@ -13,7 +13,6 @@ from grolab.pairing import (
     PairingConstants,
     inner_constants,
     kappa_Q,
-    mombd_lower,
     pairing_lower_bound,
     signflip_check,
     transverse_bound,
@@ -132,23 +131,6 @@ def test_A_bound_hypothesis_enforced(eta_star):
     lopsided = Profile(z_cut=eta_star, breakpoints=(0.0,), values=(-0.2, 0.9))
     with pytest.raises(FeasibilityError):
         A_bound_check(lopsided, eta_star)
-
-
-def test_mombd_lower(eta_star):
-    worst = Profile(z_cut=eta_star, breakpoints=(0.0,), values=(1.0, -1.0))
-    m = mombd_lower(worst, eta_star)
-    closed = 2.0 * (2.0 * math.exp(-0.5 * eta_star ** 2) - 1.0) / math.sqrt(
-        2.0 * math.pi)
-    assert m == pytest.approx(closed, abs=1e-12)
-    assert m >= 0.6104
-    best = Profile(z_cut=eta_star, breakpoints=(0.0,), values=(-1.0, 1.0))
-    assert mombd_lower(best, eta_star) == pytest.approx(
-        math.sqrt(2.0 / math.pi), abs=1e-12)
-    with pytest.raises(DomainError):
-        mombd_lower(worst, 0.6)
-    skewed = Profile(z_cut=1.0, breakpoints=(0.0,), values=(-0.5, 1.0))
-    with pytest.raises(FeasibilityError):
-        mombd_lower(skewed, eta_star)
 
 
 def test_mombd_perturbed_profile(eta_star):

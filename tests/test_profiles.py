@@ -23,18 +23,16 @@ from grolab.profiles import (
     V_value,
     _int_A_full,
     dual_value,
-    elem_identity_check,
     gap_certificate,
     gap_lower_large_delta,
-    gap_lower_small_delta,
     gap_tail_integral,
-    inner_moment_defect,
     lp_maximize,
     moment,
     odd_part,
     profile_from_text,
     profile_to_text,
     repair_to_theta,
+    theta_moments,
 )
 
 from conftest import LAM
@@ -411,24 +409,6 @@ def test_odd_part_preserves_V_and_moment(params, rng):
         assert moment(oddp) == pytest.approx(moment(prof), abs=1e-12)
 
 
-def test_elem_identity():
-    assert elem_identity_check(0.3, -0.5) == pytest.approx((0.6, 0.6), abs=0)
-    lhs, rhs = elem_identity_check(0.7, 0.7)
-    assert lhs == rhs == 1.0
-    lhs, rhs = elem_identity_check(1.0, -1.0)
-    assert lhs == rhs == 0.0
-    with pytest.raises(DomainError):
-        elem_identity_check(1.2, 0.0)
-
-
-def test_elem_identity_random(rng):
-    xs = rng.uniform(-1, 1, 500)
-    ys = rng.uniform(-1, 1, 500)
-    for x, y in zip(xs, ys):
-        lhs, rhs = elem_identity_check(float(x), float(y))
-        assert lhs == pytest.approx(rhs, abs=1e-15)
-
-
 def _tail_sign_defect(prof, eta, spec):
     hi = max(prof.z_cut, eta)
     inner = gauss_integrate(
@@ -451,15 +431,15 @@ def test_tail_equality_via_odd_part(params, rng, spec):
 
 def test_inner_moment_defect(params, eta_star):
     member = sample_theta_member(5, lam=LAM)
-    assert inner_moment_defect(member, eta_star) <= 1e-13
-    # theta = 1 on (0, eta*), odd: the defect is the inner absolute moment s1
+    assert abs(theta_moments(member, eta_star)[1]) <= 1e-13
+    # theta = sign(z) on (-eta*, eta*): the inner first moment is s1
     inner_sign = Profile(z_cut=eta_star, breakpoints=(0.0,), values=(-1.0, 1.0))
     s1 = 2.0 * (gaussian_pdf(0.0) - gaussian_pdf(eta_star))
-    assert inner_moment_defect(inner_sign, eta_star) == pytest.approx(
+    assert theta_moments(inner_sign, eta_star)[1] == pytest.approx(
         s1, abs=1e-12)
     assert s1 == pytest.approx(0.0256680575, abs=1e-9)
     zeros = Profile.constant(0.0, z_cut=eta_star)
-    assert inner_moment_defect(zeros, eta_star) == 0.0
+    assert theta_moments(zeros, eta_star)[1] == 0.0
 
 
 # -- repair --------------------------------------------------------------------
@@ -476,18 +456,18 @@ def test_repair_bathtub_is_member(params, eta_star):
     tub = Profile.bathtub(solve_h(params.alpha), z_cut=eta_star)
     repaired, cost = repair_to_theta(tub, lam=LAM)
     assert cost <= 1e-12
-    assert inner_moment_defect(repaired, eta_star) <= 1e-13
+    assert abs(theta_moments(repaired, eta_star)[1]) <= 1e-13
 
 
 def test_repair_inner_sign(eta_star):
     # theta = sign(z) everywhere: maximal inner defect s1, tails already fine
     prof = Profile(z_cut=eta_star, breakpoints=(0.0,), values=(-1.0, 1.0))
-    delta = inner_moment_defect(prof, eta_star)
+    delta = abs(theta_moments(prof, eta_star)[1])
     repaired, cost = repair_to_theta(prof, lam=LAM)
     assert delta == pytest.approx(0.0256680575, abs=1e-9)
     assert cost <= 2.0 * delta / eta_star + 1e-12
     assert cost == pytest.approx(2.0 * delta / eta_star, rel=0.35)
-    assert inner_moment_defect(repaired, eta_star) <= 1e-13
+    assert abs(theta_moments(repaired, eta_star)[1]) <= 1e-13
     assert repaired.tail_rule == "sign"
     assert repaired.z_cut == pytest.approx(eta_star, abs=0)
 
@@ -500,8 +480,8 @@ def test_repair_random_profiles(rng, eta_star, spec):
         repaired, cost = repair_to_theta(rough, lam=LAM)
         assert repaired.tail_rule == "sign"
         assert repaired.z_cut == pytest.approx(eta_star, abs=0)
-        assert inner_moment_defect(repaired, eta_star) <= 1e-12
-        delta = inner_moment_defect(rough, eta_star)
+        assert abs(theta_moments(repaired, eta_star)[1]) <= 1e-12
+        delta = abs(theta_moments(rough, eta_star)[1])
         upper = _tail_sign_defect(rough, eta_star, spec) + 2.0 * delta / eta_star
         assert cost <= upper + 1e-10
 
@@ -530,7 +510,9 @@ def test_repair_threshold_inverts_capacity(rng, eta_star):
 
     for k in range(20):
         fixed = Profile.from_grid(rng.uniform(-1.0, 1.0, 10), z_cut=eta_star)
-        inner = sum(v * interval_z_moment(a, b) for a, b, v in fixed.cell_bounds())
+        edges = fixed.edges
+        inner = sum(v * interval_z_moment(a, b)
+                    for a, b, v in zip(edges[:-1], edges[1:], fixed.values))
         s = 1.0 if inner >= 0.0 else -1.0
         delta = abs(inner)
         t0 = _repair_threshold(fixed, s, eta_star, delta)
@@ -547,18 +529,6 @@ def test_repair_threshold_inverts_capacity(rng, eta_star):
 
 
 # -- gap lower bounds ------------------------------------------------------------
-
-def test_gap_lower_small_delta():
-    assert gap_lower_small_delta(1e-10, 0.0) == pytest.approx(
-        1e-20 / 32.7, rel=1e-12)
-    assert gap_lower_small_delta(1e-10, 0.0) == pytest.approx(3.058e-22, rel=1e-3)
-    assert gap_lower_small_delta(1e-7, 1e-12) == pytest.approx(
-        (1e-7 - 2.6e-12) ** 2 / 32.7, rel=1e-12)
-    with pytest.raises(DomainError):
-        gap_lower_small_delta(2.6e-9, 1e-9)  # d = 2.6 alpha_err exactly
-    with pytest.raises(DomainError):
-        gap_lower_small_delta(1.0, 0.02)
-
 
 def test_gap_lower_large_delta():
     lam_star = 0.19747909099498196
