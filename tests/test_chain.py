@@ -78,11 +78,18 @@ def test_C_z0_values():
     for z0 in _Z0S:
         # the sup sits at the endpoint: exactly q(z0)
         assert C_z0(z0) == _poly(z0)
-        # independent grid-sup oracles at two resolutions
-        for n in (100001, 200001):
-            oracle = float(np.max(_poly(np.linspace(0.0, z0, n))))
+
+
+def test_C_z0_resolution_convergence():
+    # independent grid-sup oracles agree with C_z0 and are stable under
+    # doubling the scan resolution
+    for z0 in _Z0S:
+        coarse, fine = (float(np.max(_poly(np.linspace(0.0, z0, n))))
+                        for n in (100001, 200001))
+        for oracle in (coarse, fine):
             assert oracle <= C_z0(z0) + 1e-15
             assert oracle == pytest.approx(C_z0(z0), abs=1e-9)
+        assert abs(fine - coarse) < 1e-6
 
 
 @pytest.mark.parametrize("z0", _Z0S)
