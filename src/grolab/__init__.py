@@ -15,7 +15,6 @@ Modules:
 """
 
 from .baseline import (
-    BaselineReport,
     DAVIE_REEDS_C,
     LAMBDA_STAR,
     ReedsParams,
@@ -25,7 +24,7 @@ from .baseline import (
     solve_eta_star,
     solve_h,
 )
-from .chain import ChainParams, ChainReport, final_chain, kappa_eff, kg_lower_bound
+from .chain import ChainReport, final_chain, kappa_eff, kg_lower_bound
 from .errors import (
     AccuracyError,
     DomainError,
@@ -43,7 +42,7 @@ from .gauss import (
     hermite_eval,
     tail_first_moment,
 )
-from .pairing import PairingConstants, pairing_lower_bound
+from .pairing import PairingConstants
 from .profiles import (
     GapCertificate,
     Profile,

@@ -45,30 +45,6 @@ class ReedsParams:
         return cls(lam=lam, alpha=lam / solve_eta_star(lam))
 
 
-@dataclass(frozen=True)
-class BaselineReport:
-    """Snapshot of the optimized baseline bound."""
-
-    lambda_star: float
-    eta_star: float
-    alpha_star: float
-    denominator: float
-    bound_c: float
-
-    @classmethod
-    def compute(cls) -> "BaselineReport":
-        lam = optimize_lambda()
-        eta = solve_eta_star(lam)
-        den = reeds_denominator(lam)
-        return cls(
-            lambda_star=lam,
-            eta_star=eta,
-            alpha_star=lam / eta,
-            denominator=den,
-            bound_c=(1.0 - lam) / den,
-        )
-
-
 def _eta_equation(eta: float, lam: float) -> float:
     return SQRT_2_OVER_PI * eta * math.exp(-0.5 * eta * eta) - lam
 

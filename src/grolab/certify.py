@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .baseline import LAMBDA_STAR
 from .chain import (ALPHA_ERR, ALPHA_MIN, BETA_STAR, DEFECT_D, DETUNED_BOUND,
                     EPSILON_STAR, K0, KAPPA0, L0, NEAR_DROP_COEFF, P3_COEFF,
-                    RHO_STAR, STRIP_Z0)
+                    STRIP_Z0, strip_z0)
 from .claims import BOUNDS, LAM_LIT, PAIRING, TARGETS
 from .errors import InternalCheckError
 from .intervals import (
@@ -163,8 +163,9 @@ def certified_pairing_checks() -> list[CertifiedCheck]:
     return [_within(f"pairing_{name}", ivs[name], name) for name in PAIRING]
 
 
-def kappa_eff_enclosure(epsilon: float = EPSILON_STAR) -> Interval:
-    eps = Interval.exact(epsilon)
+def kappa_eff_enclosure() -> Interval:
+    """Enclosure of chain.kappa_eff at epsilon = EPSILON_STAR."""
+    eps = Interval.exact(EPSILON_STAR)
     log_term = (Interval.exact(2.0) / eps).log()
     leak = Interval.exact(P3_COEFF) * eps * (log_term * log_term.sqrt())
     inner = eps * Interval.exact(L0) * (Interval.exact(LAMBDA_STAR) + log_term * 0.5)
@@ -190,8 +191,7 @@ def drop_per_beta_enclosure(beta: float) -> Interval:
     """Enclosure of (neighborhood drop) / beta at the reference parameters."""
     beta_iv = Interval.exact(beta)
     keff = kappa_eff_enclosure()
-    z0 = 1.0 / 3.0 + beta ** RHO_STAR / ALPHA_MIN
-    c_up = c_z0_upper_enclosure(z0)
+    c_up = c_z0_upper_enclosure(strip_z0(beta))
     kstrip = Interval(0.0, (Interval.exact(8.0) * c_up.sqrt()
                             / (Interval.exact(ALPHA_MIN) * SQRT_2PI)).hi)
     strip_term = kstrip * beta_iv.pow_frac(7, 10)

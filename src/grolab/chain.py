@@ -3,7 +3,9 @@
 Everything here is explicit scalar arithmetic: the strip and small-ball
 constants, the effective pairing constant on an L1 neighborhood,
 the per-beta norm drop, and the closing chain that converts the drop into an
-increment for the Grothendieck lower bound.
+increment for the Grothendieck lower bound.  The chain is evaluated at one
+set of reference constants, the module constants below; only beta and
+epsilon are arguments.
 
 Magnitude discipline: quantities of order 1e-20 and below are computed and
 reported standalone; nothing here ever subtracts a tiny drop from an O(1)
@@ -72,88 +74,53 @@ def L0_bound(alpha_min: float) -> float:
     return 4.0 / (alpha_min * SQRT_2PI)
 
 
-def sign_stability(epsilon: float, L0_const: float, lam: float) -> float:
+def strip_z0(beta: float) -> float:
+    """Strip half-width at beta: 1/3 + beta^RHO_STAR / ALPHA_MIN.
+
+    It exceeds LAMBDA_STAR / ALPHA_MIN + beta^RHO_STAR / ALPHA_MIN, the floor
+    the strip argument needs, because 1/3 > LAMBDA_STAR / ALPHA_MIN.
+    """
+    return 1.0 / 3.0 + beta ** RHO_STAR / ALPHA_MIN
+
+
+def sign_stability(epsilon: float) -> float:
     """L2 distance bound between sign patterns across an epsilon move.
 
-    2^{3/2} [epsilon L0 (lambda + 0.5 log(2/epsilon))]^{1/4}.
+    2^{3/2} [epsilon L0 (LAMBDA_STAR + 0.5 log(2/epsilon))]^{1/4}.
     """
     epsilon = float(epsilon)
     if not (0.0 < epsilon < 0.01):
         raise DomainError(f"epsilon must lie in (0, 1/100), got {epsilon}")
-    inner = epsilon * L0_const * (lam + 0.5 * math.log(2.0 / epsilon))
+    inner = epsilon * L0 * (LAMBDA_STAR + 0.5 * math.log(2.0 / epsilon))
     return 2.0 ** 1.5 * inner ** 0.25
 
 
-def kappa_eff(epsilon: float, kappa0: float, K0_const: float,
-              L0_const: float, lam: float) -> float:
+def kappa_eff(epsilon: float) -> float:
     """Effective pairing constant on an epsilon-neighborhood.
 
-    kappa0 - 3.87 eps log(2/eps)^{3/2} - sign_stability(eps) * K0.
+    KAPPA0 - 3.87 eps log(2/eps)^{3/2} - sign_stability(eps) * K0.
     """
+    stability = sign_stability(epsilon)  # validates epsilon
     epsilon = float(epsilon)
-    if not (0.0 < epsilon < 0.01):
-        raise DomainError(f"epsilon must lie in (0, 1/100), got {epsilon}")
     leak = P3_COEFF * epsilon * math.log(2.0 / epsilon) ** 1.5
-    return kappa0 - leak - sign_stability(epsilon, L0_const, lam) * K0_const
+    return KAPPA0 - leak - stability * K0
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    """Inputs of the neighborhood norm-drop bound."""
-
-    epsilon: float = EPSILON_STAR
-    beta: float = 1e-10
-    rho: float = RHO_STAR
-    alpha_min: float = ALPHA_MIN
-    z0: float = STRIP_Z0
-    kappa0: float = KAPPA0
-    K0: float = K0
-    L0: float = L0
-    lam: float = LAMBDA_STAR
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 0.01):
-            raise DomainError(f"epsilon must lie in (0, 1/100), got {self.epsilon}")
-        if not (0.0 < self.beta < 1.0):
-            raise DomainError(f"beta must lie in (0, 1), got {self.beta}")
-        if not (0.0 < self.rho < 1.0):
-            raise DomainError(f"rho must lie in (0, 1), got {self.rho}")
-        if not (0.0 < self.alpha_min < 1.0):
-            raise DomainError(f"alpha_min must lie in (0, 1), got {self.alpha_min}")
-        if not (self.lam / self.alpha_min < self.z0 < math.inf):
-            raise DomainError(
-                f"z0={self.z0} must be finite and exceed lambda/alpha_min="
-                f"{self.lam / self.alpha_min:.6f}"
-            )
-
-    @classmethod
-    def reference_defaults(cls, beta: float) -> "ChainParams":
-        """The reference parameter choices, with z0 tracking beta^rho."""
-        z0 = 1.0 / 3.0 + beta ** RHO_STAR / ALPHA_MIN
-        return cls(epsilon=EPSILON_STAR, beta=beta, rho=RHO_STAR,
-                   alpha_min=ALPHA_MIN, z0=z0, kappa0=KAPPA0, K0=K0, L0=L0,
-                   lam=LAMBDA_STAR)
-
-
-def neighborhood_drop(params: ChainParams) -> float:
+def neighborhood_drop(beta: float) -> float:
     """Net norm drop (positive) for functions near the maximizer set:
 
-    kappa_eff * beta - K_strip * beta^{1+rho} - 2 beta exp(-...).
+    kappa_eff * beta - K_strip * beta^{1+rho} - 2 beta exp(-...), at
+    epsilon = EPSILON_STAR, rho = RHO_STAR and the strip z0 = strip_z0(beta).
     """
-    t = params.beta ** params.rho
-    needed_z0 = params.lam / params.alpha_min + t / params.alpha_min
-    if params.z0 < needed_z0 - 1e-15:
-        raise DomainError(
-            f"z0={params.z0} inconsistent: needs >= lam/alpha_min + "
-            f"beta^rho/alpha_min = {needed_z0:.9g}"
-        )
-    keff = kappa_eff(params.epsilon, params.kappa0, params.K0, params.L0,
-                     params.lam)
-    strip = K_strip(params.z0, params.alpha_min) * params.beta ** (1.0 + params.rho)
+    beta = float(beta)
+    if not (0.0 < beta < 1.0):
+        raise DomainError(f"beta must lie in (0, 1), got {beta}")
+    keff = kappa_eff(EPSILON_STAR)
+    strip = K_strip(strip_z0(beta), ALPHA_MIN) * beta ** (1.0 + RHO_STAR)
     exponent = -0.5 * math.exp(-2.0 / 3.0) \
-        * params.beta ** (-(2.0 / 3.0) * (1.0 - params.rho)) - 0.5
-    tail = 2.0 * params.beta * math.exp(exponent)
-    return keff * params.beta - strip - tail
+        * beta ** (-(2.0 / 3.0) * (1.0 - RHO_STAR)) - 0.5
+    tail = 2.0 * beta * math.exp(exponent)
+    return keff * beta - strip - tail
 
 
 @dataclass(frozen=True)
@@ -166,22 +133,6 @@ class ChainReport:
     beta_star: float
     final_drop: float
     kg_increment: float
-    certified: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kappa_eff": self.kappa_eff,
-            "drop_near_coeff": self.drop_near_coeff,
-            "branches": list(self.branches),
-            "beta_star": self.beta_star,
-            "final_drop": self.final_drop,
-            "kg_increment": self.kg_increment,
-            "certified": self.certified,
-        }
-
-    def to_json(self) -> str:
-        from .reporting import to_json
-        return to_json(self.to_json_dict())
 
 
 def kg_lower_bound(final_drop: float, lam: float, c: float) -> float:
@@ -211,7 +162,7 @@ def final_chain(beta: float) -> ChainReport:
     b3 = beta - gap_lower_large_delta(DEFECT_D, ALPHA_ERR, LAMBDA_STAR)
     drop = -max(b1, b2, b3)
     increment = kg_lower_bound(drop, LAMBDA_STAR, DAVIE_REEDS_C) if drop > 0.0 else 0.0
-    keff = kappa_eff(EPSILON_STAR, KAPPA0, K0, L0, LAMBDA_STAR)
+    keff = kappa_eff(EPSILON_STAR)
     return ChainReport(
         kappa_eff=keff,
         drop_near_coeff=NEAR_DROP_COEFF,

@@ -7,6 +7,7 @@ check is named on stderr), 2 for usage/config errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ from . import baseline, chain, explorer, pairing, profiles
 from .certify import all_certified_checks
 from .claims import BOUNDS, LAM_LIT, PAIRING, TARGETS
 from .errors import DomainError, GrolabError
-from .gauss import QuadratureSpec, gauss_integrate_with_error
+from .gauss import gauss_integrate_with_error
 from .reporting import (
     Check,
     VerificationOutcome,
@@ -44,7 +45,6 @@ class RunConfig:
     """One run; None for beta, epsilon or grid selects the suite's default."""
 
     command: str
-    quadrature: QuadratureSpec = QuadratureSpec()
     output_path: str | None = None
     certified: bool = False
     seed: int = DEFAULT_SEED
@@ -119,13 +119,13 @@ def _baseline_checks(cfg: RunConfig) -> list[Check]:
 
 
 def _closed_form_vs_quadrature(params: baseline.ReedsParams,
-                               member: profiles.Profile,
-                               spec: QuadratureSpec) -> Check:
+                               member: profiles.Profile) -> Check:
     """The closed forms against the adaptive quadrature oracle.
 
-    D(-alpha) and V(member) are integrated by quadrature over [-T, T] under
-    the configured spec.  Reports the larger excess of |closed - quadrature|
-    over the quadrature's returned error bound; passes when it is <= 1e-14.
+    D(-alpha) and V(member) are integrated by quadrature at the QuadratureSpec
+    defaults (over [-12, 12]).  Reports the larger excess of
+    |closed - quadrature| over the quadrature's returned error bound; passes
+    when it is <= 1e-14.
     """
     eta, mu = params.eta, -params.alpha
 
@@ -138,9 +138,9 @@ def _closed_form_vs_quadrature(params: baseline.ReedsParams,
         return a + member.evaluate(z) * b
 
     dual_quad, dual_err = gauss_integrate_with_error(
-        dual_integrand, spec, kinks=(-eta, 0.0, eta))
+        dual_integrand, kinks=(-eta, 0.0, eta))
     primal_quad, primal_err = gauss_integrate_with_error(
-        primal_integrand, spec,
+        primal_integrand,
         kinks=(*member.breakpoints, -member.z_cut, member.z_cut, -eta, eta))
     excess = max(
         abs(profiles.dual_value(mu, params) - (dual_quad + mu * params.alpha))
@@ -189,7 +189,7 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
     member = explorer.sample_theta_member(cfg.seed, lam=LAM_LIT)
     cert = profiles.gap_certificate(member, params)
     checks.append(approx_check("maximizer_gap_zero", 0.0, cert.gap, 1e-12))
-    checks.append(_closed_form_vs_quadrature(params, member, cfg.quadrature))
+    checks.append(_closed_form_vs_quadrature(params, member))
     return checks
 
 
@@ -218,13 +218,11 @@ def _pairing_checks(cfg: RunConfig) -> list[Check]:
 
 def _chain_checks(cfg: RunConfig) -> list[Check]:
     epsilon = chain.EPSILON_STAR if cfg.epsilon is None else cfg.epsilon
-    keff = chain.kappa_eff(epsilon, chain.KAPPA0, chain.K0,
-                           chain.L0, baseline.LAMBDA_STAR)
+    keff = chain.kappa_eff(epsilon)
     checks = [bound_check(f"kappa_eff(eps={epsilon:g})", BOUNDS["kappa_eff"],
                           keff, ">=")]
     for beta in (1e-10, chain.BETA_STAR):
-        params = chain.ChainParams.reference_defaults(beta)
-        drop = chain.neighborhood_drop(params)
+        drop = chain.neighborhood_drop(beta)
         checks.append(bound_check(
             f"neighborhood_drop_{beta:g}",
             BOUNDS["neighborhood_drop_per_beta"] * beta, drop, ">="))
@@ -273,11 +271,9 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
             ok = False
     checks.append(flag_check("sign_ascent_monotone", ok))
     member = explorer.sample_theta_member(cfg.seed + 4000, lam=LAM_LIT)
-    est, se = explorer.mc_norm_estimate(
-        member, explorer.McConfig(dimension=1, samples=100_000, seed=cfg.seed),
-        params, 0.0)
-    truth = explorer.r_lambda_norm_1d(
-        explorer.ConditionalNormInput(member, params, 0.0))
+    est, se = explorer.mc_norm_estimate(member, params, 0.0,
+                                        samples=100_000, seed=cfg.seed)
+    truth = explorer.r_lambda_norm_1d(member, params)
     checks.append(bound_check("mc_within_4_sigma", 4.0 * se, abs(est - truth),
                               "<="))
     return checks
@@ -309,13 +305,7 @@ def run(config: RunConfig) -> VerificationOutcome:
     return VerificationOutcome(checks=tuple(checks))
 
 
-def sweep(parameter: str, rng: tuple[float, float, int]) -> str:
-    """CSV sweep of one parameter over (lo, hi, steps)."""
-    lo, hi, steps = rng
-    if steps < 2:
-        raise UsageError(f"steps must be >= 2, got {steps}")
-    if not lo < hi:
-        raise UsageError(f"need lo < hi, got ({lo}, {hi})")
+def _sweep_rows(parameter: str, lo: float, hi: float, steps: int) -> list[str]:
     lines: list[str] = []
     if parameter == "lambda":
         lines.append("lambda,eta,alpha,denominator,bound")
@@ -327,21 +317,20 @@ def sweep(parameter: str, rng: tuple[float, float, int]) -> str:
     elif parameter == "epsilon":
         lines.append("epsilon,kappa_eff")
         for eps in np.geomspace(lo, hi, steps):
-            val = chain.kappa_eff(float(eps), chain.KAPPA0, chain.K0,
-                                  chain.L0, baseline.LAMBDA_STAR)
+            val = chain.kappa_eff(float(eps))
             lines.append(f"{eps:.17g},{val:.17g}")
     elif parameter == "beta":
         lines.append("beta,drop_per_beta,final_drop,kg_increment")
         for beta in np.geomspace(lo, hi, steps):
             beta = float(beta)
-            drop = chain.neighborhood_drop(chain.ChainParams.reference_defaults(beta))
+            drop = chain.neighborhood_drop(beta)
             if beta < 1e-10:
                 rep = chain.final_chain(beta)
                 fin, inc = f"{rep.final_drop:.17g}", f"{rep.kg_increment:.17g}"
             else:
                 fin, inc = "", ""
             lines.append(f"{beta:.17g},{drop / beta:.17g},{fin},{inc}")
-    elif parameter == "grid":
+    else:
         lines.append("grid,lp_value,abs_error_vs_dual")
         params = baseline.ReedsParams.at_reeds_point(LAM_LIT)
         f_dual = profiles.F_value_dual(params)
@@ -349,18 +338,46 @@ def sweep(parameter: str, rng: tuple[float, float, int]) -> str:
         for size in sizes:
             _, val = profiles.lp_maximize(params, size)
             lines.append(f"{size},{val:.17g},{abs(val - f_dual):.17g}")
-    else:
+    return lines
+
+
+def sweep(parameter: str, rng: tuple[float, float, int]) -> str:
+    """CSV sweep of one parameter over (lo, hi, steps).
+
+    lambda is swept linearly, epsilon, beta and grid geometrically.  A range
+    that leaves the parameter's domain is a usage error.
+    """
+    lo, hi, steps = rng
+    if parameter not in ("lambda", "epsilon", "beta", "grid"):
         raise UsageError(f"unknown sweep parameter {parameter!r}")
+    if steps < 2:
+        raise UsageError(f"steps must be >= 2, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise UsageError(f"need finite lo < hi, got ({lo}, {hi})")
+    if parameter != "lambda" and not lo > 0.0:
+        raise UsageError(f"a geometric {parameter} sweep needs lo > 0, got {lo}")
+    try:
+        lines = _sweep_rows(parameter, lo, hi, steps)
+    except DomainError as exc:
+        raise UsageError(
+            f"{parameter} range ({lo}, {hi}) leaves the domain: {exc}") from exc
     return "\n".join(lines) + "\n"
 
 
 # -- config file and argument handling ----------------------------------------
 
-# Keys of QuadratureSpec, the oracle behind closed_form_vs_quadrature.
-_QUADRATURE_KEYS = {"truncation": float, "rel_tol": float, "abs_tol": float,
-                    "max_subdivisions": int}
 _CONFIG_KEYS = {"seed", "certified", "beta", "epsilon", "grid", "out",
-                "profile", "save_profile", *_QUADRATURE_KEYS}
+                "profile", "save_profile"}
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(
+            f"expected 1/true/yes or 0/false/no, got {text!r}") from None
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -383,11 +400,15 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    # A command's parser registers only the flags its suites read, so a flag
+    # missing from args counts as not given.
+    flags = vars(args)
     file_vals = load_config_file(args.config) if args.config else {}
 
-    def pick(flag_val, key: str, cast):
-        if flag_val is not None:
-            return flag_val
+    def pick(key: str, cast):
+        """The flag if given, else the config file's value, else None."""
+        if flags.get(key) is not None:
+            return flags[key]
         if key in file_vals:
             try:
                 return cast(file_vals[key])
@@ -395,39 +416,42 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError(f"bad config value for {key}: {exc}") from exc
         return None
 
-    try:
-        quad = QuadratureSpec(**{key: pick(None, key, cast)
-                                 for key, cast in _QUADRATURE_KEYS.items()
-                                 if key in file_vals})
-    except GrolabError as exc:
-        raise UsageError(str(exc)) from exc
-
-    certified = args.certified or file_vals.get("certified", "").lower() in (
-        "1", "true", "yes")
-    seed = pick(args.seed, "seed", int)
+    seed = pick("seed", int)
     return RunConfig(
         command=args.command,
-        quadrature=quad,
-        output_path=pick(args.out, "out", str),
-        certified=certified,
+        output_path=pick("out", str),
+        certified=bool(pick("certified", _parse_bool)),
         seed=DEFAULT_SEED if seed is None else seed,
-        beta=pick(args.beta, "beta", float),
-        epsilon=pick(args.epsilon, "epsilon", float),
-        grid=pick(args.grid, "grid", int),
+        beta=pick("beta", float),
+        epsilon=pick("epsilon", float),
+        grid=pick("grid", int),
         profile_path=file_vals.get("profile"),
         save_profile=file_vals.get("save_profile"),
     )
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="write the JSON report (or CSV) here")
-    p.add_argument("--certified", action="store_true",
-                   help="append interval-certified checks")
-    p.add_argument("--seed", type=int, help="seed for randomized suites")
-    p.add_argument("--beta", type=float, help="perturbation size override")
-    p.add_argument("--epsilon", type=float, help="neighborhood radius override")
-    p.add_argument("--grid", type=int, help="discretization grid size")
+# The flags each command takes besides --config and --out: only those its
+# suites read.
+_FLAGS = {
+    "constants": ("certified",),
+    "baseline": ("certified",),
+    "profile": ("certified", "seed", "grid"),
+    "pairing": ("certified", "seed"),
+    "chain": ("certified", "beta", "epsilon"),
+    "explore": ("certified", "seed"),
+    "verify-all": ("certified", "seed", "grid", "beta", "epsilon"),
+    "sweep": (),
+}
+# default=None on --certified lets a config file's value apply when the flag
+# is absent.
+_FLAG_ARGS = {
+    "certified": dict(action="store_true", default=None,
+                      help="append interval-certified checks"),
+    "seed": dict(type=int, help="seed for randomized suites"),
+    "grid": dict(type=int, help="discretization grid size"),
+    "beta": dict(type=float, help="perturbation size override"),
+    "epsilon": dict(type=float, help="neighborhood radius override"),
+}
 
 
 def main(argv=None) -> int:
@@ -437,7 +461,11 @@ def main(argv=None) -> int:
                     "Grothendieck lower bound.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        _add_common_flags(sub.add_parser(name))
+        p = sub.add_parser(name)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--out", help="write the JSON report (or CSV) here")
+        for flag in _FLAGS[name]:
+            p.add_argument(f"--{flag}", **_FLAG_ARGS[flag])
     sw = sub.choices["sweep"]
     sw.add_argument("--parameter", required=True,
                     choices=("lambda", "epsilon", "beta", "grid"))

@@ -11,72 +11,34 @@ zonal pairing coefficient as a numerical derivative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star
-from .errors import DomainError, FeasibilityError
+from .errors import DomainError
 from .gauss import gaussian_moments, gaussian_pdf, hermite_eval
 from .profiles import (
-    FEASIBILITY_TOL,
+    CONST_TAILS,
+    SIGN_TAILS,
     Profile,
     V_value,
     _cells,
+    check_feasible,
     moment,
     repair_to_theta,
     theta_moments,
 )
 
 
-@dataclass(frozen=True)
-class ConditionalNormInput:
-    """A profile, the params it should be feasible for, and a perturbation."""
-
-    profile: Profile
-    params: ReedsParams
-    beta: float = 0.0
-
-    def __post_init__(self):
-        if self.beta < 0.0:
-            raise DomainError(f"beta must be nonnegative, got {self.beta}")
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Deterministic Monte Carlo controls (counter-based generator)."""
-
-    dimension: int
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.dimension}")
-        if self.samples < 10_000:
-            raise DomainError(f"samples must be >= 1e4, got {self.samples}")
-
-
-def _check_feasible(profile: Profile, params: ReedsParams) -> None:
-    m = moment(profile)
-    if abs(m - params.alpha) > FEASIBILITY_TOL:
-        raise FeasibilityError(
-            f"profile moment {m:.15g} != alpha {params.alpha:.15g}",
-            residual=m - params.alpha,
-        )
-
-
-def r_lambda_norm_1d(inp: ConditionalNormInput) -> float:
+def r_lambda_norm_1d(profile: Profile, params: ReedsParams) -> float:
     """Exact L1 norm of the unperturbed operator on the profile's witness.
 
     By the conditional decomposition the norm is the even part int A pdf
     plus int theta psi pdf with the odd kernel psi = B, which is the primal
-    objective V(theta).
+    objective V(theta).  The profile must be feasible for params.
     """
-    if inp.beta != 0.0:
-        raise DomainError("r_lambda_norm_1d requires beta = 0")
-    _check_feasible(inp.profile, inp.params)
-    return V_value(inp.profile, inp.params)
+    check_feasible(profile, params)
+    return V_value(profile, params)
 
 
 def _h3_coefficient(profile: Profile) -> float:
@@ -108,16 +70,19 @@ def _cubic_roots(alpha: float, lam: float, coeff: float) -> np.ndarray:
     return real
 
 
-def r_lambda_beta_norm_1d(inp: ConditionalNormInput) -> float:
+def r_lambda_beta_norm_1d(profile: Profile, params: ReedsParams,
+                          beta: float) -> float:
     """Norm of the perturbed operator on the two-point witness for theta.
 
     Integrand: p(z) |alpha z - lam - beta c3 H3| + q(z) |alpha z + lam - beta c3 H3|
     with p = (1 + theta)/2, q = (1 - theta)/2 and c3 the zonal coefficient.
     Both cubics keep their sign between consecutive kinks, so on each cell
-    the integrand is one cubic polynomial.
+    the integrand is one cubic polynomial.  Requires beta >= 0 and a profile
+    feasible for params.
     """
-    _check_feasible(inp.profile, inp.params)
-    params, profile, beta = inp.params, inp.profile, inp.beta
+    if not beta >= 0.0:
+        raise DomainError(f"beta must be nonnegative, got {beta}")
+    check_feasible(profile, params)
     lam = params.lam
     coeff = beta * _h3_coefficient(profile)
     roots = _cubic_roots(params.alpha, lam, coeff)
@@ -144,10 +109,10 @@ def beta_derivative_scan(profile: Profile, params: ReedsParams,
         raise DomainError("betas must be positive")
     if any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise DomainError("betas must decrease toward 0")
-    base = r_lambda_norm_1d(ConditionalNormInput(profile, params, 0.0))
+    base = r_lambda_norm_1d(profile, params)
     rows = []
     for beta in betas:
-        val = r_lambda_beta_norm_1d(ConditionalNormInput(profile, params, beta))
+        val = r_lambda_beta_norm_1d(profile, params, beta)
         rows.append((beta, (base - val) / beta))
     return rows
 
@@ -163,13 +128,13 @@ def richardson_limit(rows: list[tuple[float, float]]) -> float:
 def _reflect(profile: Profile) -> Profile:
     bp = tuple(sorted(-b for b in profile.breakpoints))
     vals = tuple(reversed(profile.values))
-    if profile.tail_rule == "sign":
+    if profile.tail_rule == SIGN_TAILS:
         # reflecting sign(z) gives -sign(z); fold it into constant tails
         return Profile(z_cut=profile.z_cut, breakpoints=bp, values=vals,
-                       tail_rule="const", tail_values=(1.0, -1.0))
+                       tail_rule=CONST_TAILS, tail_values=(1.0, -1.0))
     left, right = profile.tail_values
     return Profile(z_cut=profile.z_cut, breakpoints=bp, values=vals,
-                   tail_rule="const", tail_values=(right, left))
+                   tail_rule=CONST_TAILS, tail_values=(right, left))
 
 
 def _ascent_step(profile: Profile, lam: float, alpha: float) -> Profile:
@@ -200,20 +165,18 @@ def sign_ascent(initial: Profile, params: ReedsParams,
         cur, m = _reflect(cur), -m
     if m <= 1e-12:
         raise DomainError("initial profile has vanishing first moment")
-    values = [r_lambda_norm_1d(
-        ConditionalNormInput(cur, ReedsParams(lam=lam, alpha=m), 0.0))]
+    values = [r_lambda_norm_1d(cur, ReedsParams(lam=lam, alpha=m))]
     for _ in range(iterations):
         cur = _ascent_step(cur, lam, m)
         m = moment(cur)
         if m < 0.0:
             cur, m = _reflect(cur), -m
-        values.append(r_lambda_norm_1d(
-            ConditionalNormInput(cur, ReedsParams(lam=lam, alpha=m), 0.0)))
+        values.append(r_lambda_norm_1d(cur, ReedsParams(lam=lam, alpha=m)))
     return cur, values
 
 
-def mc_norm_estimate(theta_spec: Profile, config: McConfig,
-                     params: ReedsParams, beta: float) -> tuple[float, float]:
+def mc_norm_estimate(profile: Profile, params: ReedsParams, beta: float,
+                     samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate (mean, standard error) of the perturbed norm.
 
     Samples the distinguished coordinate, draws the +-1 witness with bias
@@ -221,48 +184,47 @@ def mc_norm_estimate(theta_spec: Profile, config: McConfig,
     counter-based generator keyed by the seed makes runs bit-identical; a
     parallel split would advance disjoint counter ranges.
     """
-    if config.dimension not in (1, 2):
-        raise DomainError(f"dimension must be 1 or 2, got {config.dimension}")
-    _check_feasible(theta_spec, params)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    x = rng.standard_normal((config.samples, config.dimension))
-    z = x[:, 0]
-    u = rng.random(config.samples)
-    bias = theta_spec.evaluate(z)
+    if samples < 10_000:
+        raise DomainError(f"samples must be >= 1e4, got {samples}")
+    check_feasible(profile, params)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = rng.standard_normal(samples)
+    u = rng.random(samples)
+    bias = profile.evaluate(z)
     f = np.where(u < 0.5 * (1.0 + bias), 1.0, -1.0)
-    c3 = _h3_coefficient(theta_spec)
+    c3 = _h3_coefficient(profile)
     vals = np.abs(params.alpha * z - params.lam * f
                   - beta * c3 * hermite_eval(3, z))
     est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(config.samples))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return est, stderr
 
 
 # -- profile generators used by scans and the verification suites -------------
 
-def sample_theta_member(seed: int, cells: int = 16,
-                        lam: float = LAMBDA_STAR) -> Profile:
-    """A member of the maximizer set: random inner values, then repaired.
+def sample_theta_member(seed: int, lam: float = LAMBDA_STAR) -> Profile:
+    """A member of the maximizer set: 16 random inner values, then repaired.
 
     No uniformity over the set is claimed; this is a witness generator.
     """
     eta_star = solve_eta_star(lam)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    values = rng.uniform(-1.0, 1.0, cells)
+    values = rng.uniform(-1.0, 1.0, 16)
     rough = Profile.from_grid(values, z_cut=eta_star)
     member, _ = repair_to_theta(rough, lam=lam)
     return member
 
 
-def sample_feasible_profile(seed: int, params: ReedsParams, z_cut: float = 1.0,
-                            cells: int = 12) -> Profile:
-    """A random profile with the exact first moment params.alpha.
+def sample_feasible_profile(seed: int, params: ReedsParams) -> Profile:
+    """A random 12-cell profile on |z| < 1 with the exact first moment
+    params.alpha.
 
     Random cell values are blended linearly toward the +-sign(z) pattern,
     whose moment brackets the target; the blend weight is solved exactly.
     """
+    z_cut = 1.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    values = rng.uniform(-1.0, 1.0, cells)
+    values = rng.uniform(-1.0, 1.0, 12)
     base = Profile.from_grid(values, z_cut=z_cut)
     need = params.alpha - 2.0 * gaussian_pdf(z_cut)
     edges = base.edges

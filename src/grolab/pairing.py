@@ -55,13 +55,6 @@ def transverse_bound(p: float, s1: float, t2: float) -> float:
     return p * p + s1 * s1 + 0.5 * t2 * t2
 
 
-def pairing_lower_bound(eta: float) -> float:
-    """kappa_Q minus the transverse mass bound: the certified pairing value."""
-    _, _, kq = kappa_Q(eta)
-    p, s1, t2 = inner_constants(eta)
-    return kq - transverse_bound(p, s1, t2)
-
-
 def K0_upper(eta: float) -> float:
     """Upper bound on the L2 norm of the third-chaos component of a maximizer.
 

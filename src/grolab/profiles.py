@@ -220,6 +220,18 @@ def moment(profile: Profile) -> float:
     return float(theta_moments(profile)[1])
 
 
+def check_feasible(profile: Profile, params: ReedsParams) -> None:
+    """Raise FeasibilityError unless moment(profile) is params.alpha within
+    FEASIBILITY_TOL."""
+    m = moment(profile)
+    residual = m - params.alpha
+    if abs(residual) > FEASIBILITY_TOL:
+        raise FeasibilityError(
+            f"profile moment {m:.15g} != alpha {params.alpha:.15g}",
+            residual=residual,
+        )
+
+
 def V_value(profile: Profile, params: ReedsParams) -> float:
     """Primal objective V(theta) = int (A + theta B) pdf.
 
@@ -337,13 +349,7 @@ def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
     Feasibility means the first moment matches params.alpha within tolerance;
     the returned gap F - V is cross-checked against the closed tail integral.
     """
-    m = moment(profile)
-    residual = m - params.alpha
-    if abs(residual) > FEASIBILITY_TOL:
-        raise FeasibilityError(
-            f"profile moment {m:.15g} != alpha {params.alpha:.15g}",
-            residual=residual,
-        )
+    check_feasible(profile, params)
     F = _dual_attained_value(params)
     V = V_value(profile, params)
     tail = gap_tail_integral(profile, params)

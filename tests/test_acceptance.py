@@ -11,7 +11,6 @@ import pytest
 from grolab import claims
 from grolab.baseline import (
     DAVIE_REEDS_C,
-    LAMBDA_STAR,
     F_value,
     ReedsParams,
     davie_reeds_bound,
@@ -26,18 +25,12 @@ from grolab.certify import (
 )
 from grolab.chain import (
     BETA_STAR,
-    ChainParams,
-    KAPPA0,
-    K0,
-    L0,
     final_chain,
     kappa_eff,
     log_tail_envelope_margin,
     neighborhood_drop,
 )
 from grolab.explorer import (
-    ConditionalNormInput,
-    McConfig,
     beta_derivative_scan,
     mc_norm_estimate,
     r_lambda_norm_1d,
@@ -156,9 +149,9 @@ def test_criterion_5_taylor_gap_scan():
 
 def test_criterion_6_kappa_eff_and_drop():
     with criterion(6, "kappa_eff and the neighborhood norm drop"):
-        assert kappa_eff(1e-7, KAPPA0, K0, L0, LAMBDA_STAR) >= bound("kappa_eff")
+        assert kappa_eff(1e-7) >= bound("kappa_eff")
         for beta in (1e-10, 8e-25):
-            drop = neighborhood_drop(ChainParams.reference_defaults(beta))
+            drop = neighborhood_drop(beta)
             assert drop >= bound("neighborhood_drop_per_beta") * beta
 
 
@@ -244,11 +237,10 @@ def test_criterion_9_explorer():
             assert all(v2 >= v1 - 1e-10 for v1, v2 in zip(values, values[1:]))
 
         member = sample_theta_member(4_100_000, lam=LAM_LIT)
-        truth = r_lambda_norm_1d(ConditionalNormInput(member, params, 0.0))
+        truth = r_lambda_norm_1d(member, params)
         for seed in (1, 2, 3):
-            est, se = mc_norm_estimate(
-                member, McConfig(dimension=1, samples=200_000, seed=seed),
-                params, 0.0)
+            est, se = mc_norm_estimate(member, params, 0.0, samples=200_000,
+                                       seed=seed)
             assert abs(est - truth) <= 4.0 * se
 
 

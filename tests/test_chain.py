@@ -10,14 +10,11 @@ from grolab.chain import (
     ALPHA_MIN,
     BETA_STAR,
     C_z0,
-    ChainParams,
+    EPSILON_STAR,
     K_strip,
     KAPPA0,
-    K0,
-    L0,
     L0_bound,
     P3_COEFF,
-    RHO_STAR,
     final_chain,
     kappa_eff,
     kg_lower_bound,
@@ -25,6 +22,7 @@ from grolab.chain import (
     neighborhood_drop,
     sign_stability,
     strip_case_checks,
+    strip_z0,
 )
 from grolab.errors import DomainError
 
@@ -36,8 +34,7 @@ def _poly(z):
 
 
 # 0, the strip point, the z0 of both neighborhood-drop betas, and past z = 1.
-_Z0S = (0.0, 0.2, 0.36, *(1.0 / 3.0 + b ** RHO_STAR / ALPHA_MIN
-                          for b in (1e-10, BETA_STAR)), 1.7)
+_Z0S = (0.0, 0.2, 0.36, strip_z0(1e-10), strip_z0(BETA_STAR), 1.7)
 
 
 def _polymul(a, b):
@@ -110,7 +107,9 @@ def test_non_finite_inputs_rejected(bad):
     with pytest.raises(DomainError):
         L0_bound(bad)
     with pytest.raises(DomainError):
-        ChainParams(z0=bad)
+        neighborhood_drop(bad)
+    with pytest.raises(DomainError):
+        kappa_eff(bad)
 
 
 def test_K_strip():
@@ -142,56 +141,59 @@ def test_P3_COEFF():
 
 
 def test_sign_stability():
-    val = sign_stability(1e-7, 2.66, LAMBDA_STAR)
+    val = sign_stability(1e-7)
     # together with the projection leak this reproduces the 0.0396 loss
     leak = 3.87 * 1e-7 * math.log(2e7) ** 1.5
     total = val * 0.359 + leak
     assert 0.0395 <= total <= 0.0396
-    assert sign_stability(1e-9, 2.66, LAMBDA_STAR) < val
+    assert sign_stability(1e-9) < val
     eps = np.geomspace(1e-9, 9e-3, 30)
-    vals = [sign_stability(float(e), 2.66, LAMBDA_STAR) for e in eps]
+    vals = [sign_stability(float(e)) for e in eps]
     assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
     with pytest.raises(DomainError):
-        sign_stability(0.02, 2.66, LAMBDA_STAR)
+        sign_stability(0.02)
 
 
 def test_kappa_eff():
-    val = kappa_eff(1e-7, KAPPA0, K0, L0, LAMBDA_STAR)
+    val = kappa_eff(1e-7)
     assert val >= 0.0058
     assert val == pytest.approx(0.005880, abs=1e-5)
     # the loss terms vanish as epsilon -> 0 (slowly: epsilon^{1/4} dominates)
-    assert kappa_eff(1e-20, KAPPA0, K0, L0, LAMBDA_STAR) == pytest.approx(
-        KAPPA0, abs=1e-3)
-    assert kappa_eff(1e-4, KAPPA0, K0, L0, LAMBDA_STAR) < 0.0
+    assert kappa_eff(1e-20) == pytest.approx(KAPPA0, abs=1e-3)
+    assert kappa_eff(1e-4) < 0.0
     eps = np.geomspace(1e-9, 9e-3, 30)
-    vals = [kappa_eff(float(e), KAPPA0, K0, L0, LAMBDA_STAR) for e in eps]
+    vals = [kappa_eff(float(e)) for e in eps]
     assert all(v1 > v2 for v1, v2 in zip(vals, vals[1:]))
 
 
 def test_neighborhood_drop():
     for beta in (1e-10, 1e-12, 1e-20, 8e-25):
-        params = ChainParams.reference_defaults(beta)
-        drop = neighborhood_drop(params)
+        drop = neighborhood_drop(beta)
         assert drop >= 0.0057 * beta
-    params = ChainParams.reference_defaults(1e-10)
-    assert K_strip(params.z0, params.alpha_min) * (1e-10) ** 0.7 <= 1e-6
-    tiny = ChainParams.reference_defaults(1e-30)
-    keff = kappa_eff(tiny.epsilon, tiny.kappa0, tiny.K0, tiny.L0, tiny.lam)
-    assert neighborhood_drop(tiny) / 1e-30 == pytest.approx(keff, abs=1e-9)
-    # z0 clears the construction floor but not the beta^rho allowance
-    with pytest.raises(DomainError):
-        neighborhood_drop(ChainParams(beta=1e-2, z0=0.33))
+    assert K_strip(strip_z0(1e-10), ALPHA_MIN) * (1e-10) ** 0.7 <= 1e-6
+    keff = kappa_eff(EPSILON_STAR)
+    assert neighborhood_drop(1e-30) / 1e-30 == pytest.approx(keff, abs=1e-9)
 
 
-def test_chain_params_validation():
-    with pytest.raises(DomainError):
-        ChainParams(epsilon=0.5)
-    with pytest.raises(DomainError):
-        ChainParams(beta=0.0)
-    with pytest.raises(DomainError):
-        ChainParams(rho=1.5)
-    with pytest.raises(DomainError):
-        ChainParams(z0=0.1)
+def test_chain_input_validation():
+    for bad in (0.0, -1e-10, 1.0, 2.0):
+        with pytest.raises(DomainError):
+            neighborhood_drop(bad)
+    for bad in (0.0, -1e-7, 0.01, 0.5):
+        with pytest.raises(DomainError):
+            kappa_eff(bad)
+        with pytest.raises(DomainError):
+            sign_stability(bad)
+
+
+def test_strip_z0_clears_the_strip_floor():
+    # The strip argument needs z0 >= lambda/alpha_min + beta^rho/alpha_min;
+    # strip_z0 adds the same beta^rho/alpha_min to 1/3, so the floor holds
+    # for every beta exactly when 1/3 >= lambda/alpha_min = 0.32913.
+    assert LAMBDA_STAR / ALPHA_MIN == pytest.approx(0.32913, abs=1e-5)
+    assert 1.0 / 3.0 >= LAMBDA_STAR / ALPHA_MIN
+    for beta in (1e-30, 1e-10, BETA_STAR, 0.5):
+        assert strip_z0(beta) >= (LAMBDA_STAR + beta ** 0.7) / ALPHA_MIN
 
 
 def test_final_chain_reference():
@@ -205,7 +207,6 @@ def test_final_chain_reference():
     assert report.kg_increment > 1e-26
     assert report.beta_star == BETA_STAR
     assert report.kappa_eff >= 0.0058
-    assert not report.certified
 
 
 def test_final_chain_large_beta_no_drop():
@@ -232,20 +233,6 @@ def test_kg_lower_bound():
     assert inc == pytest.approx(DAVIE_REEDS_C * 4.56e-27 / norm, rel=1e-15)
     with pytest.raises(DomainError):
         kg_lower_bound(0.0, LAMBDA_STAR, DAVIE_REEDS_C)
-
-
-def test_chain_report_json_schema():
-    import json
-
-    report = final_chain(BETA_STAR)
-    d = report.to_json_dict()
-    assert list(d.keys()) == ["kappa_eff", "drop_near_coeff", "branches",
-                              "beta_star", "final_drop", "kg_increment",
-                              "certified"]
-    assert len(d["branches"]) == 3
-    parsed = json.loads(report.to_json())
-    assert parsed == d
-    assert parsed["final_drop"] == report.final_drop  # exact float round-trip
 
 
 def test_gaussian_tail_envelope():

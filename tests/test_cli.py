@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -155,9 +156,49 @@ def test_sweep_cli_entry(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--parameter", "lambda", "--lo", "0.1", "--hi", "0.2"])
     assert exc.value.code == 2  # missing --steps
-    # the common flags are validated as for every other command
-    assert main(["sweep", "--parameter", "grid", "--lo", "64", "--hi", "256",
-                 "--steps", "3", "--grid", "5"]) == 2
+    # sweep reads no --grid: argparse rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--parameter", "grid", "--lo", "64", "--hi", "256",
+              "--steps", "3", "--grid", "5"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("parameter,lo,hi", [
+    ("lambda", "0.1", "0.5"),      # no eta root past lambda = 0.4839
+    ("epsilon", "1e-9", "0.5"),    # kappa_eff needs epsilon < 0.01
+    ("epsilon", "-1", "1e-3"),     # geometric sweep from a negative lo
+    ("grid", "10", "100"),         # lp_maximize needs grid >= 64
+    ("beta", "1e-30", "2"),        # neighborhood_drop needs beta < 1
+], ids=["lambda", "epsilon", "epsilon_negative_lo", "grid", "beta"])
+def test_out_of_domain_sweep_exits_2(parameter, lo, hi, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--parameter", parameter, "--lo", lo,
+                     "--hi", hi, "--steps", "5"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+_SWEEP = ["sweep", "--parameter", "lambda", "--lo", "0.15", "--hi", "0.25",
+          "--steps", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_SWEEP, "--certified"],
+    [*_SWEEP, "--seed", "5"],
+    [*_SWEEP, "--beta", "1e-12"],
+    ["constants", "--grid", "100"],
+    ["constants", "--seed", "5"],
+    ["baseline", "--epsilon", "1e-8"],
+    ["profile", "--beta", "1e-12"],
+    ["pairing", "--grid", "100"],
+    ["chain", "--seed", "5"],
+    ["explore", "--grid", "100"],
+], ids=lambda argv: argv[0] + "_" + next(a for a in reversed(argv)
+                                         if a.startswith("--"))[2:])
+def test_unread_flag_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_config_file_and_profile_io(tmp_path):
@@ -247,25 +288,40 @@ def test_grid_out_of_range_exits_2():
     assert build_config(_args(grid=64)).grid == 64
 
 
-def test_quadrature_config_out_of_range_exits_2(tmp_path):
-    for line in ("truncation = 0", "truncation = 4", "rel_tol = 0",
-                 "abs_tol = 1e-3", "max_subdivisions = 0", "rel_tol = nan"):
+def test_quadrature_keys_are_unknown(tmp_path, capsys):
+    # the cross-check's oracle runs at the QuadratureSpec defaults
+    for key in ("truncation", "rel_tol", "abs_tol", "max_subdivisions"):
         cfg = tmp_path / "quad.cfg"
-        cfg.write_text(line + "\n", encoding="utf-8")
-        assert main(["profile", "--config", str(cfg)]) == 2, line
+        cfg.write_text(f"{key} = 1\n", encoding="utf-8")
+        assert main(["profile", "--config", str(cfg)]) == 2, key
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
-def test_quadrature_config_governs_cross_check(tmp_path):
+def test_cross_check_at_quadrature_defaults():
     outcome = run(RunConfig(command="profile"))
     cross = [c for c in outcome.checks
              if c.name.startswith("closed_form_vs_quadrature")]
     assert len(cross) == 1 and cross[0].passed
-    # too few subdivisions for the oracle: the run stops with exit 1
-    cfg = tmp_path / "quad.cfg"
-    cfg.write_text("max_subdivisions = 1\n", encoding="utf-8")
-    assert main(["profile", "--config", str(cfg)]) == 1
-    cfg.write_text("truncation = 9\nrel_tol = 1e-10\n", encoding="utf-8")
-    assert main(["profile", "--config", str(cfg)]) == 0
+    assert cross[0].actual <= 1e-14
+
+
+@pytest.mark.parametrize("value,certified", [
+    ("1", True), ("true", True), ("YES", True), ("True", True),
+    ("0", False), ("false", False), ("No", False),
+])
+def test_certified_config_value(tmp_path, value, certified):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"certified = {value}\n", encoding="utf-8")
+    args = _args(command="constants", config=str(cfg), certified=None)
+    assert build_config(args).certified is certified
+
+
+@pytest.mark.parametrize("value", ["ture", "", "2", "on", "y"])
+def test_misspelt_certified_exits_2(tmp_path, value, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"certified = {value}\n", encoding="utf-8")
+    assert main(["constants", "--config", str(cfg)]) == 2
+    assert "bad config value for certified" in capsys.readouterr().err
 
 
 def test_cli_import_skips_scipy_stats():

@@ -4,8 +4,6 @@ import pytest
 from grolab.baseline import solve_h
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import (
-    ConditionalNormInput,
-    McConfig,
     beta_derivative_scan,
     mc_norm_estimate,
     r_lambda_beta_norm_1d,
@@ -34,50 +32,52 @@ def _zonal_inner(profile, params):
 
 def test_norm_equals_F_for_member(params):
     member = sample_theta_member(1, lam=LAM)
-    val = r_lambda_norm_1d(ConditionalNormInput(member, params, 0.0))
+    val = r_lambda_norm_1d(member, params)
     assert val == pytest.approx(F_value_dual(params), abs=1e-10)
 
 
 def test_norm_matches_V(params, rng):
     for _ in range(100):
         prof = sample_feasible_profile(int(rng.integers(1 << 30)), params)
-        inp = ConditionalNormInput(prof, params, 0.0)
-        assert r_lambda_norm_1d(inp) == pytest.approx(
+        assert r_lambda_norm_1d(prof, params) == pytest.approx(
             V_value(prof, params), abs=1e-10)
 
 
 def test_norm_bathtub_closed_form(params):
     h = solve_h(params.alpha)
     tub = Profile.bathtub(h, z_cut=params.eta)
-    val = r_lambda_norm_1d(ConditionalNormInput(tub, params, 0.0))
+    val = r_lambda_norm_1d(tub, params)
     assert val == pytest.approx(F_value(params.alpha, LAM), abs=1e-10)
 
 
 def test_norm_feasibility_and_beta_guards(params):
     zeros = Profile.constant(0.0, z_cut=1.0)
     with pytest.raises(FeasibilityError):
-        r_lambda_norm_1d(ConditionalNormInput(zeros, params, 0.0))
+        r_lambda_norm_1d(zeros, params)
+    with pytest.raises(FeasibilityError):
+        r_lambda_beta_norm_1d(zeros, params, 1e-3)
     member = sample_theta_member(2, lam=LAM)
-    with pytest.raises(DomainError):
-        r_lambda_norm_1d(ConditionalNormInput(member, params, 1e-3))
+    for beta in (-1e-3, float("nan")):
+        with pytest.raises(DomainError):
+            r_lambda_beta_norm_1d(member, params, beta)
 
 
 def test_perturbed_norm_consistency(params):
     member = sample_theta_member(4, lam=LAM)
-    base = r_lambda_norm_1d(ConditionalNormInput(member, params, 0.0))
-    again = r_lambda_beta_norm_1d(ConditionalNormInput(member, params, 0.0))
+    base = r_lambda_norm_1d(member, params)
+    again = r_lambda_beta_norm_1d(member, params, 0.0)
     assert again == pytest.approx(base, abs=1e-12)
 
 
 def test_perturbed_norm_first_order_drop(params):
     member = sample_theta_member(6, lam=LAM)
-    base = r_lambda_norm_1d(ConditionalNormInput(member, params, 0.0))
+    base = r_lambda_norm_1d(member, params)
     a_inner = _zonal_inner(member, params)
     b_tail, _, _ = kappa_Q(params.eta)
     coeff = (b_tail ** 2 - a_inner ** 2) / 6.0
-    val = r_lambda_beta_norm_1d(ConditionalNormInput(member, params, 1e-4))
+    val = r_lambda_beta_norm_1d(member, params, 1e-4)
     assert val <= base - 1e-4 * coeff + 1e-6
-    tiny = r_lambda_beta_norm_1d(ConditionalNormInput(member, params, 1e-10))
+    tiny = r_lambda_beta_norm_1d(member, params, 1e-10)
     drop = base - tiny
     assert 0.0057e-10 <= drop <= 0.12e-10
 
@@ -105,7 +105,7 @@ def test_perturbed_norm_matches_quadrature(params, spec):
         oracle = gauss_integrate(
             integrand, spec, kinks=[*member.breakpoints, -member.z_cut,
                                     member.z_cut, *real, *(-r for r in real)])
-        val = r_lambda_beta_norm_1d(ConditionalNormInput(member, params, beta))
+        val = r_lambda_beta_norm_1d(member, params, beta)
         assert val == pytest.approx(oracle, abs=1e-13)
 
 
@@ -200,22 +200,16 @@ def test_sign_ascent_validation(params):
 
 def test_mc_norm_estimate(params):
     member = sample_theta_member(10, lam=LAM)
-    truth = r_lambda_norm_1d(ConditionalNormInput(member, params, 0.0))
-    for dim, seed in ((1, 11), (2, 12)):
-        est, se = mc_norm_estimate(
-            member, McConfig(dimension=dim, samples=200_000, seed=seed),
-            params, 0.0)
+    truth = r_lambda_norm_1d(member, params)
+    for seed in (11, 12):
+        est, se = mc_norm_estimate(member, params, 0.0, samples=200_000,
+                                   seed=seed)
         assert abs(est - truth) <= 4.0 * se
-    est1, se1 = mc_norm_estimate(
-        member, McConfig(dimension=1, samples=50_000, seed=99), params, 0.0)
-    est2, se2 = mc_norm_estimate(
-        member, McConfig(dimension=1, samples=50_000, seed=99), params, 0.0)
+    est1, se1 = mc_norm_estimate(member, params, 0.0, samples=50_000, seed=99)
+    est2, se2 = mc_norm_estimate(member, params, 0.0, samples=50_000, seed=99)
     assert est1 == est2 and se1 == se2
     with pytest.raises(DomainError):
-        mc_norm_estimate(member, McConfig(dimension=3, samples=50_000, seed=1),
-                         params, 0.0)
-    with pytest.raises(DomainError):
-        McConfig(dimension=1, samples=100, seed=1)
+        mc_norm_estimate(member, params, 0.0, samples=100, seed=1)
 
 
 def test_sample_helpers(params, eta_star):

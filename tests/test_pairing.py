@@ -13,7 +13,6 @@ from grolab.pairing import (
     PairingConstants,
     inner_constants,
     kappa_Q,
-    pairing_lower_bound,
     signflip_check,
     transverse_bound,
 )
@@ -76,7 +75,7 @@ def test_transverse_bound(eta_star):
 
 
 def test_pairing_lower_bound(eta_star):
-    val = pairing_lower_bound(eta_star)
+    val = PairingConstants.at_eta(eta_star).pairing_lower
     assert val == pytest.approx(0.0454039202, abs=1e-9)
     assert val > 0.0454
     # small-eta limit: kappa_Q tends to (2 pdf(0))^2 / 6
