@@ -7,8 +7,9 @@ Modules:
     profiles  -- 1-D profiles, primal/dual values, gap certificates, LP fill
     pairing   -- third-chaos pairing constants and inequalities
     chain     -- stability constants and the final inequality chain
-    intervals -- outward-rounded interval kernel
-    certify   -- interval-certified re-derivations of the headline numbers
+    intervals -- outward-rounded interval kernel; arith() picks float or
+                 interval operations for the shared formulas
+    certify   -- interval-certified checks: the shared formulas on intervals
     claims    -- the paper's numeric targets, each stated once
     explorer  -- norm scans, sign ascent, Monte Carlo cross-checks
     cli       -- the `grolab` command

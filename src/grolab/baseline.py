@@ -13,6 +13,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .gauss import SQRT_2_OVER_PI, gaussian_cdf, gaussian_pdf
+from .intervals import Num, arith
 
 # Optimal lambda and the resulting lower bound, to double precision.
 LAMBDA_STAR = 0.19747909099498196
@@ -45,8 +46,9 @@ class ReedsParams:
         return cls(lam=lam, alpha=lam / solve_eta_star(lam))
 
 
-def _eta_equation(eta: float, lam: float) -> float:
-    return SQRT_2_OVER_PI * eta * math.exp(-0.5 * eta * eta) - lam
+def _eta_equation(eta: Num, lam: Num) -> Num:
+    ar = arith(eta, lam)
+    return ar.SQRT_2_OVER_PI * eta * ar.exp(-0.5 * eta * eta) - lam
 
 
 @lru_cache(maxsize=4096)
@@ -77,29 +79,43 @@ def solve_eta_star(lam: float) -> float:
     return eta
 
 
-def reeds_denominator(lam: float) -> float:
-    """(lambda/eta)^2 + lambda (1 - 4 Phi(-eta)) at eta = solve_eta_star(lambda)."""
-    eta = solve_eta_star(lam)
+# The cores below take the root eta of the threshold equation with lambda,
+# so they evaluate on floats (eta = solve_eta_star(lambda)) and on intervals
+# (eta enclosed by certify.eta_star_enclosure) alike.
+
+def _denominator(lam: Num, eta: Num) -> Num:
+    """(lambda/eta)^2 + lambda (1 - 4 Phi(-eta))."""
+    ar = arith(lam, eta)
     alpha = lam / eta
-    return alpha * alpha + lam * (1.0 - 4.0 * gaussian_cdf(-eta))
+    return alpha * alpha + lam * (1.0 - 4.0 * ar.cdf(-eta))
 
 
-def davie_reeds_bound(lam: float) -> float:
-    """The lower bound (1 - lambda) / denominator for the given lambda."""
-    return (1.0 - lam) / reeds_denominator(lam)
+def _bound(lam: Num, eta: Num) -> Num:
+    """(1 - lambda) / denominator."""
+    return (1.0 - lam) / _denominator(lam, eta)
 
 
-def _bound_derivative(lam: float) -> float:
-    """Exact d/dlambda of davie_reeds_bound, via the implicit eta(lambda)."""
-    eta = solve_eta_star(lam)
+def _bound_derivative(lam: Num, eta: Num) -> Num:
+    """Exact d/dlambda of the bound, via the implicit eta(lambda)."""
+    ar = arith(lam, eta)
     alpha = lam / eta
-    phi_m = gaussian_cdf(-eta)
-    pdf_eta = gaussian_pdf(eta)
+    phi_m = ar.cdf(-eta)
+    pdf_eta = ar.pdf(eta)
     deta = 1.0 / (2.0 * pdf_eta * (1.0 - eta * eta))
     dalpha = (eta - lam * deta) / (eta * eta)
     den = alpha * alpha + lam * (1.0 - 4.0 * phi_m)
     dden = 2.0 * alpha * dalpha + (1.0 - 4.0 * phi_m) + 4.0 * lam * pdf_eta * deta
     return (-den - (1.0 - lam) * dden) / (den * den)
+
+
+def reeds_denominator(lam: float) -> float:
+    """(lambda/eta)^2 + lambda (1 - 4 Phi(-eta)) at eta = solve_eta_star(lambda)."""
+    return _denominator(lam, solve_eta_star(lam))
+
+
+def davie_reeds_bound(lam: float) -> float:
+    """The lower bound (1 - lambda) / denominator for the given lambda."""
+    return _bound(lam, solve_eta_star(lam))
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -125,12 +141,16 @@ def optimize_lambda() -> float:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = davie_reeds_bound(d)
+
+    def slope(lam):
+        return _bound_derivative(lam, solve_eta_star(lam))
+
     lo, hi = max(a - 1e-4, 1e-6), min(b + 1e-4, 0.4)
-    if not (_bound_derivative(lo) > 0.0 > _bound_derivative(hi)):
+    if not (slope(lo) > 0.0 > slope(hi)):
         raise DomainError("derivative bracket lost; bound not unimodal here")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if _bound_derivative(mid) > 0.0:
+        if slope(mid) > 0.0:
             lo = mid
         else:
             hi = mid

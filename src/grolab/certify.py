@@ -1,28 +1,27 @@
-"""Interval-certified re-derivations of the headline constants.
+"""Interval-certified checks of the headline constants.
 
-Each check rebuilds a quantity from scratch with the outward-rounded interval
-kernel and verifies strict separation: the enclosure sits inside the +-tol
-window of an equality target, or entirely on the required side of a one-sided
-bound.  Nothing here reuses the floating-point code paths being certified.
+Each check evaluates the library's own formulas (the `baseline`, `pairing`
+and `chain` functions the float report uses) on Interval inputs, where every
+elementary operation rounds outward, and verifies strict separation: the
+enclosure sits inside the +-tol window of an equality target, or entirely on
+the required side of a one-sided bound.  A formula is written once, so a
+certified line proves the exact expression the float report evaluates; the
+rigor comes from the outward rounding.  The one algorithm of its own here is
+the sign-certified bisection that encloses eta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .baseline import LAMBDA_STAR
-from .chain import (ALPHA_ERR, ALPHA_MIN, BETA_STAR, DEFECT_D, DETUNED_BOUND,
-                    EPSILON_STAR, K0, KAPPA0, L0, NEAR_DROP_COEFF, P3_COEFF,
-                    STRIP_Z0, strip_z0)
+from .baseline import LAMBDA_STAR, _bound, _bound_derivative, _eta_equation
+from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, STRIP_Z0, K_strip,
+                    final_branches, kappa_eff, kg_lower_bound,
+                    neighborhood_drop)
 from .claims import BOUNDS, LAM_LIT, PAIRING, TARGETS
 from .errors import InternalCheckError
-from .intervals import (
-    Interval,
-    SQRT_2_OVER_PI,
-    SQRT_2PI,
-    gaussian_cdf_iv,
-    gaussian_pdf_iv,
-)
+from .intervals import Interval
+from .pairing import PairingConstants
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,6 @@ def _beyond(name: str, iv: Interval, relation: str, bound: float) -> CertifiedCh
                           passed)
 
 
-def _eta_equation_iv(x: float, lam: Interval) -> Interval:
-    xi = Interval.exact(x)
-    return SQRT_2_OVER_PI * xi * (-(xi.square() * 0.5)).exp() - lam
-
-
 def eta_star_enclosure(lam: float) -> Interval:
     """Certified enclosure of the root eta in (0, 1) for the given lambda.
 
@@ -71,16 +65,20 @@ def eta_star_enclosure(lam: float) -> Interval:
     (slightly wider) bracket.
     """
     lam_iv = Interval.exact(lam)
+
+    def sign_eq(x: float) -> Interval:
+        return _eta_equation(Interval.exact(x), lam_iv)
+
     lo, hi = 0.01, 0.99
-    if not _eta_equation_iv(lo, lam_iv).strictly_below(0.0):
+    if not sign_eq(lo).strictly_below(0.0):
         raise InternalCheckError("left bracket sign not certified")
-    if not _eta_equation_iv(hi, lam_iv).strictly_above(0.0):
+    if not sign_eq(hi).strictly_above(0.0):
         raise InternalCheckError("right bracket sign not certified")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if not (lo < mid < hi):
             break
-        g = _eta_equation_iv(mid, lam_iv)
+        g = sign_eq(mid)
         if g.strictly_below(0.0):
             lo = mid
         elif g.strictly_above(0.0):
@@ -90,49 +88,22 @@ def eta_star_enclosure(lam: float) -> Interval:
     return Interval(lo, hi)
 
 
-def _denominator_iv(lam: float) -> tuple[Interval, Interval, Interval]:
-    """(eta, alpha, denominator) enclosures at the given lambda."""
-    lam_iv = Interval.exact(lam)
-    eta = eta_star_enclosure(lam)
-    alpha = lam_iv / eta
-    one = Interval.exact(1.0)
-    den = alpha.square() + lam_iv * (one - gaussian_cdf_iv(-eta) * 4.0)
-    return eta, alpha, den
-
-
-def bound_enclosure(lam: float) -> Interval:
-    """Certified enclosure of (1 - lambda) / denominator(lambda)."""
-    _, _, den = _denominator_iv(lam)
-    return (Interval.exact(1.0) - Interval.exact(lam)) / den
-
-
-def _bound_derivative_iv(lam: float) -> Interval:
-    """Enclosure of the exact derivative of the bound in lambda."""
-    lam_iv = Interval.exact(lam)
-    one = Interval.exact(1.0)
-    eta = eta_star_enclosure(lam)
-    pdf_eta = gaussian_pdf_iv(eta)
-    deta = one / (pdf_eta * 2.0 * (one - eta.square()))
-    alpha = lam_iv / eta
-    dalpha = (eta - lam_iv * deta) / eta.square()
-    phi_m = gaussian_cdf_iv(-eta)
-    den = alpha.square() + lam_iv * (one - phi_m * 4.0)
-    dden = alpha * dalpha * 2.0 + (one - phi_m * 4.0) + lam_iv * pdf_eta * deta * 4.0
-    return (-den - (one - lam_iv) * dden) / den.square()
+def _reeds_point(lam: float) -> tuple[Interval, Interval]:
+    """(lambda, eta) enclosures at the given lambda."""
+    return Interval.exact(lam), eta_star_enclosure(lam)
 
 
 def certified_baseline_checks() -> list[CertifiedCheck]:
-    eta, alpha, _ = _denominator_iv(LAM_LIT)
-    bound = bound_enclosure(LAM_LIT)
+    lam, eta = _reeds_point(LAM_LIT)
     # The argmax lies within the lambda_star claim's window: the bound's
     # derivative changes sign across it.
     _, step = TARGETS["lambda_star"]
-    d_left = _bound_derivative_iv(LAMBDA_STAR - step)
-    d_right = _bound_derivative_iv(LAMBDA_STAR + step)
+    d_left = _bound_derivative(*_reeds_point(LAMBDA_STAR - step))
+    d_right = _bound_derivative(*_reeds_point(LAMBDA_STAR + step))
     return [
-        _within("baseline_bound", bound, "davie_reeds_bound"),
+        _within("baseline_bound", _bound(lam, eta), "davie_reeds_bound"),
         _within("eta_star", eta, "eta_star"),
-        _within("alpha_star", alpha, "alpha_star"),
+        _within("alpha_star", lam / eta, "alpha_star"),
         CertifiedCheck("argmax_bracket_left", d_left.lo, d_left.hi,
                        f"derivative > 0 at lambda* - {_spell(step)}",
                        d_left.strictly_above(0.0)),
@@ -142,96 +113,27 @@ def certified_baseline_checks() -> list[CertifiedCheck]:
     ]
 
 
-def _pairing_ivs(eta: Interval) -> dict[str, Interval]:
-    one = Interval.exact(1.0)
-    pdf0 = gaussian_pdf_iv(Interval.exact(0.0))
-    pdf_eta = gaussian_pdf_iv(eta)
-    b = -(one - eta.square()) * pdf_eta * 2.0
-    a_max = eta.square() * (pdf0 - pdf_eta)
-    kq = (b.square() - a_max.square()) / 6.0
-    p = gaussian_cdf_iv(eta) * 2.0 - one
-    s1 = (pdf0 - pdf_eta) * 2.0
-    t2 = p - eta * pdf_eta * 2.0
-    transverse = p.square() + s1.square() + t2.square() * 0.5
-    pairing = kq - transverse
-    return {"B": b, "A_max": a_max, "kappa_Q": kq, "p": p, "s1": s1,
-            "t2": t2, "transverse": transverse, "pairing_lower": pairing}
-
-
 def certified_pairing_checks() -> list[CertifiedCheck]:
-    ivs = _pairing_ivs(eta_star_enclosure(LAM_LIT))
-    return [_within(f"pairing_{name}", ivs[name], name) for name in PAIRING]
-
-
-def kappa_eff_enclosure() -> Interval:
-    """Enclosure of chain.kappa_eff at epsilon = EPSILON_STAR."""
-    eps = Interval.exact(EPSILON_STAR)
-    log_term = (Interval.exact(2.0) / eps).log()
-    leak = Interval.exact(P3_COEFF) * eps * (log_term * log_term.sqrt())
-    inner = eps * Interval.exact(L0) * (Interval.exact(LAMBDA_STAR) + log_term * 0.5)
-    stability = Interval.exact(8.0).sqrt() * inner.sqrt().sqrt() * Interval.exact(K0)
-    return Interval.exact(KAPPA0) - leak - stability
-
-
-def c_z0_upper_enclosure(z0: float) -> Interval:
-    """Enclosure of sup_{|z|<=z0} of the strip polynomial
-    q = H3^2/6 + H2^2/2 + z^2 + 1.
-
-    q is even with q'(z) = z((z^2 - 1)^2 + 2) >= 0 for z >= 0, so the sup is
-    q(z0), evaluated once in interval arithmetic.
-    """
-    z = Interval.exact(z0)
-    z2 = z.square()
-    h3 = z * z2 - z * 3.0
-    h2 = z2 - Interval.exact(1.0)
-    return h3.square() / 6.0 + h2.square() / 2.0 + z2 + 1.0
-
-
-def drop_per_beta_enclosure(beta: float) -> Interval:
-    """Enclosure of (neighborhood drop) / beta at the reference parameters."""
-    beta_iv = Interval.exact(beta)
-    keff = kappa_eff_enclosure()
-    c_up = c_z0_upper_enclosure(strip_z0(beta))
-    kstrip = Interval(0.0, (Interval.exact(8.0) * c_up.sqrt()
-                            / (Interval.exact(ALPHA_MIN) * SQRT_2PI)).hi)
-    strip_term = kstrip * beta_iv.pow_frac(7, 10)
-    damp = (-(Interval.exact(2.0) / 3.0)).exp()
-    exponent = -(beta_iv.pow_frac(-1, 5) * damp * 0.5) - Interval.exact(0.5)
-    tail_term = exponent.exp() * 2.0
-    return keff - strip_term - tail_term
+    cons = PairingConstants.at_eta(eta_star_enclosure(LAM_LIT))
+    return [_within(f"pairing_{name}", getattr(cons, name), name)
+            for name in PAIRING]
 
 
 def certified_chain_checks() -> list[CertifiedCheck]:
-    checks = [_beyond("kappa_eff", kappa_eff_enclosure(), ">",
-                      BOUNDS["kappa_eff"])]
+    checks = [_beyond("kappa_eff", kappa_eff(Interval.exact(EPSILON_STAR)),
+                      ">", BOUNDS["kappa_eff"])]
     for beta in (1e-10, BETA_STAR):
         checks.append(_beyond(f"neighborhood_drop_per_beta_{beta:g}",
-                              drop_per_beta_enclosure(beta), ">=",
-                              BOUNDS["neighborhood_drop_per_beta"]))
-
-    kstrip = (Interval.exact(8.0) * c_z0_upper_enclosure(STRIP_Z0).sqrt()
-              / (Interval.exact(ALPHA_MIN) * SQRT_2PI))
+                              neighborhood_drop(Interval.exact(beta)) / beta,
+                              ">=", BOUNDS["neighborhood_drop_per_beta"]))
     checks.append(_beyond(f"K_strip({_spell(STRIP_Z0)}, {_spell(ALPHA_MIN)})",
-                          kstrip, "<=", BOUNDS["K_strip"]))
+                          K_strip(Interval.exact(STRIP_Z0), ALPHA_MIN),
+                          "<=", BOUNDS["K_strip"]))
 
-    # Final chain at the reference beta.
-    beta = Interval.exact(BETA_STAR)
-    lam = Interval.exact(LAMBDA_STAR)
-    d_in, ae = Interval.exact(DEFECT_D), Interval.exact(ALPHA_ERR)
-    one = Interval.exact(1.0)
-    branch_a = d_in * (lam / 8.0 - ae)
-    inner = d_in * (one - ae * 4.0) / 8.0 - ae * 6.4
-    branch_b = inner.square() * (Interval.exact(0.98) / 8.0)
-    gap = Interval(min(branch_a.lo, branch_b.lo), min(branch_a.hi, branch_b.hi))
-    b1 = -(Interval.exact(NEAR_DROP_COEFF) * beta)
-    b2 = beta - Interval.exact(DETUNED_BOUND)
-    b3 = beta - gap
-    worst = Interval(max(b1.lo, b2.lo, b3.lo), max(b1.hi, b2.hi, b3.hi))
-    drop = -worst
+    _, drop = final_branches(Interval.exact(BETA_STAR))
     checks.append(_within("final_drop", drop, "final_drop"))
-
-    bound = bound_enclosure(LAM_LIT)
-    increment = bound.square() * drop / (one - lam)
+    increment = kg_lower_bound(drop, Interval.exact(LAMBDA_STAR),
+                               _bound(*_reeds_point(LAM_LIT)))
     exceeds = BOUNDS["kg_increment_exceeds"]
     checks.append(_beyond("kg_increment", increment, ">=",
                           BOUNDS["kg_increment"]))

@@ -5,7 +5,8 @@ constants, the effective pairing constant on an L1 neighborhood,
 the per-beta norm drop, and the closing chain that converts the drop into an
 increment for the Grothendieck lower bound.  The chain is evaluated at one
 set of reference constants, the module constants below; only beta and
-epsilon are arguments.
+epsilon are arguments.  The closed forms also take Interval arguments and
+then return enclosures (see intervals.arith); certify calls them that way.
 
 Magnitude discipline: quantities of order 1e-20 and below are computed and
 reported standalone; nothing here ever subtracts a tiny drop from an O(1)
@@ -16,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from scipy.special import log_ndtr, ndtri
 
 from .baseline import DAVIE_REEDS_C, LAMBDA_STAR, solve_eta_star
 from .errors import DomainError
 from .gauss import SQRT_2PI, gaussian_cdf, gaussian_pdf
-from .profiles import gap_lower_large_delta
+from .intervals import Num, arith, endpoints
 
 # Reference chain constants: rounded-safe values of the pairing constant, the
 # third-chaos norm bound, and the small-ball constant used in the chain.
@@ -30,7 +32,7 @@ KAPPA0 = 0.0454
 K0 = 0.359
 L0 = 2.66
 EPSILON_STAR = 1e-7
-RHO_STAR = 0.7
+RHO_STAR = Fraction(7, 10)
 ALPHA_MIN = 0.6
 NEAR_DROP_COEFF = 0.0057
 BETA_STAR = 8e-25
@@ -47,31 +49,39 @@ P3_COEFF = 3.87
 STRIP_Z0 = 0.36
 
 
-def C_z0(z0: float) -> float:
+def C_z0(z0: Num) -> Num:
     """sup over |z| <= z0 of q(z) = H3(z)^2/6 + H2(z)^2/2 + z^2 + 1.
 
     q is even and q'(z) = z^5 - 2z^3 + 3z = z((z^2 - 1)^2 + 2) >= 0 for
     z >= 0, so q increases on [0, z0] and the sup is q(z0).
     """
-    z0 = float(z0)
-    if not (0.0 <= z0 < math.inf):
+    ar = arith(z0)
+    z0 = ar.exact(z0)
+    lo, hi = endpoints(z0)
+    if not (0.0 <= lo and hi < math.inf):
         raise DomainError(f"C_z0 requires finite z0 >= 0, got {z0}")
     z2 = z0 * z0
-    return (z2 * z0 - 3.0 * z0) ** 2 / 6.0 + (z2 - 1.0) ** 2 / 2.0 + z2 + 1.0
+    return ar.square(z2 * z0 - 3.0 * z0) / 6.0 + ar.square(z2 - 1.0) / 2.0 \
+        + z2 + 1.0
 
 
-def K_strip(z0: float, alpha_min: float) -> float:
+def K_strip(z0: Num, alpha_min: Num) -> Num:
     """Strip constant 8 sqrt(C_z0) / (alpha_min sqrt(2 pi))."""
-    if not (0.0 < z0 < math.inf and 0.0 < alpha_min < math.inf):
+    ar = arith(z0, alpha_min)
+    z0, alpha_min = ar.exact(z0), ar.exact(alpha_min)
+    (z_lo, z_hi), (a_lo, a_hi) = endpoints(z0), endpoints(alpha_min)
+    if not (0.0 < z_lo and z_hi < math.inf and 0.0 < a_lo and a_hi < math.inf):
         raise DomainError("K_strip requires positive finite inputs")
-    return 8.0 * math.sqrt(C_z0(z0)) / (alpha_min * SQRT_2PI)
+    return 8.0 * ar.sqrt(C_z0(z0)) / (alpha_min * ar.SQRT_2PI)
 
 
-def L0_bound(alpha_min: float) -> float:
+def L0_bound(alpha_min: Num) -> Num:
     """Small-ball constant 4 / (alpha_min sqrt(2 pi))."""
-    if not (0.0 < alpha_min < math.inf):
+    ar = arith(alpha_min)
+    lo, hi = endpoints(alpha_min)
+    if not (0.0 < lo and hi < math.inf):
         raise DomainError(f"alpha_min must be positive and finite, got {alpha_min}")
-    return 4.0 / (alpha_min * SQRT_2PI)
+    return 4.0 / (alpha_min * ar.SQRT_2PI)
 
 
 def strip_z0(beta: float) -> float:
@@ -80,46 +90,54 @@ def strip_z0(beta: float) -> float:
     It exceeds LAMBDA_STAR / ALPHA_MIN + beta^RHO_STAR / ALPHA_MIN, the floor
     the strip argument needs, because 1/3 > LAMBDA_STAR / ALPHA_MIN.
     """
-    return 1.0 / 3.0 + beta ** RHO_STAR / ALPHA_MIN
+    return 1.0 / 3.0 + beta ** float(RHO_STAR) / ALPHA_MIN
 
 
-def sign_stability(epsilon: float) -> float:
+def sign_stability(epsilon: Num) -> Num:
     """L2 distance bound between sign patterns across an epsilon move.
 
     2^{3/2} [epsilon L0 (LAMBDA_STAR + 0.5 log(2/epsilon))]^{1/4}.
     """
-    epsilon = float(epsilon)
-    if not (0.0 < epsilon < 0.01):
+    ar = arith(epsilon)
+    epsilon = ar.exact(epsilon)
+    lo, hi = endpoints(epsilon)
+    if not (0.0 < lo and hi < 0.01):
         raise DomainError(f"epsilon must lie in (0, 1/100), got {epsilon}")
-    inner = epsilon * L0 * (LAMBDA_STAR + 0.5 * math.log(2.0 / epsilon))
-    return 2.0 ** 1.5 * inner ** 0.25
+    inner = epsilon * L0 * (LAMBDA_STAR + 0.5 * ar.log(2.0 / epsilon))
+    return ar.pow(ar.exact(2.0), Fraction(3, 2)) * ar.pow(inner, Fraction(1, 4))
 
 
-def kappa_eff(epsilon: float) -> float:
+def kappa_eff(epsilon: Num) -> Num:
     """Effective pairing constant on an epsilon-neighborhood.
 
     KAPPA0 - 3.87 eps log(2/eps)^{3/2} - sign_stability(eps) * K0.
     """
+    ar = arith(epsilon)
     stability = sign_stability(epsilon)  # validates epsilon
-    epsilon = float(epsilon)
-    leak = P3_COEFF * epsilon * math.log(2.0 / epsilon) ** 1.5
+    epsilon = ar.exact(epsilon)
+    leak = P3_COEFF * epsilon * ar.pow(ar.log(2.0 / epsilon), Fraction(3, 2))
     return KAPPA0 - leak - stability * K0
 
 
-def neighborhood_drop(beta: float) -> float:
+def neighborhood_drop(beta: Num) -> Num:
     """Net norm drop (positive) for functions near the maximizer set:
 
     kappa_eff * beta - K_strip * beta^{1+rho} - 2 beta exp(-...), at
     epsilon = EPSILON_STAR, rho = RHO_STAR and the strip z0 = strip_z0(beta).
+    An Interval beta takes z0 at its upper end: strip_z0 grows with beta, so
+    that strip serves the whole interval.
     """
-    beta = float(beta)
-    if not (0.0 < beta < 1.0):
+    ar = arith(beta)
+    beta = ar.exact(beta)
+    lo, hi = endpoints(beta)
+    if not (0.0 < lo and hi < 1.0):
         raise DomainError(f"beta must lie in (0, 1), got {beta}")
-    keff = kappa_eff(EPSILON_STAR)
-    strip = K_strip(strip_z0(beta), ALPHA_MIN) * beta ** (1.0 + RHO_STAR)
-    exponent = -0.5 * math.exp(-2.0 / 3.0) \
-        * beta ** (-(2.0 / 3.0) * (1.0 - RHO_STAR)) - 0.5
-    tail = 2.0 * beta * math.exp(exponent)
+    keff = kappa_eff(ar.exact(EPSILON_STAR))
+    strip = K_strip(ar.exact(strip_z0(hi)), ALPHA_MIN) \
+        * ar.pow(beta, 1 + RHO_STAR)
+    exponent = -0.5 * ar.exp(-(ar.exact(2.0) / 3.0)) \
+        * ar.pow(beta, -Fraction(2, 3) * (1 - RHO_STAR)) - 0.5
+    tail = 2.0 * beta * ar.exp(exponent)
     return keff * beta - strip - tail
 
 
@@ -127,25 +145,45 @@ def neighborhood_drop(beta: float) -> float:
 class ChainReport:
     """Outcome of the final inequality chain at one beta."""
 
-    kappa_eff: float
-    drop_near_coeff: float
     branches: tuple[float, float, float]
     beta_star: float
     final_drop: float
     kg_increment: float
 
 
-def kg_lower_bound(final_drop: float, lam: float, c: float) -> float:
+def kg_lower_bound(final_drop: Num, lam: Num, c: Num) -> Num:
     """Increment to the lower bound: c * final_drop / ((1 - lambda) / c)."""
-    final_drop = float(final_drop)
-    if final_drop <= 0.0:
+    ar = arith(final_drop, lam, c)
+    final_drop, lam, c = ar.exact(final_drop), ar.exact(lam), ar.exact(c)
+    if endpoints(final_drop)[0] <= 0.0:
         raise DomainError(f"final_drop must be positive, got {final_drop}")
     norm = (1.0 - lam) / c
     return c * final_drop / norm
 
 
-def final_chain(beta: float) -> ChainReport:
-    """Evaluate the three-branch case analysis at the given beta.
+def gap_lower_large_delta(d: Num, alpha_err: Num, lam: Num) -> Num:
+    """Two-branch gap bound in the large inner-defect regime.
+
+    The decimals 6.4 and 0.98 are built as 32/5 and 98/100, so an interval
+    evaluation encloses them.
+    """
+    ar = arith(d, alpha_err, lam)
+    d, alpha_err, lam = ar.exact(d), ar.exact(alpha_err), ar.exact(lam)
+    if endpoints(d)[0] < 0.0 or endpoints(alpha_err)[0] < 0.0:
+        raise DomainError("d and alpha_err must be nonnegative")
+    if endpoints(alpha_err)[1] >= 0.01:
+        raise DomainError(f"alpha_err must be < 1/100, got {alpha_err}")
+    inner = d * (1.0 - 4.0 * alpha_err) / 8.0 \
+        - ar.exact(32.0) / 5.0 * alpha_err
+    if endpoints(inner)[0] <= 0.0:
+        raise DomainError(f"inner expression {inner} must be positive")
+    branch1 = d * (lam / 8.0 - alpha_err)
+    branch2 = (ar.exact(98.0) / 100.0 / 8.0) * inner * inner
+    return ar.min(branch1, branch2)
+
+
+def final_branches(beta: Num) -> tuple[tuple[Num, Num, Num], Num]:
+    """The final chain's three branches at beta, and the final drop.
 
     Branch 1: the near-neighborhood drop -NEAR_DROP_COEFF beta.
     Branch 2: beta - DETUNED_BOUND (profiles with a detuned first moment).
@@ -154,19 +192,23 @@ def final_chain(beta: float) -> ChainReport:
     The worst (largest) branch is the certified change of the operator norm;
     its negative is the final drop.
     """
-    beta = float(beta)
-    if not (0.0 < beta < 1e-10):
+    ar = arith(beta)
+    lo, hi = endpoints(beta)
+    if not (0.0 < lo and hi < 1e-10):
         raise DomainError(f"beta must lie in (0, 1e-10), got {beta}")
-    b1 = -NEAR_DROP_COEFF * beta
-    b2 = beta - DETUNED_BOUND
-    b3 = beta - gap_lower_large_delta(DEFECT_D, ALPHA_ERR, LAMBDA_STAR)
-    drop = -max(b1, b2, b3)
+    gap = gap_lower_large_delta(ar.exact(DEFECT_D), ar.exact(ALPHA_ERR),
+                                ar.exact(LAMBDA_STAR))
+    branches = (-NEAR_DROP_COEFF * beta, beta - DETUNED_BOUND, beta - gap)
+    return branches, -ar.max(*branches)
+
+
+def final_chain(beta: float) -> ChainReport:
+    """final_branches at a float beta, with the increment to the lower bound."""
+    beta = float(beta)
+    branches, drop = final_branches(beta)
     increment = kg_lower_bound(drop, LAMBDA_STAR, DAVIE_REEDS_C) if drop > 0.0 else 0.0
-    keff = kappa_eff(EPSILON_STAR)
     return ChainReport(
-        kappa_eff=keff,
-        drop_near_coeff=NEAR_DROP_COEFF,
-        branches=(b1, b2, b3),
+        branches=branches,
         beta_star=beta,
         final_drop=drop,
         kg_increment=increment,

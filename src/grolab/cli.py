@@ -366,8 +366,21 @@ def sweep(parameter: str, rng: tuple[float, float, int]) -> str:
 
 # -- config file and argument handling ----------------------------------------
 
-_CONFIG_KEYS = {"seed", "certified", "beta", "epsilon", "grid", "out",
-                "profile", "save_profile"}
+# The keys each command reads besides --config and --out: only those its
+# suites read.  Each is a flag (profile and save_profile excepted, which are
+# config-file keys only) and a config-file key; any other is a usage error.
+_KEYS = {
+    "constants": ("certified",),
+    "baseline": ("certified",),
+    "profile": ("certified", "seed", "grid", "profile", "save_profile"),
+    "pairing": ("certified", "seed"),
+    "chain": ("certified", "beta", "epsilon"),
+    "explore": ("certified", "seed"),
+    "verify-all": ("certified", "seed", "grid", "beta", "epsilon", "profile",
+                   "save_profile"),
+    "sweep": (),
+}
+
 _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
 
@@ -380,7 +393,10 @@ def _parse_bool(text: str) -> bool:
             f"expected 1/true/yes or 0/false/no, got {text!r}") from None
 
 
-def load_config_file(path: str) -> dict[str, str]:
+def load_config_file(path: str, command: str) -> dict[str, str]:
+    """The key = value pairs of a config file; a key the command does not
+    read is a usage error."""
+    keys = {"out", *_KEYS[command]}
     out: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -391,8 +407,9 @@ def load_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
-                    raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+                if key not in keys:
+                    raise UsageError(
+                        f"{path}:{lineno}: unknown key {key!r} for {command}")
                 out[key] = value
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
@@ -403,7 +420,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # A command's parser registers only the flags its suites read, so a flag
     # missing from args counts as not given.
     flags = vars(args)
-    file_vals = load_config_file(args.config) if args.config else {}
+    file_vals = (load_config_file(args.config, args.command) if args.config
+                 else {})
 
     def pick(key: str, cast):
         """The flag if given, else the config file's value, else None."""
@@ -430,18 +448,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-# The flags each command takes besides --config and --out: only those its
-# suites read.
-_FLAGS = {
-    "constants": ("certified",),
-    "baseline": ("certified",),
-    "profile": ("certified", "seed", "grid"),
-    "pairing": ("certified", "seed"),
-    "chain": ("certified", "beta", "epsilon"),
-    "explore": ("certified", "seed"),
-    "verify-all": ("certified", "seed", "grid", "beta", "epsilon"),
-    "sweep": (),
-}
 # default=None on --certified lets a config file's value apply when the flag
 # is absent.
 _FLAG_ARGS = {
@@ -464,8 +470,9 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="write the JSON report (or CSV) here")
-        for flag in _FLAGS[name]:
-            p.add_argument(f"--{flag}", **_FLAG_ARGS[flag])
+        for key in _KEYS[name]:
+            if key in _FLAG_ARGS:
+                p.add_argument(f"--{key}", **_FLAG_ARGS[key])
     sw = sub.choices["sweep"]
     sw.add_argument("--parameter", required=True,
                     choices=("lambda", "epsilon", "beta", "grid"))

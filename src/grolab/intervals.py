@@ -7,12 +7,19 @@ them outward by a few ulps via nextafter: one ulp absorbs the rounding of
 larger margin covers erf.  The result is a rigorous enclosure as long as the
 platform libm stays within those error budgets, which is the standard
 assumption for this style of certification.
+
+`arith(*xs)` picks the number system of a shared formula from its inputs:
+FLOATS when all are floats, INTERVALS when any is an Interval.  The float
+and the certified value of a quantity then come from one formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+from . import gauss
 
 _ARITH_ULPS = 1
 _EXPLOG_ULPS = 2
@@ -82,6 +89,9 @@ class Interval:
 
     def __rtruediv__(self, other) -> "Interval":
         return _coerce(other) / self
+
+    def __abs__(self) -> "Interval":
+        return self.abs()
 
     def abs(self) -> "Interval":
         if self.lo >= 0.0:
@@ -156,7 +166,6 @@ TWO_PI = PI * 2.0
 SQRT_2PI = TWO_PI.sqrt()
 SQRT_2 = Interval.exact(2.0).sqrt()
 SQRT_2_OVER_PI = (Interval.exact(2.0) / PI).sqrt()
-E = Interval(_down(math.e), _up(math.e))
 
 
 def gaussian_pdf_iv(z: Interval) -> Interval:
@@ -168,3 +177,56 @@ def gaussian_cdf_iv(z: Interval) -> Interval:
     """Enclosure of the standard Gaussian CDF over z."""
     half = Interval.exact(0.5)
     return half * ((z / SQRT_2).erf() + 1.0)
+
+
+# A float or an Interval: the inputs and results of the shared formulas.
+Num = float | Interval
+
+
+def endpoints(x: Num) -> tuple[float, float]:
+    """(lo, hi) of an Interval, (x, x) of a float: for input validation."""
+    return (x.lo, x.hi) if isinstance(x, Interval) else (x, x)
+
+
+def _min(*xs: Interval) -> Interval:
+    return Interval(min(x.lo for x in xs), min(x.hi for x in xs))
+
+
+def _max(*xs: Interval) -> Interval:
+    return Interval(max(x.lo for x in xs), max(x.hi for x in xs))
+
+
+# The operations the shared formulas use, one set per number system.  pow
+# takes a rational exponent q (an int or a Fraction): x ** (num/den) in
+# floats, pow_frac in intervals.  exact turns an input into the system's
+# number; in intervals a float becomes a point, so pass only exactly
+# representable values through it and build the others from the set's
+# operations (-(exact(2.0) / 3.0), not -0.6666...).  Functions and methods
+# are looked up per call, so rebinding them (as the benchmark's tracer does)
+# takes effect here too.
+FLOATS = SimpleNamespace(
+    exact=float, exp=math.exp, log=math.log, sqrt=math.sqrt,
+    square=lambda x: x ** 2,
+    pow=lambda x, q: x ** (q.numerator / q.denominator),
+    min=min, max=max,
+    pdf=lambda z: gauss.gaussian_pdf(z),
+    cdf=lambda t: gauss.gaussian_cdf(t),
+    SQRT_2PI=gauss.SQRT_2PI, SQRT_2_OVER_PI=gauss.SQRT_2_OVER_PI,
+)
+INTERVALS = SimpleNamespace(
+    exact=_coerce, exp=lambda x: x.exp(), log=lambda x: x.log(),
+    sqrt=lambda x: x.sqrt(), square=lambda x: x.square(),
+    pow=lambda x, q: x.pow_frac(q.numerator, q.denominator),
+    min=_min, max=_max,
+    pdf=lambda z: gaussian_pdf_iv(z),
+    cdf=lambda t: gaussian_cdf_iv(t),
+    SQRT_2PI=SQRT_2PI, SQRT_2_OVER_PI=SQRT_2_OVER_PI,
+)
+
+
+def arith(*xs: Num) -> SimpleNamespace:
+    """INTERVALS if any input is an Interval, else FLOATS."""
+    for x in xs:
+        if isinstance(x, Interval):
+            return INTERVALS
+    return FLOATS

@@ -7,89 +7,96 @@ profiles from the profiles module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, FeasibilityError, InternalCheckError
-from .gauss import gaussian_cdf, gaussian_pdf
+from .gauss import gaussian_pdf
+from .intervals import Num, arith, endpoints
 from .profiles import Profile, theta_moments
 
 # Inner moments must vanish this tightly for the |A| bound hypothesis.
 _INNER_MOMENT_TOL = 1e-9
 
 
-def inner_constants(eta: float) -> tuple[float, float, float]:
+# The closed forms below take a float eta, or an Interval eta (then every
+# result is an enclosure); see intervals.arith.
+
+def inner_constants(eta: Num) -> tuple[Num, Num, Num]:
     """(p, s1, t2): mass, first and second absolute moments of |Z| < eta.
 
     p = 2 Phi(eta) - 1,  s1 = 2 (pdf(0) - pdf(eta)),  t2 = p - 2 eta pdf(eta).
     """
-    eta = float(eta)
-    if eta <= 0.0:
+    ar = arith(eta)
+    eta = ar.exact(eta)
+    if endpoints(eta)[0] <= 0.0:
         raise DomainError(f"inner_constants requires eta > 0, got {eta}")
-    p = 2.0 * gaussian_cdf(eta) - 1.0
-    s1 = 2.0 * (gaussian_pdf(0.0) - gaussian_pdf(eta))
-    t2 = p - 2.0 * eta * gaussian_pdf(eta)
+    p = 2.0 * ar.cdf(eta) - 1.0
+    s1 = 2.0 * (ar.pdf(ar.exact(0.0)) - ar.pdf(eta))
+    t2 = p - 2.0 * eta * ar.pdf(eta)
     return p, s1, t2
 
 
-def kappa_Q(eta: float) -> tuple[float, float, float]:
+def kappa_Q(eta: Num) -> tuple[Num, Num, Num]:
     """(B, A_max, kappa_Q): tail H3 integral, inner H3 bound, zonal constant.
 
     B = -2 (1 - eta^2) pdf(eta),  A_max = eta^2 (pdf(0) - pdf(eta)),
     kappa_Q = (B^2 - A_max^2) / 6.
     """
-    eta = float(eta)
-    if eta <= 0.0:
+    ar = arith(eta)
+    eta = ar.exact(eta)
+    if endpoints(eta)[0] <= 0.0:
         raise DomainError(f"kappa_Q requires eta > 0, got {eta}")
-    b = -2.0 * (1.0 - eta * eta) * gaussian_pdf(eta)
-    a_max = eta * eta * (gaussian_pdf(0.0) - gaussian_pdf(eta))
+    b = -2.0 * (1.0 - eta * eta) * ar.pdf(eta)
+    a_max = eta * eta * (ar.pdf(ar.exact(0.0)) - ar.pdf(eta))
     return b, a_max, (b * b - a_max * a_max) / 6.0
 
 
-def transverse_bound(p: float, s1: float, t2: float) -> float:
+def transverse_bound(p: Num, s1: Num, t2: Num) -> Num:
     """Upper bound p^2 + s1^2 + t2^2 / 2 on the transverse chaos mass."""
-    if p < 0.0 or s1 < 0.0 or t2 < 0.0:
+    if any(endpoints(x)[0] < 0.0 for x in (p, s1, t2)):
         raise DomainError("transverse_bound requires nonnegative inputs")
     return p * p + s1 * s1 + 0.5 * t2 * t2
 
 
-def K0_upper(eta: float) -> float:
+def K0_upper(eta: Num) -> Num:
     """Upper bound on the L2 norm of the third-chaos component of a maximizer.
 
     Uses (|B| + A_max)^2 / 6 for the zonal part so the bound is valid for
     either sign of the inner term, plus the transverse mass bound.
     """
+    ar = arith(eta)
     b, a_max, _ = kappa_Q(eta)
     p, s1, t2 = inner_constants(eta)
-    zonal = (abs(b) + a_max) ** 2 / 6.0
-    return math.sqrt(zonal + transverse_bound(p, s1, t2))
+    zonal = ar.square(abs(b) + a_max) / 6.0
+    return ar.sqrt(zonal + transverse_bound(p, s1, t2))
 
 
 @dataclass(frozen=True)
 class PairingConstants:
-    """All pairing scalars evaluated at one eta."""
+    """All pairing scalars evaluated at one eta: floats, or Intervals when
+    eta is an Interval."""
 
-    eta_star: float
-    B: float
-    A_max: float
-    kappa_Q: float
-    p: float
-    s1: float
-    t2: float
-    transverse: float
-    pairing_lower: float
-    K0_upper: float
+    eta_star: Num
+    B: Num
+    A_max: Num
+    kappa_Q: Num
+    p: Num
+    s1: Num
+    t2: Num
+    transverse: Num
+    pairing_lower: Num
+    K0_upper: Num
 
     def __post_init__(self):
-        if self.pairing_lower <= 0.0:
+        if endpoints(self.pairing_lower)[0] <= 0.0:
             raise InternalCheckError(
                 f"pairing lower bound {self.pairing_lower} is not positive"
             )
 
     @classmethod
-    def at_eta(cls, eta: float) -> "PairingConstants":
+    def at_eta(cls, eta: Num) -> "PairingConstants":
         b, a_max, kq = kappa_Q(eta)
         p, s1, t2 = inner_constants(eta)
         tr = transverse_bound(p, s1, t2)

@@ -4,7 +4,7 @@ A Profile is a conditional-expectation function theta: R -> [-1, 1] given by
 piecewise-constant values on an inner window plus symbolic tails (sign(z) or
 per-side constants).  The operations here evaluate the primal objective V,
 its dual certificate, the exact optimality-gap tail integral, the discretized
-bathtub maximizer, and the quantitative gap lower bounds used downstream.
+bathtub maximizer, and the repair projection onto the maximizer set.
 
 Every integral here is a piecewise polynomial of degree <= 3 times the
 Gaussian density: the line is cut into cells on which theta is constant and
@@ -529,23 +529,6 @@ def repair_to_theta(profile: Profile,
             f"repair left inner moment {residual}; expected 0"
         )
     return repaired, tail_cost + inner_cost
-
-
-# -- quantitative gap lower bounds -------------------------------------------
-
-def gap_lower_large_delta(d: float, alpha_err: float, lam: float) -> float:
-    """Two-branch gap bound in the large inner-defect regime."""
-    d, alpha_err, lam = float(d), float(alpha_err), float(lam)
-    if d < 0.0 or alpha_err < 0.0:
-        raise DomainError("d and alpha_err must be nonnegative")
-    if alpha_err >= 0.01:
-        raise DomainError(f"alpha_err must be < 1/100, got {alpha_err}")
-    inner = d * (1.0 - 4.0 * alpha_err) / 8.0 - 6.4 * alpha_err
-    if inner <= 0.0:
-        raise DomainError(f"inner expression {inner} must be positive")
-    branch1 = d * (lam / 8.0 - alpha_err)
-    branch2 = (0.98 / 8.0) * inner * inner
-    return min(branch1, branch2)
 
 
 # -- serialization ------------------------------------------------------------

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grolab.baseline import DAVIE_REEDS_C, LAMBDA_STAR
-from grolab.certify import c_z0_upper_enclosure
+from grolab.baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound_derivative,
+                             _denominator, solve_eta_star)
 from grolab.chain import (
     ALPHA_MIN,
     BETA_STAR,
@@ -15,6 +15,8 @@ from grolab.chain import (
     KAPPA0,
     L0_bound,
     P3_COEFF,
+    STRIP_Z0,
+    final_branches,
     final_chain,
     kappa_eff,
     kg_lower_bound,
@@ -24,7 +26,10 @@ from grolab.chain import (
     strip_case_checks,
     strip_z0,
 )
+from grolab.claims import LAM_LIT, PAIRING
 from grolab.errors import DomainError
+from grolab.intervals import Interval
+from grolab.pairing import K0_upper, PairingConstants
 
 
 def _poly(z):
@@ -89,11 +94,49 @@ def test_C_z0_resolution_convergence():
         assert abs(fine - coarse) < 1e-6
 
 
-@pytest.mark.parametrize("z0", _Z0S)
-def test_c_z0_upper_enclosure_is_tight(z0):
-    iv = c_z0_upper_enclosure(z0)
-    assert iv.lo <= C_z0(z0) <= iv.hi
-    assert iv.hi - iv.lo < 1e-14
+def _own_interval_cases():
+    """id -> (f, rel): f(num) evaluates one shared formula with its inputs
+    made by num, float or Interval.exact; rel bounds the relative width."""
+    eta = solve_eta_star(LAM_LIT)
+    cases = {f"C_z0({z0!r})": (lambda num, z0=z0: C_z0(num(z0)), 1e-14)
+             for z0 in _Z0S}
+    cases["K_strip"] = (lambda num: K_strip(num(STRIP_Z0), ALPHA_MIN), 1e-14)
+    cases["L0_bound"] = (lambda num: L0_bound(num(ALPHA_MIN)), 1e-14)
+    cases["kappa_eff"] = (lambda num: kappa_eff(num(EPSILON_STAR)), 1e-12)
+    for beta in (1e-10, BETA_STAR):
+        cases[f"neighborhood_drop({beta:g})"] = (
+            lambda num, beta=beta: neighborhood_drop(num(beta)), 1e-12)
+    for name in PAIRING:
+        cases[f"pairing_{name}"] = (
+            lambda num, name=name: getattr(PairingConstants.at_eta(num(eta)),
+                                           name), 1e-11)
+    cases["K0_upper"] = (lambda num: K0_upper(num(eta)), 1e-14)
+    cases["denominator"] = (
+        lambda num: _denominator(num(LAM_LIT), num(eta)), 1e-14)
+    for side, lam in (("-", LAMBDA_STAR - 1e-8), ("+", LAMBDA_STAR + 1e-8)):
+        # the slope is ~7.5e-8 here, a difference of O(1) terms
+        cases[f"derivative(lambda*{side}1e-8)"] = (
+            lambda num, lam=lam: _bound_derivative(num(lam),
+                                                   num(solve_eta_star(lam))),
+            1e-5)
+    cases["final_drop"] = (lambda num: final_branches(num(BETA_STAR))[1], 1e-14)
+    cases["kg_increment"] = (
+        lambda num: kg_lower_bound(final_branches(num(BETA_STAR))[1],
+                                   num(LAMBDA_STAR), num(DAVIE_REEDS_C)), 1e-14)
+    return cases
+
+
+_OWN_INTERVAL_CASES = _own_interval_cases()
+
+
+@pytest.mark.parametrize("case", _OWN_INTERVAL_CASES)
+def test_float_inside_own_interval(case):
+    # the float report's value lies in the interval evaluation of the same
+    # formula at the same inputs, and that enclosure is tight
+    f, rel = _OWN_INTERVAL_CASES[case]
+    value, iv = f(float), f(Interval.exact)
+    assert iv.lo <= value <= iv.hi
+    assert iv.width <= rel * abs(value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -206,7 +249,7 @@ def test_final_chain_reference():
     assert report.kg_increment >= 1.596e-26
     assert report.kg_increment > 1e-26
     assert report.beta_star == BETA_STAR
-    assert report.kappa_eff >= 0.0058
+    assert kappa_eff(EPSILON_STAR) >= 0.0058
 
 
 def test_final_chain_large_beta_no_drop():

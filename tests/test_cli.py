@@ -201,6 +201,37 @@ def test_unread_flag_exits_2(argv):
     assert exc.value.code == 2
 
 
+# The config-file keys each command's suites read, besides out.
+_READS = {
+    "constants": {"certified"},
+    "baseline": {"certified"},
+    "profile": {"certified", "seed", "grid", "profile", "save_profile"},
+    "pairing": {"certified", "seed"},
+    "chain": {"certified", "beta", "epsilon"},
+    "explore": {"certified", "seed"},
+    "verify-all": {"certified", "seed", "grid", "beta", "epsilon", "profile",
+                   "save_profile"},
+    "sweep": set(),
+}
+_KEY_VALUES = {"seed": "5", "certified": "1", "beta": "1e-12",
+               "epsilon": "1e-8", "grid": "100", "profile": "{tmp}/p.txt",
+               "save_profile": "{tmp}/s.txt"}
+
+
+@pytest.mark.parametrize("command,key", [
+    pytest.param(command, key, id=f"{command}-{key}")
+    for command, reads in _READS.items()
+    for key in sorted(_KEY_VALUES.keys() - reads)
+])
+def test_unread_config_key_exits_2(tmp_path, command, key, capsys):
+    cfg = tmp_path / "run.cfg"
+    value = _KEY_VALUES[key].format(tmp=tmp_path)
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    argv = _SWEEP if command == "sweep" else [command]
+    assert main([*argv, "--config", str(cfg)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_config_file_and_profile_io(tmp_path):
     saved = tmp_path / "maximizer.txt"
     cfg_file = tmp_path / "run.cfg"

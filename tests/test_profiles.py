@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from grolab.baseline import ReedsParams, solve_h
+from grolab.chain import gap_lower_large_delta
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import sample_feasible_profile, sample_theta_member
 from grolab.gauss import (
@@ -24,7 +25,6 @@ from grolab.profiles import (
     _int_A_full,
     dual_value,
     gap_certificate,
-    gap_lower_large_delta,
     gap_tail_integral,
     lp_maximize,
     moment,
@@ -528,7 +528,7 @@ def test_repair_threshold_inverts_capacity(rng, eta_star):
             delta, abs=1e-15)
 
 
-# -- gap lower bounds ------------------------------------------------------------
+# -- large-defect gap bound (lives in chain) ------------------------------------
 
 def test_gap_lower_large_delta():
     lam_star = 0.19747909099498196
