@@ -13,6 +13,7 @@ the sign-certified bisection that encloses eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .baseline import LAMBDA_STAR, _bound, _bound_derivative, _eta_equation
 from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, STRIP_Z0, K_strip,
@@ -57,12 +58,14 @@ def _beyond(name: str, iv: Interval, relation: str, bound: float) -> CertifiedCh
                           passed)
 
 
+@lru_cache(maxsize=8)
 def eta_star_enclosure(lam: float) -> Interval:
     """Certified enclosure of the root eta in (0, 1) for the given lambda.
 
     Bisection keeps endpoints whose equation signs are interval-certified;
     it stops early if a midpoint's sign cannot be resolved, leaving a valid
-    (slightly wider) bracket.
+    (slightly wider) bracket.  Cached: the checks take the enclosure at
+    LAM_LIT three times, and Interval is immutable.
     """
     lam_iv = Interval.exact(lam)
 

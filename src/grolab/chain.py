@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.special import log_ndtr, ndtri
-
 from .baseline import DAVIE_REEDS_C, LAMBDA_STAR, solve_eta_star
 from .errors import DomainError
-from .gauss import SQRT_2PI, gaussian_cdf, gaussian_pdf
+from .gauss import (SQRT_2PI, gaussian_cdf, gaussian_isf, gaussian_pdf,
+                    mills_ratio)
 from .intervals import Num, arith, endpoints
 
 # Reference chain constants: rounded-safe values of the pairing constant, the
@@ -219,14 +218,16 @@ def log_tail_envelope_margin(a: float) -> float:
     """log of 0.583 Phi(-a) log(1/Phi(-a)) minus log of pdf(a).
 
     Positive means the density envelope pdf(a) <= 0.583 Phi(-a) log(1/Phi(-a))
-    holds at a.  Evaluated in log space so it stays finite out to a ~ 40.
+    holds at a.  With the Mills ratio R = Phi(-a)/pdf(a) it is
+    log 0.583 + log R + log(-log Phi(-a)), which needs no difference of the
+    two large logs and stays finite out to a ~ 40.
     """
     a = float(a)
     if a < 2.3:
         raise DomainError(f"envelope is only claimed for a >= 2.3, got {a}")
-    log_sf = float(log_ndtr(-a))            # log Phi(-a)
-    log_pdf = -0.5 * a * a - math.log(SQRT_2PI)
-    return math.log(0.583) + log_sf + math.log(-log_sf) - log_pdf
+    log_r = math.log(mills_ratio(a))
+    log_sf = log_r - 0.5 * a * a - math.log(SQRT_2PI)   # log Phi(-a)
+    return math.log(0.583) + log_r + math.log(-log_sf)
 
 
 def strip_case_checks() -> list[tuple[str, float, float, bool]]:
@@ -241,7 +242,7 @@ def strip_case_checks() -> list[tuple[str, float, float, bool]]:
     checks: list[tuple[str, float, float, bool]] = []
 
     # Half-space first moment at mass 1.25e-10, then its log envelope.
-    a = -float(ndtri(1.25 * d_prime))        # Phi(-a) = 1.25 d'
+    a = gaussian_isf(1.25 * d_prime)         # Phi(-a) = 1.25 d'
     halfspace = 2.0 * gaussian_pdf(a)
     envelope = 0.583 * 2.5 * d_prime * math.log(1.0 / (1.25 * d_prime))
     checks.append(("halfspace_moment <= envelope", halfspace, envelope,

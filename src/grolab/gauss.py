@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import AccuracyError, DomainError
 
@@ -73,16 +72,75 @@ def gaussian_pdf(z):
     return math.exp(-0.5 * z * z) * INV_SQRT_2PI
 
 
+def _erfc_array(x: np.ndarray) -> np.ndarray:
+    """math.erfc elementwise: the scalar path's function, so array and scalar
+    values agree bit for bit."""
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
 def gaussian_cdf(t):
     """Standard Gaussian CDF via erfc, accurate in both tails."""
     if isinstance(t, np.ndarray):
         if not np.all(np.isfinite(t)):
             raise DomainError("gaussian_cdf requires finite input")
-        return 0.5 * erfc(-t / _SQRT2)
+        return 0.5 * _erfc_array(-t / _SQRT2)
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"gaussian_cdf requires finite input, got {t}")
     return 0.5 * math.erfc(-t / _SQRT2)
+
+
+# Below this argument mills_ratio takes Phi(-a) from erfc; above it the
+# continued fraction converges in at most ~25 terms.
+_MILLS_CF_FROM = 5.0
+
+
+def mills_ratio(a: float) -> float:
+    """Mills ratio R(a) = Phi(-a) / pdf(a) for finite a >= 0.
+
+    Below a = 5 it is gaussian_cdf(-a) / gaussian_pdf(a).  From 5 on
+    it is the continued fraction R = 1/(a + 1/(a + 2/(a + 3/(a + ...)))),
+    evaluated by the modified Lentz method, which needs no erfc and stays
+    accurate where Phi(-a) and pdf(a) underflow.
+    """
+    a = float(a)
+    if not (math.isfinite(a) and a >= 0.0):
+        raise DomainError(f"mills_ratio requires finite a >= 0, got {a}")
+    if a < _MILLS_CF_FROM:
+        return gaussian_cdf(-a) / gaussian_pdf(a)
+    f = c = a
+    d = 0.0
+    for j in range(1, 200):
+        d = 1.0 / (a + j * d)
+        c = a + j / c
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) <= 2.3e-16:
+            return 1.0 / f
+    raise AccuracyError(f"Mills-ratio continued fraction did not converge at a={a}")
+
+
+def gaussian_isf(q: float) -> float:
+    """The a > 0 with Phi(-a) = q, for 0 < q < 1/2.
+
+    Newton's method on log Phi(-a) - log q, whose derivative is -1/R(a).  The
+    function is concave and decreasing, so from a0 = sqrt(-2 log q), where
+    Phi(-a0) < pdf(a0)/a0 <= q, the iterates decrease monotonically to the
+    root.  Each step is log(Phi(-a)/q) R(a): the log of a ratio near 1, which
+    keeps the last steps accurate.  Iteration stops once rounding noise no
+    longer lets a step decrease a.
+    """
+    q = float(q)
+    if not 0.0 < q < 0.5:
+        raise DomainError(f"gaussian_isf requires 0 < q < 1/2, got {q}")
+    a = math.sqrt(-2.0 * math.log(q))
+    for _ in range(100):
+        step = math.log(gaussian_cdf(-a) / q) * mills_ratio(a)
+        if not a + step < a:
+            return a
+        a += step
+    raise AccuracyError(f"gaussian_isf did not converge at q={q}")
 
 
 def hermite_eval(k: int, z):
@@ -148,7 +206,7 @@ def gaussian_moments(edges) -> np.ndarray:
     e = np.minimum(np.maximum(np.asarray(edges, dtype=float), -_EDGE_CLIP),
                    _EDGE_CLIP)
     s = np.sign(e)
-    s_erfc = s * erfc(np.abs(e) / _SQRT2)
+    s_erfc = s * _erfc_array(np.abs(e) / _SQRT2)
     pdf = np.exp(-0.5 * e * e) * INV_SQRT_2PI
     z_pdf = e * pdf
     zz_pdf = e * z_pdf

@@ -540,8 +540,13 @@ def profile_to_text(profile: Profile) -> str:
     else:
         left, right = profile.tail_values
         tail = f"const:{left!r}:{right!r}"
+    # Values repeat (an LP maximizer has a handful of distinct ones), so each
+    # distinct bit pattern is formatted once; the int64 view keeps -0.0 and
+    # 0.0 apart.
+    bits, which = np.unique(profile._values.view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(float).tolist()))
     return ",".join((repr(profile.z_cut), *map(repr, profile.breakpoints),
-                     *map(repr, profile.values), tail))
+                     *[texts[i] for i in which.tolist()], tail))
 
 
 def profile_from_text(text: str) -> Profile:

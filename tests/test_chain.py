@@ -285,21 +285,24 @@ def test_gaussian_tail_envelope():
         log_tail_envelope_margin(2.0)
 
 
-def test_gaussian_tail_envelope_matches_scipy_stats():
-    # the special-function forms agree with the scipy.stats reference
-    from scipy.stats import norm
-
-    for a in np.linspace(2.3, 40.0, 400):
-        a = float(a)
-        log_sf = float(norm.logsf(a))
-        log_pdf = float(norm.logpdf(a))
-        ref = math.log(0.583) + log_sf + math.log(-log_sf) - log_pdf
-        assert log_tail_envelope_margin(a) == pytest.approx(ref, rel=1e-14,
-                                                            abs=1e-14)
+def test_gaussian_tail_envelope_matches_mpmath():
+    # 200-bit references; scipy.stats' own logsf/logpdf form is off by up to
+    # 2.5e-13 near a = 37, too coarse to referee 1e-14
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        c = mpmath.log(mpmath.mpf(0.583))
+        for a in np.linspace(2.3, 40.0, 400):
+            a = float(a)
+            log_sf = mpmath.log(mpmath.ncdf(-a))
+            ref = c + log_sf + mpmath.log(-log_sf) - mpmath.log(mpmath.npdf(a))
+            assert log_tail_envelope_margin(a) == pytest.approx(
+                float(ref), rel=1e-14, abs=1e-14)
+        q = mpmath.mpf(1.25e-10)
+        a_q = mpmath.findroot(lambda x: mpmath.ncdf(-x) - q, 6.3)
+        halfspace_ref = float(2 * mpmath.npdf(a_q))
     halfspace = dict((name, value) for name, value, _, _ in
                      strip_case_checks())["halfspace_moment <= envelope"]
-    assert halfspace == pytest.approx(2.0 * norm.pdf(norm.isf(1.25e-10)),
-                                      rel=1e-14)
+    assert halfspace == pytest.approx(halfspace_ref, rel=1e-14)
 
 
 def test_strip_case_checks():

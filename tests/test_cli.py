@@ -358,7 +358,22 @@ def test_misspelt_certified_exits_2(tmp_path, value, capsys):
 def test_cli_import_skips_scipy_stats():
     env = {**os.environ,
            "PYTHONPATH": str(Path(grolab.__file__).resolve().parents[1])}
-    code = "import sys, grolab.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, grolab.cli; print(sorted("
+            "{'scipy.stats', 'scipy.special'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_certified_verify_all_without_scipy_special(tmp_path):
+    # None in sys.modules makes any import of scipy.special raise.
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(grolab.__file__).resolve().parents[1])}
+    out = tmp_path / "va.json"
+    code = ("import sys; sys.modules['scipy.special'] = None; "
+            "import grolab.cli; sys.exit(grolab.cli.main("
+            "['verify-all', '--certified', '--out', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["overall"] is True

@@ -8,12 +8,14 @@ from grolab.gauss import (
     QuadratureSpec,
     gauss_integrate,
     gaussian_cdf,
+    gaussian_isf,
     gaussian_moments,
     gaussian_pdf,
     h3_tail_integral,
     hermite_eval,
     interval_mass,
     interval_z_moment,
+    mills_ratio,
     tail_first_moment,
 )
 
@@ -234,3 +236,57 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
+
+
+def test_cdf_array_is_scalar_bit_for_bit():
+    t = np.random.default_rng(5).uniform(-40.0, 40.0, (3, 200))
+    ref = np.array([[gaussian_cdf(float(x)) for x in row] for row in t])
+    got = gaussian_cdf(t)
+    assert got.shape == t.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_far_tail_mass_matches_mpmath():
+    # Cells of width 0.5 on [5, 26.5] plus [26.5, inf): row 0 is then one
+    # erfc or a difference of two with ratio <= e^-2.6, so a few ulp of the
+    # kernel stay a few ulp.  The reference takes the kernel's own rounded
+    # arguments |e|/sqrt 2; that rounding is the argument's conditioning
+    # (2 x^2 ulp), not the kernel's error.
+    mpmath = pytest.importorskip("mpmath")
+    edges = np.append(np.linspace(5.0, 26.5, 44), np.inf)
+    mass = gaussian_moments(edges)[0]
+    x = np.minimum(edges, 40.0) / math.sqrt(2.0)
+    with mpmath.workprec(200):
+        erfc_x = [mpmath.erfc(float(v)) for v in x]
+        ref = [float((lo - hi) / 2) for lo, hi in zip(erfc_x, erfc_x[1:])]
+    for got, want in zip(mass, ref):
+        assert abs(got - want) <= 4 * math.ulp(want), (got, want)
+
+
+def test_mills_ratio_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        for a in np.linspace(0.0, 40.0, 801):
+            a = float(a)
+            ref = mpmath.ncdf(-a) / mpmath.npdf(a)
+            assert mills_ratio(a) == pytest.approx(float(ref), rel=5e-15,
+                                                   abs=0)
+    with pytest.raises(DomainError):
+        mills_ratio(-1.0)
+    with pytest.raises(DomainError):
+        mills_ratio(math.inf)
+
+
+@pytest.mark.parametrize("q", [1.25e-10, 0.25, 1e-3, 1e-30, 1e-300])
+def test_gaussian_isf_matches_mpmath(q):
+    mpmath = pytest.importorskip("mpmath")
+    a = gaussian_isf(q)
+    with mpmath.workprec(200):
+        ref = float(mpmath.findroot(lambda x: mpmath.ncdf(-x) - q, a))
+    assert abs(a - ref) <= 2 * math.ulp(ref)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.5, -1e-3, math.nan])
+def test_gaussian_isf_domain(q):
+    with pytest.raises(DomainError):
+        gaussian_isf(q)
