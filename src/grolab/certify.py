@@ -135,8 +135,10 @@ def certified_chain_checks() -> list[CertifiedCheck]:
 
     _, drop = final_branches(Interval.exact(BETA_STAR))
     checks.append(_within("final_drop", drop, "final_drop"))
-    increment = kg_lower_bound(drop, Interval.exact(LAMBDA_STAR),
-                               _bound(*_reeds_point(LAM_LIT)))
+    # The bound and the norm (1 - lambda)/c at one lambda, as final_chain
+    # pairs LAMBDA_STAR with DAVIE_REEDS_C.
+    lam, eta = _reeds_point(LAMBDA_STAR)
+    increment = kg_lower_bound(drop, lam, _bound(lam, eta))
     exceeds = BOUNDS["kg_increment_exceeds"]
     checks.append(_beyond("kg_increment", increment, ">=",
                           BOUNDS["kg_increment"]))

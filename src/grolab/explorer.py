@@ -55,19 +55,23 @@ def _cubic_roots(alpha: float, lam: float, coeff: float) -> np.ndarray:
     """
     # g(z) = -coeff z^3 + (alpha + 3 coeff) z - lam; np.roots drops a zero
     # leading coefficient, leaving the single root lam / alpha.
-    roots = np.roots([-coeff, 0.0, alpha + 3.0 * coeff, -lam])
+    linear = alpha + 3.0 * coeff
+    roots = np.roots([-coeff, 0.0, linear, -lam])
     real = roots.real[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))]
 
     def g(z):
-        return (alpha + 3.0 * coeff - coeff * z * z) * z - lam
+        return (linear - coeff * z * z) * z - lam
 
-    for _ in range(4):
-        slope = alpha + 3.0 * coeff - 3.0 * coeff * real * real
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(slope != 0.0, g(real) / slope, 0.0)
-        better = np.abs(g(real - step)) < np.abs(g(real))
-        real = np.where(better, real - step, real)
-    return real
+    # At most three roots: Python floats beat numpy calls on tiny arrays.
+    polished = []
+    for z in real.tolist():
+        for _ in range(4):
+            slope = linear - 3.0 * coeff * z * z
+            step = g(z) / slope if slope != 0.0 else 0.0
+            if abs(g(z - step)) < abs(g(z)):
+                z -= step
+        polished.append(z)
+    return np.array(polished, dtype=float)
 
 
 def r_lambda_beta_norm_1d(profile: Profile, params: ReedsParams,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,8 +40,8 @@ class Profile:
     breakpoints are the interior cell boundaries (strictly increasing, inside
     the window); values has one entry per cell, len(breakpoints) + 1 total.
     Both are stored as tuples of Python floats, whatever sequence or array
-    was passed; the cell edges and values are also kept once as read-only
-    float64 arrays for evaluate and edges.
+    was passed; the cell edges and the values padded with both tails are
+    also kept once as read-only float64 arrays for evaluate and edges.
     """
 
     z_cut: float
@@ -50,7 +50,7 @@ class Profile:
     tail_rule: str = SIGN_TAILS
     tail_values: tuple[float, float] = (-1.0, 1.0)
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
-    _values: np.ndarray = field(init=False, repr=False, compare=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z_cut = self.z_cut
@@ -80,13 +80,16 @@ class Profile:
             tv = (float(self.tail_values[0]), float(self.tail_values[1]))
             if not all(abs(v) <= 1.0 for v in tv):
                 raise DomainError("tail constants must lie in [-1, 1]")
+        # theta on (-inf, edges[0]), the cells, [edges[-1], inf): entry k
+        # holds for the z with k edges <= z.
+        table = np.concatenate(([tv[0]], vals, [tv[1]]))
         edges.flags.writeable = False
-        vals.flags.writeable = False
+        table.flags.writeable = False
         object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
         object.__setattr__(self, "values", tuple(vals.tolist()))
         object.__setattr__(self, "tail_values", tv)
         object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_values", vals)
+        object.__setattr__(self, "_table", table)
 
     @property
     def edges(self) -> np.ndarray:
@@ -95,13 +98,14 @@ class Profile:
 
     def evaluate(self, z) -> np.ndarray:
         """Vectorized theta(z) for any real z (tails included)."""
-        z = np.asarray(z, dtype=float)
-        idx = np.clip(np.searchsorted(self._edges, z, side="right") - 1,
-                      0, len(self._values) - 1)
-        out = self._values[idx]
-        out = np.where(z < -self.z_cut, self.tail_values[0], out)
-        out = np.where(z >= self.z_cut, self.tail_values[1], out)
-        return out
+        return self._table[np.searchsorted(self._edges, z, side="right")]
+
+    @cached_property
+    def _moments(self) -> np.ndarray:
+        """theta_moments over the whole line, computed on first use (read-only)."""
+        m = _window_moments(self, math.inf)
+        m.flags.writeable = False
+        return m
 
     @classmethod
     def constant(cls, value: float, z_cut: float, tail_rule: str = SIGN_TAILS,
@@ -164,13 +168,21 @@ def _cells(profile: Profile, kinks=(), window: float = math.inf):
     return edges, mid, profile.evaluate(mid)
 
 
+def _window_moments(profile: Profile, window: float) -> np.ndarray:
+    edges, _, theta = _cells(profile, window=window)
+    return gaussian_moments(edges) @ theta
+
+
 def theta_moments(profile: Profile, window: float = math.inf) -> np.ndarray:
     """(int theta(z) z^k pdf(z) dz over |z| < window)_{k=0..3}, exactly.
 
-    With the default infinite window the symbolic tails are included.
+    With the default infinite window the symbolic tails are included, and
+    the profile's own read-only copy is returned: a Profile is immutable, so
+    its full-line moments are computed once.
     """
-    edges, _, theta = _cells(profile, window=window)
-    return gaussian_moments(edges) @ theta
+    if window == math.inf:
+        return profile._moments
+    return _window_moments(profile, window)
 
 
 def _rebuild(profile: Profile, window: float, extra_edges=(),
@@ -377,7 +389,9 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     edges = np.linspace(-z_cut, z_cut, grid_size + 1)
     # Cut the grid at the kinks +-eta of B, integrate B = lambda, -alpha z,
     # -lambda on the pieces, and sum the pieces back into their grid cells.
-    pieces = np.union1d(edges, (-eta, eta))
+    # Sorted union without np.union1d, which imports numpy.ma at run time.
+    pieces = np.sort(np.concatenate((edges, (-eta, eta))))
+    pieces = pieces[np.concatenate(([True], pieces[1:] != pieces[:-1]))]
     mid = 0.5 * (pieces[:-1] + pieces[1:])
     cell = np.searchsorted(edges, mid) - 1
     moments = gaussian_moments(pieces)
@@ -543,7 +557,8 @@ def profile_to_text(profile: Profile) -> str:
     # Values repeat (an LP maximizer has a handful of distinct ones), so each
     # distinct bit pattern is formatted once; the int64 view keeps -0.0 and
     # 0.0 apart.
-    bits, which = np.unique(profile._values.view(np.int64), return_inverse=True)
+    bits, which = np.unique(profile._table[1:-1].view(np.int64),
+                            return_inverse=True)
     texts = list(map(repr, bits.view(float).tolist()))
     return ",".join((repr(profile.z_cut), *map(repr, profile.breakpoints),
                      *[texts[i] for i in which.tolist()], tail))

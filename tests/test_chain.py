@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grolab.baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound_derivative,
-                             _denominator, solve_eta_star)
+from grolab.baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound,
+                             _bound_derivative, _denominator, solve_eta_star)
 from grolab.chain import (
     ALPHA_MIN,
     BETA_STAR,
@@ -120,9 +120,13 @@ def _own_interval_cases():
                                                    num(solve_eta_star(lam))),
             1e-5)
     cases["final_drop"] = (lambda num: final_branches(num(BETA_STAR))[1], 1e-14)
+    # as certify does: the bound and the norm both at LAMBDA_STAR
+    eta_lstar = solve_eta_star(LAMBDA_STAR)
     cases["kg_increment"] = (
         lambda num: kg_lower_bound(final_branches(num(BETA_STAR))[1],
-                                   num(LAMBDA_STAR), num(DAVIE_REEDS_C)), 1e-14)
+                                   num(LAMBDA_STAR),
+                                   _bound(num(LAMBDA_STAR), num(eta_lstar))),
+        1e-14)
     return cases
 
 

@@ -365,12 +365,13 @@ def test_cli_import_skips_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
-def test_certified_verify_all_without_scipy_special(tmp_path):
-    # None in sys.modules makes any import of scipy.special raise.
+def test_certified_verify_all_without_scipy_special_or_numpy_ma(tmp_path):
+    # None in sys.modules makes any import of scipy.special or numpy.ma raise.
     env = {**os.environ,
            "PYTHONPATH": str(Path(grolab.__file__).resolve().parents[1])}
     out = tmp_path / "va.json"
     code = ("import sys; sys.modules['scipy.special'] = None; "
+            "sys.modules['numpy.ma'] = None; "
             "import grolab.cli; sys.exit(grolab.cli.main("
             "['verify-all', '--certified', '--out', sys.argv[1]]))")
     proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,

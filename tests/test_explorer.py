@@ -109,6 +109,23 @@ def test_perturbed_norm_matches_quadrature(params, spec):
         assert val == pytest.approx(oracle, abs=1e-13)
 
 
+def _cubic_roots_reference(alpha, lam, coeff):
+    """_cubic_roots with the Newton polish vectorized over the roots."""
+    roots = np.roots([-coeff, 0.0, alpha + 3.0 * coeff, -lam])
+    real = roots.real[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))]
+
+    def g(z):
+        return (alpha + 3.0 * coeff - coeff * z * z) * z - lam
+
+    for _ in range(4):
+        slope = alpha + 3.0 * coeff - 3.0 * coeff * real * real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(slope != 0.0, g(real) / slope, 0.0)
+        better = np.abs(g(real - step)) < np.abs(g(real))
+        real = np.where(better, real - step, real)
+    return real
+
+
 def test_cubic_kinks_all_real_roots(params):
     # tiny positive coefficients put two roots far outside any quadrature
     # window (near +-sqrt(alpha / coeff)); all of them are kept and polished
@@ -120,8 +137,12 @@ def test_cubic_kinks_all_real_roots(params):
     assert np.max(np.abs(_cubic_roots(alpha, LAM, 1e-11))) > 1e5
     # polished to about one rounding of the largest term (np.roots alone
     # leaves residuals up to ~5e-16 of it, e.g. at coeff = 1e-8)
-    for coeff in [*np.geomspace(1e-17, 0.1, 60), *-np.geomspace(1e-17, 0.25, 60)]:
-        for r in _cubic_roots(alpha, LAM, coeff):
+    for coeff in [0.0, *np.geomspace(1e-17, 0.1, 60), *-np.geomspace(1e-17, 0.25, 60)]:
+        roots = _cubic_roots(alpha, LAM, float(coeff))
+        # the scalar polish makes the vectorized one's operations in its order
+        ref = _cubic_roots_reference(alpha, LAM, float(coeff))
+        assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes(), coeff
+        for r in roots:
             g = (alpha + 3.0 * coeff - coeff * r * r) * r - LAM
             scale = LAM + abs(alpha * r) + abs(coeff * hermite_eval(3, r))
             assert abs(g) <= 2e-16 * scale, (coeff, r)

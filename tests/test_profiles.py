@@ -80,6 +80,17 @@ def test_profile_fields_are_python_floats():
         from_array.edges[0] = 0.0  # the cached edges are read-only
 
 
+def _evaluate_reference(prof, z):
+    """theta(z) by clipping the cell index and overwriting the tails."""
+    z = np.asarray(z, dtype=float)
+    values = np.array(prof.values)
+    idx = np.clip(np.searchsorted(prof.edges, z, side="right") - 1,
+                  0, len(values) - 1)
+    out = values[idx]
+    out = np.where(z < -prof.z_cut, prof.tail_values[0], out)
+    return np.where(z >= prof.z_cut, prof.tail_values[1], out)
+
+
 def test_profile_evaluate():
     prof = Profile(z_cut=1.0, breakpoints=(0.0,), values=(-0.5, 0.5))
     z = np.array([-2.0, -0.5, 0.5, 2.0])
@@ -88,6 +99,23 @@ def test_profile_evaluate():
                     tail_rule="const", tail_values=(0.1, -0.2))
     assert np.allclose(const.evaluate(np.array([-3.0, 0.0, 3.0])),
                        [0.1, 0.25, -0.2])
+    # the tail-padded table lookup equals the reference bit for bit on
+    # every edge, its neighbours, +-inf and cell interiors, for arrays and
+    # scalars alike
+    profiles = [prof, const, Profile.bathtub(0.7, z_cut=1.5),
+                Profile(z_cut=2.0, breakpoints=(-1.0, 0.0, 0.5),
+                        values=(-0.0, 0.0, 1.0, -0.75), tail_rule="const",
+                        tail_values=(-0.0, 0.5)),
+                Profile.from_grid(np.linspace(-1.0, 1.0, 12), z_cut=1.0)]
+    for p in profiles:
+        e = p.edges
+        z = np.concatenate((e, -e, np.nextafter(e, -np.inf),
+                            np.nextafter(e, np.inf), 0.5 * (e[1:] + e[:-1]),
+                            (-np.inf, np.inf, 0.0, -0.0, -1e300, 1e300)))
+        assert p.evaluate(z).tobytes() == _evaluate_reference(p, z).tobytes()
+        for x in z.tolist():
+            got = np.asarray(p.evaluate(x), dtype=float)
+            assert got.tobytes() == _evaluate_reference(p, x).tobytes(), (p, x)
 
 
 # -- kernels ------------------------------------------------------------------
@@ -127,6 +155,26 @@ def test_moment_full_sign_profile():
     # theta = 1 on z > 0 (odd): the moment is the full first absolute moment
     prof = Profile(z_cut=2.0, breakpoints=(0.0,), values=(-1.0, 1.0))
     assert moment(prof) == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-13)
+
+
+def test_theta_moments_memo(params, rng):
+    # a Profile's full-line moments are computed once, equal to the direct
+    # cell sum bit for bit, and shared read-only
+    profiles = [Profile.bathtub(solve_h(params.alpha), z_cut=params.eta),
+                Profile(z_cut=1.5, breakpoints=(-0.2, 0.4), values=(0.3, -0.6, 0.9),
+                        tail_rule="const", tail_values=(0.25, -0.5)),
+                sample_feasible_profile(int(rng.integers(1 << 30)), params),
+                sample_theta_member(int(rng.integers(1 << 30)), lam=LAM)]
+    for prof in profiles:
+        edges = np.array([-np.inf, *prof.edges, np.inf])
+        theta = np.array([prof.tail_values[0], *prof.values, prof.tail_values[1]])
+        direct = gaussian_moments(edges) @ theta
+        memo = theta_moments(prof)
+        assert memo.tobytes() == direct.tobytes()
+        assert theta_moments(prof) is memo
+        assert moment(prof) == float(direct[1])
+        with pytest.raises(ValueError):
+            memo[1] = 0.0
 
 
 def test_moment_zero_inner(params, eta_star):
