@@ -27,13 +27,18 @@ from .pairing import PairingConstants
 
 @dataclass(frozen=True)
 class CertifiedCheck:
-    """One interval-certified verdict."""
+    """One interval-certified verdict.
+
+    actual is the end of [lo, hi] that proves the claim: lo for a lower
+    bound, hi for an upper bound, and for a window the end nearer its edge.
+    """
 
     name: str
     lo: float
     hi: float
     requirement: str
     passed: bool
+    actual: float
 
 
 def _spell(x: float) -> str:
@@ -45,17 +50,22 @@ def _spell(x: float) -> str:
 def _within(name: str, iv: Interval, claim: str) -> CertifiedCheck:
     """iv inside the +-tolerance window of the claims.TARGETS entry."""
     target, tol = TARGETS[claim]
+    nearer_lo = iv.lo - (target - tol) < (target + tol) - iv.hi
     return CertifiedCheck(name, iv.lo, iv.hi,
                           f"within {_spell(target)} +- {_spell(tol)}",
-                          iv.within(target, tol))
+                          iv.within(target, tol),
+                          iv.lo if nearer_lo else iv.hi)
 
 
-def _beyond(name: str, iv: Interval, relation: str, bound: float) -> CertifiedCheck:
-    """iv strictly on the side of bound that relation (">", ">=", "<=") names."""
-    passed = (iv.strictly_above(bound) if relation.startswith(">")
-              else iv.strictly_below(bound))
-    return CertifiedCheck(name, iv.lo, iv.hi, f"{relation} {_spell(bound)}",
-                          passed)
+def _beyond(name: str, iv: Interval, relation: str, bound: float,
+            requirement: str | None = None) -> CertifiedCheck:
+    """iv strictly on the side of bound that relation (">", ">=", "<", "<=")
+    names; requirement replaces the default text "relation bound"."""
+    above = relation.startswith(">")
+    passed = iv.strictly_above(bound) if above else iv.strictly_below(bound)
+    return CertifiedCheck(name, iv.lo, iv.hi,
+                          requirement or f"{relation} {_spell(bound)}",
+                          passed, iv.lo if above else iv.hi)
 
 
 @lru_cache(maxsize=8)
@@ -107,12 +117,10 @@ def certified_baseline_checks() -> list[CertifiedCheck]:
         _within("baseline_bound", _bound(lam, eta), "davie_reeds_bound"),
         _within("eta_star", eta, "eta_star"),
         _within("alpha_star", lam / eta, "alpha_star"),
-        CertifiedCheck("argmax_bracket_left", d_left.lo, d_left.hi,
-                       f"derivative > 0 at lambda* - {_spell(step)}",
-                       d_left.strictly_above(0.0)),
-        CertifiedCheck("argmax_bracket_right", d_right.lo, d_right.hi,
-                       f"derivative < 0 at lambda* + {_spell(step)}",
-                       d_right.strictly_below(0.0)),
+        _beyond("argmax_bracket_left", d_left, ">", 0.0,
+                f"derivative > 0 at lambda* - {_spell(step)}"),
+        _beyond("argmax_bracket_right", d_right, "<", 0.0,
+                f"derivative < 0 at lambda* + {_spell(step)}"),
     ]
 
 

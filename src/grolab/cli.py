@@ -306,7 +306,8 @@ def run(config: RunConfig) -> VerificationOutcome:
         for cc in all_certified_checks():
             checks.append(Check(
                 name=f"certified:{cc.name} ({cc.requirement})",
-                expected=None, actual=cc.hi, tolerance=None, passed=cc.passed))
+                expected=None, actual=cc.actual, tolerance=None,
+                passed=cc.passed))
     return VerificationOutcome(checks=tuple(checks))
 
 

@@ -9,7 +9,9 @@ bathtub maximizer, and the repair projection onto the maximizer set.
 Every integral here is a piecewise polynomial of degree <= 3 times the
 Gaussian density: the line is cut into cells on which theta is constant and
 the other factors are polynomials, and the integral is a dot product of the
-per-cell coefficients with gauss.gaussian_moments.
+per-cell coefficients with gauss.gaussian_moments.  The dual functional's
+kinks are fixed points rather than profile breakpoints, so dual_value is a
+closed form on Python floats instead.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star, solve_h
 from .errors import DomainError, FeasibilityError, InternalCheckError
-from .gauss import gaussian_cdf, gaussian_moments, gaussian_pdf
+from .gauss import (INV_SQRT_2PI, gaussian_cdf, gaussian_moments,
+                    gaussian_pdf)
 
 SIGN_TAILS = "sign"
 CONST_TAILS = "const"
@@ -195,7 +198,7 @@ def _rebuild(profile: Profile, window: float, extra_edges=(),
     """
     edges, mids, vals = _cells(profile, kinks=extra_edges, window=window)
     if override is not None:
-        vals = np.array([override(m) if override(m) is not None else v
+        vals = np.array([v if (o := override(m)) is None else o
                          for m, v in zip(mids, vals)])
     vals = np.clip(vals, -1.0, 1.0)
     return Profile(z_cut=window, breakpoints=edges[1:-1], values=vals)
@@ -263,23 +266,36 @@ def V_value(profile: Profile, params: ReedsParams) -> float:
 
 
 def dual_value(mu: float, params: ReedsParams) -> float:
-    """Dual functional D(mu) = int A pdf + mu alpha + int |B - mu z| pdf."""
+    """Dual functional D(mu) = int A pdf + mu alpha + int |B - mu z| pdf.
+
+    |B - mu z| is even, with B = -alpha z on |z| < eta and -lambda sign(z)
+    beyond, so in closed form
+
+        D(mu) = int A pdf + mu alpha
+                + 2 [|alpha + mu| (pdf(0) - pdf(eta)) + outer(mu)],
+
+    where outer(mu) = int_eta^inf |lambda + mu z| pdf.  lambda + mu z keeps
+    one sign on (eta, inf) unless -alpha < mu < 0, when it changes sign at
+    w = lambda / |mu| > eta.  A w that overflows (mu within ~1e-309 of 0)
+    leaves no mass beyond it.  A non-finite mu raises DomainError.
+    """
     mu = float(mu)
-    eta = params.eta
-    kinks = [-eta, 0.0, eta]
-    if -params.alpha < mu < 0.0:
-        w = params.lam / abs(mu)
-        kinks.extend((-w, w))
-    edges, mid = _partition(kinks)
-    # B - mu z is linear on each cell and keeps its sign there.
-    sign = np.sign(mid)
-    inner = np.abs(mid) < eta
-    c0 = np.where(inner, 0.0, -params.lam * sign)
-    c1 = np.where(inner, -params.alpha, 0.0) - mu
-    flip = np.sign(c0 + c1 * mid)
-    moments = gaussian_moments(edges)
-    term = float((flip * c0) @ moments[0] + (flip * c1) @ moments[1])
-    return _int_A_full(params) + mu * params.alpha + term
+    if not math.isfinite(mu):
+        raise DomainError(f"dual_value requires finite mu, got {mu}")
+    lam, alpha, eta = params.lam, params.alpha, params.eta
+    tail_eta, pdf_eta = gaussian_cdf(-eta), gaussian_pdf(eta)
+    if mu >= 0.0:
+        outer = lam * tail_eta + mu * pdf_eta
+    elif mu <= -alpha:
+        outer = -(lam * tail_eta + mu * pdf_eta)
+    else:
+        w = lam / -mu
+        tail_w, pdf_w = ((0.0, 0.0) if math.isinf(w)
+                         else (gaussian_cdf(-w), gaussian_pdf(w)))
+        outer = (lam * (tail_eta - tail_w) + mu * (pdf_eta - pdf_w)
+                 - (lam * tail_w + mu * pdf_w))
+    inner = abs(alpha + mu) * (INV_SQRT_2PI - pdf_eta)  # pdf(0) = INV_SQRT_2PI
+    return _int_A_full(params) + mu * alpha + 2.0 * (inner + outer)
 
 
 def _dual_anchor(params: ReedsParams) -> float:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -53,6 +54,29 @@ def test_certified_checks_all_pass():
     for c in checks:
         assert c.passed, f"{c.name}: [{c.lo}, {c.hi}] vs {c.requirement}"
         assert c.lo <= c.hi
+
+
+def test_certified_lines_show_the_proving_end():
+    # A lower bound is proved by lo, an upper bound by hi, a window by the
+    # end nearer its edge; the report carries that end as actual.
+    certified = {f"certified:{c.name} ({c.requirement})": c
+                 for c in all_certified_checks()}
+    reported = [c for c in run(RunConfig(command="constants",
+                                         certified=True)).checks
+                if c.name.startswith("certified:")]
+    assert len(reported) == len(certified)
+    for line in reported:
+        cc = certified[line.name]
+        window = re.fullmatch(r"within (\S+) \+- (\S+)", cc.requirement)
+        if window:
+            target, tol = map(float, window.groups())
+            lo_margin = cc.lo - (target - tol)
+            hi_margin = (target + tol) - cc.hi
+            expected = cc.lo if lo_margin < hi_margin else cc.hi
+        else:
+            relation = re.search(r"(?:^| )([<>]=?) ", cc.requirement).group(1)
+            expected = cc.lo if relation.startswith(">") else cc.hi
+        assert line.actual == cc.actual == expected, line.name
 
 
 def test_emit_report_deterministic(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from grolab.baseline import ReedsParams, solve_h
+from grolab.baseline import LAMBDA_STAR, ReedsParams, solve_h
 from grolab.chain import gap_lower_large_delta
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import sample_feasible_profile, sample_theta_member
@@ -23,6 +23,7 @@ from grolab.profiles import (
     Profile,
     V_value,
     _int_A_full,
+    _partition,
     dual_value,
     gap_certificate,
     gap_tail_integral,
@@ -215,11 +216,63 @@ def test_dual_reference_values(params):
     assert dual_value(0.0, params) >= f - 1e-12
 
 
+def _dual_value_cell_sum(mu, params):
+    """D(mu) as a sum over cells cut at 0, +-eta and, for -alpha < mu < 0,
+    +-w: the reference for the closed form in dual_value."""
+    eta = params.eta
+    kinks = [-eta, 0.0, eta]
+    if -params.alpha < mu < 0.0:
+        w = params.lam / abs(mu)
+        kinks.extend((-w, w))
+    edges, mid = _partition(kinks)
+    # B - mu z is linear on each cell and keeps its sign there.
+    sign = np.sign(mid)
+    inner = np.abs(mid) < eta
+    c0 = np.where(inner, 0.0, -params.lam * sign)
+    c1 = np.where(inner, -params.alpha, 0.0) - mu
+    flip = np.sign(c0 + c1 * mid)
+    moments = gaussian_moments(edges)
+    term = float((flip * c0) @ moments[0] + (flip * c1) @ moments[1])
+    return _int_A_full(params) + mu * params.alpha + term
+
+
+def test_dual_value_matches_cell_sum():
+    for lam in np.linspace(0.05, 0.3, 26):
+        params = ReedsParams.at_reeds_point(float(lam))
+        alpha = params.alpha
+        mus = [*np.linspace(-1.5, 1.5, 121).tolist(),
+               -alpha, -alpha / 2.0, 0.0, -0.0, 1e8, 1e300]
+        for mu in mus:
+            ref = _dual_value_cell_sum(mu, params)
+            assert abs(dual_value(mu, params) - ref) <= 2e-15 * abs(ref), (lam, mu)
+        # Below -alpha, D(mu) = |mu| (2 pdf(0) - alpha) + O(1) is a difference
+        # of terms of size |mu|, which both forms round (the cell sum itself
+        # is off by up to 9e-14 D at mu = -1e8 against a 300-bit evaluation),
+        # so they agree relative to |mu|.
+        for mu in (-1e8, -1e300):
+            ref = _dual_value_cell_sum(mu, params)
+            assert abs(dual_value(mu, params) - ref) <= 2e-15 * abs(mu), (lam, mu)
+
+
+def test_dual_value_tiny_negative_mu(params):
+    # w = lambda/|mu| overflows to inf: no mass beyond it, the mu -> 0- limit.
+    at_zero = dual_value(0.0, params)
+    for mu in (-5e-324, -1e-310):
+        assert dual_value(mu, params) == at_zero
+    assert dual_value(-5e-324, ReedsParams.at_reeds_point(LAMBDA_STAR)) \
+        == 0.8136187165615226
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_dual_value_rejects_non_finite_mu(params, mu):
+    with pytest.raises(DomainError, match="finite mu"):
+        dual_value(mu, params)
+
+
 def test_dual_value_matches_quadrature(params, spec):
     # the closed form against the adaptive oracle over a grid of mu
     eta = params.eta
-    for mu in np.linspace(-1.5, 1.5, 61):
-        mu = float(mu)
+    for mu in [*np.linspace(-1.5, 1.5, 61).tolist(), -params.alpha, 0.0]:
         kinks = [-eta, 0.0, eta]
         if -params.alpha < mu < 0.0:
             kinks += [-params.lam / mu, params.lam / mu]
