@@ -15,45 +15,4 @@ Modules:
     cli       -- the `grolab` command
 """
 
-from .baseline import (
-    DAVIE_REEDS_C,
-    LAMBDA_STAR,
-    ReedsParams,
-    davie_reeds_bound,
-    optimize_lambda,
-    reeds_denominator,
-    solve_eta_star,
-    solve_h,
-)
-from .chain import ChainReport, final_chain, kappa_eff, kg_lower_bound
-from .errors import (
-    AccuracyError,
-    DomainError,
-    FeasibilityError,
-    GrolabError,
-    InternalCheckError,
-)
-from .gauss import (
-    QuadratureSpec,
-    gauss_integrate,
-    gaussian_cdf,
-    gaussian_moments,
-    gaussian_pdf,
-    h3_tail_integral,
-    hermite_eval,
-    tail_first_moment,
-)
-from .pairing import PairingConstants
-from .profiles import (
-    GapCertificate,
-    Profile,
-    F_value_dual,
-    V_value,
-    gap_certificate,
-    lp_maximize,
-    moment,
-    profile_from_text,
-    profile_to_text,
-)
-
 __version__ = "0.1.0"

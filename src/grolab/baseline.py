@@ -118,43 +118,28 @@ def davie_reeds_bound(lam: float) -> float:
     return _bound(lam, solve_eta_star(lam))
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @lru_cache(maxsize=1)
 def optimize_lambda() -> float:
-    """Argmax of davie_reeds_bound on (0, 0.4).
+    """Argmax of davie_reeds_bound on (1e-4, 0.4).
 
-    Golden-section narrows the bracket, then bisection on the exact
-    first-derivative formula polishes the maximizer to ~1e-14.
+    Bisects the sign of the exact derivative _bound_derivative (positive at
+    1e-4, negative at 0.4, else DomainError) until the bracket's ends are
+    adjacent doubles, and returns their rounded midpoint.
     """
-    a, b = 1e-4, 0.4
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = davie_reeds_bound(c), davie_reeds_bound(d)
-    for _ in range(40):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = davie_reeds_bound(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = davie_reeds_bound(d)
-
     def slope(lam):
         return _bound_derivative(lam, solve_eta_star(lam))
 
-    lo, hi = max(a - 1e-4, 1e-6), min(b + 1e-4, 0.4)
+    lo, hi = 1e-4, 0.4
     if not (slope(lo) > 0.0 > slope(hi)):
         raise DomainError("derivative bracket lost; bound not unimodal here")
-    for _ in range(80):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         if slope(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def F_value(alpha: float, lam: float) -> float:

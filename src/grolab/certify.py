@@ -6,16 +6,19 @@ elementary operation rounds outward, and verifies strict separation: the
 enclosure sits inside the +-tol window of an equality target, or entirely on
 the required side of a one-sided bound.  A formula is written once, so a
 certified line proves the exact expression the float report evaluates; the
-rigor comes from the outward rounding.  The one algorithm of its own here is
-the sign-certified bisection that encloses eta.
+rigor comes from the outward rounding.  Nothing here searches for a root:
+eta is enclosed by certifying the equation's signs on either side of the
+float root baseline.solve_eta_star finds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .baseline import LAMBDA_STAR, _bound, _bound_derivative, _eta_equation
+from .baseline import (LAMBDA_STAR, _bound, _bound_derivative, _eta_equation,
+                       solve_eta_star)
 from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, STRIP_Z0, K_strip,
                     final_branches, kappa_eff, kg_lower_bound,
                     neighborhood_drop)
@@ -61,6 +64,8 @@ def _beyond(name: str, iv: Interval, relation: str, bound: float,
             requirement: str | None = None) -> CertifiedCheck:
     """iv strictly on the side of bound that relation (">", ">=", "<", "<=")
     names; requirement replaces the default text "relation bound"."""
+    if relation not in (">", ">=", "<", "<="):
+        raise ValueError(f"unknown relation {relation!r}")
     above = relation.startswith(">")
     passed = iv.strictly_above(bound) if above else iv.strictly_below(bound)
     return CertifiedCheck(name, iv.lo, iv.hi,
@@ -68,37 +73,42 @@ def _beyond(name: str, iv: Interval, relation: str, bound: float,
                           passed, iv.lo if above else iv.hi)
 
 
+# Doublings of each end's step before eta_star_enclosure gives up.  From
+# any root in (0, 1) 54 take the left end to 0, where the sign is certain;
+# the right end runs out of them only when lambda is within rounding of
+# baseline._LAMBDA_FEASIBLE_MAX, where no sign at or below eta = 1 is certain.
+_MAX_DOUBLINGS = 64
+
+
 @lru_cache(maxsize=8)
 def eta_star_enclosure(lam: float) -> Interval:
-    """Certified enclosure of the root eta in (0, 1) for the given lambda.
+    """Certified enclosure of the root eta in (0, 1) of g(eta) = lambda.
 
-    Bisection keeps endpoints whose equation signs are interval-certified;
-    it stops early if a midpoint's sign cannot be resolved, leaving a valid
-    (slightly wider) bracket.  Cached: the checks take the enclosure at
-    LAM_LIT three times, and Interval is immutable.
+    g(eta) = sqrt(2/pi) eta exp(-eta^2/2) is strictly increasing on [0, 1],
+    so endpoints 0 <= lo < hi <= 1 with g(lo) - lambda < 0 < g(hi) - lambda,
+    both signs certified on intervals, enclose its unique root there.  The
+    float root solve_eta_star(lambda) is only the starting point: each end
+    moves outward from it by k ulps, k doubling per step, until its sign is
+    certified.  Cached: the checks take the enclosure at LAM_LIT three
+    times, and Interval is immutable.
     """
+    root = solve_eta_star(lam)
     lam_iv = Interval.exact(lam)
 
-    def sign_eq(x: float) -> Interval:
-        return _eta_equation(Interval.exact(x), lam_iv)
+    def outward(direction: float, certified) -> float:
+        step = direction * math.ulp(root)
+        x = root
+        for _ in range(_MAX_DOUBLINGS):
+            x = min(max(x + step, 0.0), 1.0)
+            if certified(_eta_equation(Interval.exact(x), lam_iv)):
+                return x
+            step *= 2.0
+        raise InternalCheckError(
+            f"eta sign not certified {'above' if direction > 0 else 'below'} "
+            f"the float root {root!r} at lambda={lam!r}")
 
-    lo, hi = 0.01, 0.99
-    if not sign_eq(lo).strictly_below(0.0):
-        raise InternalCheckError("left bracket sign not certified")
-    if not sign_eq(hi).strictly_above(0.0):
-        raise InternalCheckError("right bracket sign not certified")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if not (lo < mid < hi):
-            break
-        g = sign_eq(mid)
-        if g.strictly_below(0.0):
-            lo = mid
-        elif g.strictly_above(0.0):
-            hi = mid
-        else:
-            break
-    return Interval(lo, hi)
+    return Interval(outward(-1.0, lambda g: g.strictly_below(0.0)),
+                    outward(1.0, lambda g: g.strictly_above(0.0)))
 
 
 def _reeds_point(lam: float) -> tuple[Interval, Interval]:

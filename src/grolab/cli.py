@@ -12,11 +12,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-# grolab needs nothing from scipy, but the benchmark's child process
-# (bench/child.py) reads sys.modules["scipy"].__version__ right after
-# `import grolab.cli`.  This bare import loads no submodule (~5 ms); it goes
-# once the benchmark stops reading that version.
-import scipy  # noqa: F401
 
 from . import baseline, chain, explorer, pairing, profiles
 from .certify import all_certified_checks
@@ -33,6 +28,15 @@ from .reporting import (
     outcome_to_dict,
     to_json,
 )
+
+# grolab needs nothing from scipy, but the benchmark's child process
+# (bench/child.py) reads sys.modules["scipy"].__version__ right after
+# `import grolab.cli`.  This bare import loads no submodule (12.5-33 ms after
+# numpy, measured in fresh processes on a 2-vCPU VM); it goes once the
+# benchmark stops reading that version.  It comes after grolab's own modules:
+# imported before them it raised the peak RSS of `import grolab.cli` by
+# about 0.6 MB (33.2 -> 33.8 MB, same VM).
+import scipy  # noqa: F401
 
 COMMANDS = ("constants", "baseline", "profile", "pairing", "chain", "explore",
             "verify-all", "sweep")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FeasibilityError, InternalCheckError
-from .gauss import gaussian_pdf
 from .intervals import Num, arith, endpoints
 from .profiles import Profile, theta_moments
 
@@ -106,7 +105,7 @@ class PairingConstants:
 
 
 def A_bound_check(profile: Profile, eta: float) -> tuple[float, float]:
-    """(|int_{-eta}^{eta} H3 theta pdf|, eta^2 (pdf(0) - pdf(eta))).
+    """(|int_{-eta}^{eta} H3 theta pdf|, A_max = eta^2 (pdf(0) - pdf(eta))).
 
     Requires the profile's inner moment on (-eta, eta) to vanish; that is
     the hypothesis making the second entry an upper bound for the first.
@@ -122,8 +121,7 @@ def A_bound_check(profile: Profile, eta: float) -> tuple[float, float]:
             residual=inner_m,
         )
     a_val = float(m[3] - 3.0 * m[1])
-    bound = eta * eta * (gaussian_pdf(0.0) - gaussian_pdf(eta))
-    return abs(a_val), bound
+    return abs(a_val), kappa_Q(eta)[1]
 
 
 def signflip_check(a, b, beta):

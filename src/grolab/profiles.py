@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -318,11 +318,6 @@ def _dual_attained_value(params: ReedsParams) -> float:
     return dual_value(-params.alpha, params)
 
 
-@lru_cache(maxsize=256)
-def _cached_dual(params: ReedsParams) -> float:
-    return _dual_attained_value(params)
-
-
 def F_value_dual(params: ReedsParams) -> float:
     """Optimal value of the moment-constrained maximization, via the dual.
 
@@ -336,7 +331,7 @@ def F_value_dual(params: ReedsParams) -> float:
             f"F_value_dual requires |alpha - {alpha_star:.6f}| < 0.01, "
             f"got alpha={params.alpha}"
         )
-    return _cached_dual(params)
+    return _dual_attained_value(params)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ def approx_check(name: str, expected: float, actual: float,
 
 def bound_check(name: str, bound: float, actual: float,
                 direction: str = ">=") -> Check:
+    if direction not in (">=", "<="):
+        raise ValueError(f"unknown direction {direction!r}")
     ok = actual >= bound if direction == ">=" else actual <= bound
     return Check(name=f"{name} {direction} {bound:g}", expected=bound,
                  actual=actual, tolerance=None, passed=ok)

@@ -81,6 +81,44 @@ def test_optimize_lambda():
     assert abs(fd) < 1e-8
 
 
+def _golden_then_bisect() -> float:
+    """The earlier optimize_lambda: 40 golden-section steps on [1e-4, 0.4],
+    then 80 bisection steps on the derivative's sign around the bracket."""
+    from grolab.baseline import _bound_derivative
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 1e-4, 0.4
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = davie_reeds_bound(c), davie_reeds_bound(d)
+    for _ in range(40):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = davie_reeds_bound(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = davie_reeds_bound(d)
+
+    def slope(lam):
+        return _bound_derivative(lam, solve_eta_star(lam))
+
+    lo, hi = max(a - 1e-4, 1e-6), min(b + 1e-4, 0.4)
+    assert slope(lo) > 0.0 > slope(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_optimize_lambda_matches_golden_section_reference():
+    assert optimize_lambda() == _golden_then_bisect() == 0.19747909099498168
+
+
 def test_optimum_beats_scan():
     best = davie_reeds_bound(optimize_lambda())
     for lam in np.linspace(0.05, 0.35, 61):

@@ -25,6 +25,7 @@ from grolab.profiles import profile_from_text
 from grolab.reporting import (
     Check,
     VerificationOutcome,
+    bound_check,
     emit_report,
     outcome_to_dict,
     to_json,
@@ -77,6 +78,14 @@ def test_certified_lines_show_the_proving_end():
             relation = re.search(r"(?:^| )([<>]=?) ", cc.requirement).group(1)
             expected = cc.lo if relation.startswith(">") else cc.hi
         assert line.actual == cc.actual == expected, line.name
+
+
+def test_bound_check_rejects_unknown_direction():
+    assert bound_check("x", 1.0, 2.0, ">=").passed
+    assert bound_check("x", 1.0, 0.5, "<=").passed
+    for direction in (">", "<", "==", "=>", ""):
+        with pytest.raises(ValueError, match="unknown direction"):
+            bound_check("x", 1.0, 2.0, direction)
 
 
 def test_emit_report_deterministic(tmp_path):
