@@ -31,9 +31,10 @@ def inner_constants(eta: Num) -> tuple[Num, Num, Num]:
     eta = ar.exact(eta)
     if endpoints(eta)[0] <= 0.0:
         raise DomainError(f"inner_constants requires eta > 0, got {eta}")
+    pdf_eta = ar.pdf(eta)
     p = 2.0 * ar.cdf(eta) - 1.0
-    s1 = 2.0 * (ar.pdf(ar.exact(0.0)) - ar.pdf(eta))
-    t2 = p - 2.0 * eta * ar.pdf(eta)
+    s1 = 2.0 * (ar.pdf(ar.exact(0.0)) - pdf_eta)
+    t2 = p - 2.0 * eta * pdf_eta
     return p, s1, t2
 
 
@@ -47,8 +48,9 @@ def kappa_Q(eta: Num) -> tuple[Num, Num, Num]:
     eta = ar.exact(eta)
     if endpoints(eta)[0] <= 0.0:
         raise DomainError(f"kappa_Q requires eta > 0, got {eta}")
-    b = -2.0 * (1.0 - eta * eta) * ar.pdf(eta)
-    a_max = eta * eta * (ar.pdf(ar.exact(0.0)) - ar.pdf(eta))
+    pdf_eta = ar.pdf(eta)
+    b = -2.0 * (1.0 - eta * eta) * pdf_eta
+    a_max = eta * eta * (ar.pdf(ar.exact(0.0)) - pdf_eta)
     return b, a_max, (b * b - a_max * a_max) / 6.0
 
 
@@ -65,11 +67,14 @@ def K0_upper(eta: Num) -> Num:
     Uses (|B| + A_max)^2 / 6 for the zonal part so the bound is valid for
     either sign of the inner term, plus the transverse mass bound.
     """
-    ar = arith(eta)
     b, a_max, _ = kappa_Q(eta)
-    p, s1, t2 = inner_constants(eta)
-    zonal = ar.square(abs(b) + a_max) / 6.0
-    return ar.sqrt(zonal + transverse_bound(p, s1, t2))
+    return _K0_bound(b, a_max, transverse_bound(*inner_constants(eta)))
+
+
+def _K0_bound(b: Num, a_max: Num, transverse: Num) -> Num:
+    """K0_upper from the kappa_Q terms B, A_max and the transverse bound."""
+    ar = arith(b, a_max, transverse)
+    return ar.sqrt(ar.square(abs(b) + a_max) / 6.0 + transverse)
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class PairingConstants:
         tr = transverse_bound(p, s1, t2)
         return cls(eta_star=eta, B=b, A_max=a_max, kappa_Q=kq, p=p, s1=s1,
                    t2=t2, transverse=tr, pairing_lower=kq - tr,
-                   K0_upper=K0_upper(eta))
+                   K0_upper=_K0_bound(b, a_max, tr))
 
 
 def A_bound_check(profile: Profile, eta: float) -> tuple[float, float]:

@@ -222,10 +222,10 @@ def A_B_eval(z, params: ReedsParams):
     return a, b
 
 
-def _int_A_full(params: ReedsParams) -> float:
-    """int_R A(z) pdf(z) dz in closed form."""
-    eta = params.eta
-    return params.lam * (2.0 * gaussian_cdf(eta) - 1.0) + 2.0 * params.alpha * gaussian_pdf(eta)
+def _int_A_full(params: ReedsParams, pdf_eta: float) -> float:
+    """int_R A(z) pdf(z) dz in closed form, given pdf_eta = pdf(params.eta)."""
+    return (params.lam * (2.0 * gaussian_cdf(params.eta) - 1.0)
+            + 2.0 * params.alpha * pdf_eta)
 
 
 # -- moments and objective ---------------------------------------------------
@@ -295,7 +295,7 @@ def dual_value(mu: float, params: ReedsParams) -> float:
         outer = (lam * (tail_eta - tail_w) + mu * (pdf_eta - pdf_w)
                  - (lam * tail_w + mu * pdf_w))
     inner = abs(alpha + mu) * (INV_SQRT_2PI - pdf_eta)  # pdf(0) = INV_SQRT_2PI
-    return _int_A_full(params) + mu * alpha + 2.0 * (inner + outer)
+    return _int_A_full(params, pdf_eta) + mu * alpha + 2.0 * (inner + outer)
 
 
 def _dual_anchor(params: ReedsParams) -> float:
@@ -389,6 +389,11 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     fill ordered by objective-per-moment ratio, with one fractional tie
     group found by a parametric threshold.  Sign tails are kept symbolic
     beyond the grid window.  Cell integrals are closed forms.
+
+    The LP is solved on all grid_size cells, and the returned value is
+    c . theta over all of them.  The returned profile is the same function
+    in canonical form: one cell per run of equal values, so its breakpoints
+    are the grid edges where theta changes (a bathtub has a handful).
     """
     if grid_size < 64:
         raise DomainError(f"grid_size must be >= 64, got {grid_size}")
@@ -449,9 +454,14 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
         t = (target - (running[k] - denom)) / denom
         theta[group] *= min(1.0, max(-1.0, t))
 
-    value = _int_A_full(params) + float(np.dot(c, theta)) \
-        - 2.0 * params.lam * gaussian_cdf(-z_cut)
-    prof = Profile(z_cut=z_cut, breakpoints=edges[1:-1], values=theta)
+    value = (_int_A_full(params, gaussian_pdf(eta)) + float(np.dot(c, theta))
+             - 2.0 * params.lam * gaussian_cdf(-z_cut))
+    # Canonical form: keep only the grid edges where theta changes.  Bit
+    # patterns are compared, so -0.0 and 0.0 stay apart.
+    bits = theta.view(np.int64)
+    cut = np.flatnonzero(bits[1:] != bits[:-1])
+    prof = Profile(z_cut=z_cut, breakpoints=edges[1:-1][cut],
+                   values=theta[np.concatenate(([0], cut + 1))])
     return prof, value
 
 
@@ -565,14 +575,8 @@ def profile_to_text(profile: Profile) -> str:
     else:
         left, right = profile.tail_values
         tail = f"const:{left!r}:{right!r}"
-    # Values repeat (an LP maximizer has a handful of distinct ones), so each
-    # distinct bit pattern is formatted once; the int64 view keeps -0.0 and
-    # 0.0 apart.
-    bits, which = np.unique(profile._table[1:-1].view(np.int64),
-                            return_inverse=True)
-    texts = list(map(repr, bits.view(float).tolist()))
     return ",".join((repr(profile.z_cut), *map(repr, profile.breakpoints),
-                     *[texts[i] for i in which.tolist()], tail))
+                     *map(repr, profile.values), tail))
 
 
 def profile_from_text(text: str) -> Profile:

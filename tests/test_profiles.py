@@ -233,7 +233,8 @@ def _dual_value_cell_sum(mu, params):
     flip = np.sign(c0 + c1 * mid)
     moments = gaussian_moments(edges)
     term = float((flip * c0) @ moments[0] + (flip * c1) @ moments[1])
-    return _int_A_full(params) + mu * params.alpha + term
+    int_a = _int_A_full(params, gaussian_pdf(eta))
+    return int_a + mu * params.alpha + term
 
 
 def test_dual_value_matches_cell_sum():
@@ -470,22 +471,49 @@ def _lp_maximize_reference(params, grid_size):
         t = (target - rest) / denom if denom > 0.0 else 0.0
         theta[group] = min(1.0, max(-1.0, t)) * np.sign(a[group])
         break
-    value = _int_A_full(params) + float(np.dot(c, theta)) \
-        - 2.0 * params.lam * gaussian_cdf(-z_cut)
+    value = (_int_A_full(params, gaussian_pdf(eta)) + float(np.dot(c, theta))
+             - 2.0 * params.lam * gaussian_cdf(-z_cut))
     prof = Profile(z_cut=z_cut, breakpoints=tuple(edges[1:-1]),
                    values=tuple(np.clip(theta, -1.0, 1.0)))
     return prof, value
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 def test_lp_walk_matches_reference():
-    # the array walk reproduces the per-group loop bit for bit on even grids
+    # The array walk reproduces the per-group loop bit for bit on even grids,
+    # and lp_maximize returns that per-cell function in canonical form: the
+    # same theta everywhere, one cell per run of equal values.
     for grid in (64, 1024, 16384):
         for lam in np.linspace(0.18, 0.215, 8):
             params = ReedsParams.at_reeds_point(float(lam))
             prof, value = lp_maximize(params, grid)
             ref_prof, ref_value = _lp_maximize_reference(params, grid)
-            assert prof == ref_prof and value == ref_value, (grid, lam)
-            assert profile_to_text(prof) == profile_to_text(ref_prof)
+            assert value == ref_value, (grid, lam)
+            edges = ref_prof.edges
+            z = np.concatenate((
+                edges, np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf), 0.5 * (edges[:-1] + edges[1:]),
+                (-np.inf, np.inf)))
+            assert np.array_equal(_bits(prof.evaluate(z)),
+                                  _bits(ref_prof.evaluate(z))), (grid, lam)
+            bits = _bits(prof.values)
+            assert (bits[1:] != bits[:-1]).all(), (grid, lam)
+
+
+def test_per_cell_lp_text_still_loads():
+    # A file with one value per grid cell, as lp_maximize once wrote, holds
+    # the same function as the canonical profile and must still load.
+    for lam in (0.18, LAM, 0.215):
+        params = ReedsParams.at_reeds_point(lam)
+        prof, _ = lp_maximize(params, 1024)
+        ref_prof, _ = _lp_maximize_reference(params, 1024)
+        loaded = profile_from_text(_profile_to_text_reference(ref_prof))
+        assert loaded == ref_prof and len(loaded.values) == 1024
+        gap_certificate(loaded, params)
+        assert abs(moment(loaded) - moment(prof)) <= 1e-15, lam
 
 
 # -- structural helpers ---------------------------------------------------------
