@@ -361,14 +361,18 @@ def test_lp_convergence(params):
 
 
 def test_lp_sign_structure(params):
-    prof, _ = lp_maximize(params, 1024)
-    step = 2.0 * prof.z_cut / 1024
-    edges = prof.edges
-    for lo, hi, v in zip(edges[:-1], edges[1:], prof.values):
-        if lo >= params.eta + step:
-            assert v == 1.0
-        if hi <= -params.eta - step:
-            assert v == -1.0
+    # checked on the grid cells, not on the profile's own (canonical) runs
+    grid = 1024
+    prof, _ = lp_maximize(params, grid)
+    step = 2.0 * prof.z_cut / grid
+    edges = np.linspace(-prof.z_cut, prof.z_cut, grid + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    theta = prof.evaluate(mid)
+    outer = mid >= params.eta + step
+    inner = mid <= -params.eta - step
+    assert outer.sum() > grid // 4 and inner.sum() > grid // 4
+    assert (theta[outer] == 1.0).all()
+    assert (theta[inner] == -1.0).all()
 
 
 def test_lp_small_alpha_bathtub():
@@ -376,15 +380,17 @@ def test_lp_small_alpha_bathtub():
     small = ReedsParams(lam=LAM, alpha=0.3)
     h = solve_h(0.3)
     assert h > small.eta
-    prof, _ = lp_maximize(small, 512)
-    step = 2.0 * prof.z_cut / 512
-    edges = prof.edges
-    for lo, hi, v in zip(edges[:-1], edges[1:], prof.values):
-        mid = 0.5 * (lo + hi)
-        if step < mid < h - step:
-            assert v == -1.0
-        if h + step < mid < prof.z_cut - step:
-            assert v == 1.0
+    grid = 512
+    prof, _ = lp_maximize(small, grid)
+    step = 2.0 * prof.z_cut / grid
+    edges = np.linspace(-prof.z_cut, prof.z_cut, grid + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    theta = prof.evaluate(mid)
+    fill = (step < mid) & (mid < h - step)
+    beyond = (h + step < mid) & (mid < prof.z_cut - step)
+    assert fill.any() and beyond.any()
+    assert (theta[fill] == -1.0).all()
+    assert (theta[beyond] == 1.0).all()
     assert moment(prof) == pytest.approx(0.3, abs=1e-12)
 
 
@@ -501,6 +507,33 @@ def test_lp_walk_matches_reference():
                                   _bits(ref_prof.evaluate(z))), (grid, lam)
             bits = _bits(prof.values)
             assert (bits[1:] != bits[:-1]).all(), (grid, lam)
+
+
+def test_lp_canonical_odd_grid():
+    # On an odd grid the zero-moment middle cell stays at +0.0 between the
+    # fractional +-t runs.  The canonical profile must be constant on every
+    # grid cell, cut only at grid edges, and equal bit for bit to the
+    # per-cell profile rebuilt from its value on each cell.
+    grid = 1025
+    for lam in np.linspace(0.18, 0.215, 8):
+        params = ReedsParams.at_reeds_point(float(lam))
+        prof, _ = lp_maximize(params, grid)
+        edges = np.linspace(-prof.z_cut, prof.z_cut, grid + 1)
+        assert np.isin(prof.breakpoints, edges[1:-1]).all(), lam
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        per_cell = Profile(z_cut=prof.z_cut, breakpoints=tuple(edges[1:-1]),
+                           values=tuple(prof.evaluate(mid)))
+        z = np.concatenate((
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            mid, (-np.inf, np.inf)))
+        assert np.array_equal(_bits(prof.evaluate(z)),
+                              _bits(per_cell.evaluate(z))), lam
+        bits = _bits(prof.values)
+        assert (bits[1:] != bits[:-1]).all(), lam
+        assert _bits(prof.evaluate(0.0)) == _bits(0.0), lam
+        assert _bits(per_cell.values[grid // 2]) == _bits(0.0), lam
+        assert abs(moment(prof) - moment(per_cell)) <= 1e-15, lam
+        assert moment(prof) == pytest.approx(params.alpha, abs=1e-12), lam
 
 
 def test_per_cell_lp_text_still_loads():
