@@ -1,14 +1,15 @@
-"""Interval-certified checks of the headline constants.
+"""Interval-certified checks of the paper's point claims.
 
-Each check evaluates the library's own formulas (the `baseline`, `pairing`
-and `chain` functions the float report uses) on Interval inputs, where every
-elementary operation rounds outward, and verifies strict separation: the
-enclosure sits inside the +-tol window of an equality target, or entirely on
-the required side of a one-sided bound.  A formula is written once, so a
-certified line proves the exact expression the float report evaluates; the
-rigor comes from the outward rounding.  Nothing here searches for a root:
-eta is enclosed by certifying the equation's signs on either side of the
-float root baseline.solve_eta_star finds.
+Every entry of claims.CLAIMS is evaluated here on claims.Inputs built from
+Interval.exact and eta_star_enclosure: the same formula the float report
+evaluates, on Interval inputs, where every elementary operation rounds
+outward.  A line passes on strict separation: the enclosure sits inside the
++-tol window of a TARGETS entry, or entirely on the required side of a
+BOUNDS entry.  The two argmax_bracket lines are the only ones outside the
+table: the bound's derivative changes sign across the lambda_star window.
+Nothing here searches for a root: eta is enclosed by certifying the
+equation's signs on either side of the float root
+baseline.solve_eta_star finds.
 """
 
 from __future__ import annotations
@@ -17,15 +18,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .baseline import (LAMBDA_STAR, _bound, _bound_derivative, _eta_equation,
+from .baseline import (LAMBDA_STAR, _bound_derivative, _eta_equation,
                        solve_eta_star)
-from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, STRIP_Z0, K_strip,
-                    final_branches, kappa_eff, kg_lower_bound,
-                    neighborhood_drop)
-from .claims import BOUNDS, LAM_LIT, PAIRING, TARGETS
+from .claims import BOUNDS, TARGETS, Claim, Inputs, suite_claims
 from .errors import InternalCheckError
 from .intervals import Interval
-from .pairing import PairingConstants
 
 
 @dataclass(frozen=True)
@@ -89,8 +86,8 @@ def eta_star_enclosure(lam: float) -> Interval:
     both signs certified on intervals, enclose its unique root there.  The
     float root solve_eta_star(lambda) is only the starting point: each end
     moves outward from it by k ulps, k doubling per step, until its sign is
-    certified.  Cached: the checks take the enclosure at LAM_LIT three
-    times, and Interval is immutable.
+    certified.  Cached: each suite's Inputs takes the enclosures at LAM_LIT
+    and LAMBDA_STAR, and Interval is immutable.
     """
     root = solve_eta_star(lam)
     lam_iv = Interval.exact(lam)
@@ -111,22 +108,31 @@ def eta_star_enclosure(lam: float) -> Interval:
                     outward(1.0, lambda g: g.strictly_above(0.0)))
 
 
+def _certify(claim: Claim, x: Inputs) -> CertifiedCheck:
+    iv = claim.formula(x)
+    if claim.relation == "within":
+        return _within(claim.label, iv, claim.name)
+    return _beyond(claim.label, iv, claim.relation, BOUNDS[claim.name])
+
+
+def _claim_checks(suite: str) -> list[CertifiedCheck]:
+    """The suite's claims.CLAIMS entries, evaluated in intervals."""
+    x = Inputs(Interval.exact, eta_star_enclosure)
+    return [_certify(claim, x) for claim in suite_claims(suite)]
+
+
 def _reeds_point(lam: float) -> tuple[Interval, Interval]:
     """(lambda, eta) enclosures at the given lambda."""
     return Interval.exact(lam), eta_star_enclosure(lam)
 
 
 def certified_baseline_checks() -> list[CertifiedCheck]:
-    lam, eta = _reeds_point(LAM_LIT)
     # The argmax lies within the lambda_star claim's window: the bound's
     # derivative changes sign across it.
     _, step = TARGETS["lambda_star"]
     d_left = _bound_derivative(*_reeds_point(LAMBDA_STAR - step))
     d_right = _bound_derivative(*_reeds_point(LAMBDA_STAR + step))
-    return [
-        _within("baseline_bound", _bound(lam, eta), "davie_reeds_bound"),
-        _within("eta_star", eta, "eta_star"),
-        _within("alpha_star", lam / eta, "alpha_star"),
+    return _claim_checks("baseline") + [
         _beyond("argmax_bracket_left", d_left, ">", 0.0,
                 f"derivative > 0 at lambda* - {_spell(step)}"),
         _beyond("argmax_bracket_right", d_right, "<", 0.0,
@@ -135,34 +141,11 @@ def certified_baseline_checks() -> list[CertifiedCheck]:
 
 
 def certified_pairing_checks() -> list[CertifiedCheck]:
-    cons = PairingConstants.at_eta(eta_star_enclosure(LAM_LIT))
-    return [_within(f"pairing_{name}", getattr(cons, name), name)
-            for name in PAIRING]
+    return _claim_checks("pairing")
 
 
 def certified_chain_checks() -> list[CertifiedCheck]:
-    checks = [_beyond("kappa_eff", kappa_eff(Interval.exact(EPSILON_STAR)),
-                      ">", BOUNDS["kappa_eff"])]
-    for beta in (1e-10, BETA_STAR):
-        checks.append(_beyond(f"neighborhood_drop_per_beta_{beta:g}",
-                              neighborhood_drop(Interval.exact(beta)) / beta,
-                              ">=", BOUNDS["neighborhood_drop_per_beta"]))
-    checks.append(_beyond(f"K_strip({_spell(STRIP_Z0)}, {_spell(ALPHA_MIN)})",
-                          K_strip(Interval.exact(STRIP_Z0), ALPHA_MIN),
-                          "<=", BOUNDS["K_strip"]))
-
-    _, drop = final_branches(Interval.exact(BETA_STAR))
-    checks.append(_within("final_drop", drop, "final_drop"))
-    # The bound and the norm (1 - lambda)/c at one lambda, as final_chain
-    # pairs LAMBDA_STAR with DAVIE_REEDS_C.
-    lam, eta = _reeds_point(LAMBDA_STAR)
-    increment = kg_lower_bound(drop, lam, _bound(lam, eta))
-    exceeds = BOUNDS["kg_increment_exceeds"]
-    checks.append(_beyond("kg_increment", increment, ">=",
-                          BOUNDS["kg_increment"]))
-    checks.append(_beyond(f"kg_increment_exceeds_{_spell(exceeds)}",
-                          increment, ">", exceeds))
-    return checks
+    return _claim_checks("chain")
 
 
 def all_certified_checks() -> list[CertifiedCheck]:

@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .baseline import DAVIE_REEDS_C, LAMBDA_STAR, solve_eta_star
+from .baseline import LAMBDA_STAR, _bound, solve_eta_star
 from .errors import DomainError
-from .gauss import (SQRT_2PI, gaussian_cdf, gaussian_isf, gaussian_pdf,
-                    mills_ratio)
+from .gauss import (INV_SQRT_2PI, SQRT_2PI, gaussian_cdf, gaussian_isf,
+                    gaussian_pdf, mills_ratio)
 from .intervals import Num, arith, endpoints
 
 # Reference chain constants: rounded-safe values of the pairing constant, the
@@ -160,6 +160,16 @@ def kg_lower_bound(final_drop: Num, lam: Num, c: Num) -> Num:
     return c * final_drop / norm
 
 
+def kg_increment(final_drop: Num, eta: Num) -> Num:
+    """kg_lower_bound at LAMBDA_STAR, with c the Davie-Reeds bound there.
+
+    eta is the threshold root at LAMBDA_STAR: baseline.solve_eta_star's
+    float, or certify.eta_star_enclosure's Interval.
+    """
+    lam = arith(final_drop, eta).exact(LAMBDA_STAR)
+    return kg_lower_bound(final_drop, lam, _bound(lam, eta))
+
+
 def gap_lower_large_delta(d: Num, alpha_err: Num, lam: Num) -> Num:
     """Two-branch gap bound in the large inner-defect regime.
 
@@ -205,7 +215,8 @@ def final_chain(beta: float) -> ChainReport:
     """final_branches at a float beta, with the increment to the lower bound."""
     beta = float(beta)
     branches, drop = final_branches(beta)
-    increment = kg_lower_bound(drop, LAMBDA_STAR, DAVIE_REEDS_C) if drop > 0.0 else 0.0
+    increment = (kg_increment(drop, solve_eta_star(LAMBDA_STAR))
+                 if drop > 0.0 else 0.0)
     return ChainReport(
         branches=branches,
         beta_star=beta,
@@ -252,7 +263,7 @@ def strip_case_checks() -> list[tuple[str, float, float, bool]]:
     # Half-strip moment: strip mass times the one-sided first moment of a
     # standard Gaussian coordinate.
     p = 2.0 * gaussian_cdf(eta_star) - 1.0
-    half_strip = p * gaussian_pdf(0.0)
+    half_strip = p * INV_SQRT_2PI   # pdf(0)
     checks.append(("half_strip_moment >= 0.0805", half_strip, 0.0805,
                    half_strip >= 0.0805))
 

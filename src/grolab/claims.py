@@ -1,14 +1,30 @@
-"""The paper's numeric claims, each stated once.
+"""The paper's point claims, each stated once: its number and its check.
 
-Data only: the CLI suites check these targets in floating point and the
-certify module checks them by interval, both reading them from here.  Where
-a value is already a named constant elsewhere, the entry refers to it.
+TARGETS and BOUNDS hold the numbers; where a value is already a named
+constant elsewhere, the entry refers to it.  CLAIMS holds, for each claim,
+the suite that reports it, its relation to the number and its formula: one
+function of the shared Inputs.  The CLI evaluates every formula in floats
+(Inputs(float, solve_eta_star)) and certify in outward-rounded intervals
+(Inputs(Interval.exact, eta_star_enclosure)), so a claim's float line and
+its certified line check one expression against one number.
+
+Outside the table: lambda_star (a search in floats, a derivative sign
+bracket in intervals), and the sampled, scanned and strip checks.
 """
 
 from __future__ import annotations
 
-from .baseline import DAVIE_REEDS_C, LAMBDA_STAR
-from .chain import K0, L0, NEAR_DROP_COEFF
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
+
+from .baseline import DAVIE_REEDS_C, LAMBDA_STAR, _bound
+from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, K0, L0,
+                    NEAR_DROP_COEFF, STRIP_Z0, C_z0, K_strip, L0_bound,
+                    final_branches, kappa_eff, kg_increment,
+                    neighborhood_drop)
+from .intervals import Num
+from .pairing import PairingConstants
 
 # The rounded lambda at which the stated Reeds point and constants hold.
 LAM_LIT = 0.197479091
@@ -34,8 +50,8 @@ TARGETS: dict[str, tuple[float, float]] = {
 PAIRING = ("B", "A_max", "kappa_Q", "p", "s1", "t2", "transverse",
            "pairing_lower")
 
-# One-sided claims: name -> bound.  The direction is stated where each is
-# checked.  kg_increment_exceeds is the paper's headline K_G >= c + 1e-26.
+# One-sided claims: name -> bound; the relation is the CLAIMS entry's.
+# kg_increment_exceeds is the paper's headline K_G >= c + 1e-26.
 BOUNDS: dict[str, float] = {
     "K0_upper": K0,
     "kappa_eff": 0.0058,
@@ -46,3 +62,85 @@ BOUNDS: dict[str, float] = {
     "L0_bound": L0,
     "C_z0": 1.7,
 }
+
+
+class Inputs:
+    """The values the claim formulas share, in one number system.
+
+    num turns a named constant into a number of the system (float, or
+    Interval.exact); eta_of gives the threshold root at a lambda
+    (solve_eta_star, or eta_star_enclosure).  The pairing constants and the
+    final drop are computed on first use, once per instance.
+    """
+
+    def __init__(self, num: Callable[[float], Num],
+                 eta_of: Callable[[float], Num]):
+        self.num = num
+        self.eta = eta_of(LAM_LIT)
+        self.eta_lambda_star = eta_of(LAMBDA_STAR)
+
+    @cached_property
+    def pairing(self) -> PairingConstants:
+        return PairingConstants.at_eta(self.eta)
+
+    @cached_property
+    def drop(self) -> Num:
+        """The final chain's drop at BETA_STAR."""
+        return final_branches(self.num(BETA_STAR))[1]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One point claim: formula(inputs), related to the number under name.
+
+    relation is "within" (the TARGETS window), ">=" or "<=" (the BOUNDS
+    bound).  A claim taken at several points names each one; its report
+    line is then name_point.
+    """
+
+    name: str
+    suite: str
+    relation: str
+    formula: Callable[[Inputs], Num]
+    point: float | None = None
+
+    @property
+    def label(self) -> str:
+        return self.name if self.point is None else f"{self.name}_{self.point:g}"
+
+
+def _pairing(field: str) -> Callable[[Inputs], Num]:
+    return lambda x: getattr(x.pairing, field)
+
+
+def _drop_per_beta(beta: float) -> Callable[[Inputs], Num]:
+    return lambda x: neighborhood_drop(x.num(beta)) / x.num(beta)
+
+
+def _increment(x: Inputs) -> Num:
+    return kg_increment(x.drop, x.eta_lambda_star)
+
+
+CLAIMS: tuple[Claim, ...] = (
+    Claim("davie_reeds_bound", "baseline", "within",
+          lambda x: _bound(x.num(LAM_LIT), x.eta)),
+    Claim("eta_star", "baseline", "within", lambda x: x.eta),
+    Claim("alpha_star", "baseline", "within", lambda x: x.num(LAM_LIT) / x.eta),
+    *(Claim(name, "pairing", "within", _pairing(name)) for name in PAIRING),
+    Claim("K0_upper", "pairing", "<=", _pairing("K0_upper")),
+    Claim("kappa_eff", "chain", ">=", lambda x: kappa_eff(x.num(EPSILON_STAR))),
+    *(Claim("neighborhood_drop_per_beta", "chain", ">=", _drop_per_beta(beta),
+            point=beta) for beta in (1e-10, BETA_STAR)),
+    Claim("final_drop", "chain", "within", lambda x: x.drop),
+    Claim("kg_increment", "chain", ">=", _increment),
+    Claim("kg_increment_exceeds", "chain", ">=", _increment),
+    Claim("K_strip", "chain", "<=",
+          lambda x: K_strip(x.num(STRIP_Z0), x.num(ALPHA_MIN))),
+    Claim("L0_bound", "chain", "<=", lambda x: L0_bound(x.num(ALPHA_MIN))),
+    Claim("C_z0", "chain", "<=", lambda x: C_z0(x.num(STRIP_Z0))),
+)
+
+
+def suite_claims(suite: str) -> tuple[Claim, ...]:
+    """The CLAIMS entries of one suite, in table order."""
+    return tuple(c for c in CLAIMS if c.suite == suite)

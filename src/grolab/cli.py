@@ -15,7 +15,7 @@ import numpy as np
 
 from . import baseline, chain, explorer, pairing, profiles
 from .certify import all_certified_checks
-from .claims import BOUNDS, LAM_LIT, PAIRING, TARGETS
+from .claims import BOUNDS, LAM_LIT, TARGETS, Inputs, suite_claims
 from .errors import DomainError, GrolabError
 from .gauss import gauss_integrate_with_error
 from .reporting import (
@@ -51,14 +51,12 @@ class UsageError(GrolabError, ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One run; None for beta, epsilon or grid selects the suite's default."""
+    """One run; None for grid selects the suite's default."""
 
     command: str
     output_path: str | None = None
     certified: bool = False
     seed: int = DEFAULT_SEED
-    beta: float | None = None
-    epsilon: float | None = None
     grid: int | None = None
     profile_path: str | None = None
     save_profile: str | None = None
@@ -66,42 +64,34 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        # The ranges are the domains of Philox keys, chain.final_chain,
-        # chain.kappa_eff and profiles.lp_maximize.
+        # The ranges are the domains of Philox keys and profiles.lp_maximize.
         if not 0 <= self.seed < 2 ** 128:
             raise UsageError(f"seed must lie in [0, 2^128), got {self.seed}")
-        if self.beta is not None and not 0.0 < self.beta < 1e-10:
-            raise UsageError(f"beta must lie in (0, 1e-10), got {self.beta}")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 0.01:
-            raise UsageError(
-                f"epsilon must lie in (0, 0.01), got {self.epsilon}")
         if self.grid is not None and self.grid < 64:
             raise UsageError(f"grid must be >= 64, got {self.grid}")
 
 
 # -- suites -------------------------------------------------------------------
 
-def _target_check(name: str, actual: float) -> Check:
-    target, tol = TARGETS[name]
-    return approx_check(name, target, actual, tol)
+def _claim_checks(suite: str) -> list[Check]:
+    """The suite's claims.CLAIMS entries, evaluated in floats."""
+    x = Inputs(float, baseline.solve_eta_star)
+    checks = []
+    for claim in suite_claims(suite):
+        value = claim.formula(x)
+        if claim.relation == "within":
+            target, tol = TARGETS[claim.name]
+            checks.append(approx_check(claim.label, target, value, tol))
+        else:
+            checks.append(bound_check(claim.label, BOUNDS[claim.name], value,
+                                      claim.relation))
+    return checks
 
 
 def _baseline_constants() -> list[Check]:
-    eta = baseline.solve_eta_star(LAM_LIT)
-    return [
-        _target_check("davie_reeds_bound", baseline.davie_reeds_bound(LAM_LIT)),
-        _target_check("lambda_star", baseline.optimize_lambda()),
-        _target_check("eta_star", eta),
-        _target_check("alpha_star", LAM_LIT / eta),
-    ]
-
-
-def _pairing_constants() -> list[Check]:
-    cons = pairing.PairingConstants.at_eta(baseline.solve_eta_star(LAM_LIT))
-    checks = [_target_check(name, getattr(cons, name)) for name in PAIRING]
-    checks.append(bound_check("K0_upper", BOUNDS["K0_upper"], cons.K0_upper,
-                              "<="))
-    return checks
+    target, tol = TARGETS["lambda_star"]
+    return _claim_checks("baseline") + [
+        approx_check("lambda_star", target, baseline.optimize_lambda(), tol)]
 
 
 def _baseline_checks(cfg: RunConfig) -> list[Check]:
@@ -203,7 +193,7 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
 
 
 def _pairing_checks(cfg: RunConfig) -> list[Check]:
-    checks = _pairing_constants()
+    checks = _claim_checks("pairing")
     eta = baseline.solve_eta_star(LAM_LIT)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     a = rng.uniform(-10, 10, 100_000)
@@ -226,28 +216,7 @@ def _pairing_checks(cfg: RunConfig) -> list[Check]:
 
 
 def _chain_checks(cfg: RunConfig) -> list[Check]:
-    epsilon = chain.EPSILON_STAR if cfg.epsilon is None else cfg.epsilon
-    keff = chain.kappa_eff(epsilon)
-    checks = [bound_check(f"kappa_eff(eps={epsilon:g})", BOUNDS["kappa_eff"],
-                          keff, ">=")]
-    for beta in (1e-10, chain.BETA_STAR):
-        drop = chain.neighborhood_drop(beta)
-        checks.append(bound_check(
-            f"neighborhood_drop_{beta:g}",
-            BOUNDS["neighborhood_drop_per_beta"] * beta, drop, ">="))
-    beta = chain.BETA_STAR if cfg.beta is None else cfg.beta
-    report = chain.final_chain(beta)
-    if beta == chain.BETA_STAR:
-        checks.append(_target_check("final_drop", report.final_drop))
-    checks.append(bound_check("kg_increment", BOUNDS["kg_increment"],
-                              report.kg_increment, ">="))
-    checks.append(bound_check("K_strip", BOUNDS["K_strip"],
-                              chain.K_strip(chain.STRIP_Z0, chain.ALPHA_MIN),
-                              "<="))
-    checks.append(bound_check("L0_bound", BOUNDS["L0_bound"],
-                              chain.L0_bound(chain.ALPHA_MIN), "<="))
-    checks.append(bound_check("C_z0", BOUNDS["C_z0"],
-                              chain.C_z0(chain.STRIP_Z0), "<="))
+    checks = _claim_checks("chain")
     env_ok = all(chain.log_tail_envelope_margin(float(a)) >= 0.0
                  for a in np.linspace(2.3, 40.0, 500))
     checks.append(flag_check("gaussian_tail_envelope", env_ok))
@@ -289,7 +258,7 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
 
 
 _SUITES = {
-    "constants": lambda cfg: _baseline_constants() + _pairing_constants(),
+    "constants": lambda cfg: _baseline_constants() + _claim_checks("pairing"),
     "baseline": _baseline_checks,
     "profile": _profile_checks,
     "pairing": _pairing_checks,
@@ -384,10 +353,9 @@ _KEYS = {
     "baseline": ("certified",),
     "profile": ("certified", "seed", "grid", "profile", "save_profile"),
     "pairing": ("certified", "seed"),
-    "chain": ("certified", "beta", "epsilon"),
+    "chain": ("certified",),
     "explore": ("certified", "seed"),
-    "verify-all": ("certified", "seed", "grid", "beta", "epsilon", "profile",
-                   "save_profile"),
+    "verify-all": ("certified", "seed", "grid", "profile", "save_profile"),
     "sweep": (),
 }
 
@@ -450,8 +418,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         output_path=pick("out", str),
         certified=bool(pick("certified", _parse_bool)),
         seed=DEFAULT_SEED if seed is None else seed,
-        beta=pick("beta", float),
-        epsilon=pick("epsilon", float),
         grid=pick("grid", int),
         profile_path=file_vals.get("profile"),
         save_profile=file_vals.get("save_profile"),
@@ -465,8 +431,6 @@ _FLAG_ARGS = {
                       help="append interval-certified checks"),
     "seed": dict(type=int, help="seed for randomized suites"),
     "grid": dict(type=int, help="discretization grid size"),
-    "beta": dict(type=float, help="perturbation size override"),
-    "epsilon": dict(type=float, help="neighborhood radius override"),
 }
 
 

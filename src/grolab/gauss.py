@@ -73,18 +73,13 @@ def gaussian_pdf(z):
 
 
 def _erfc_array(x: np.ndarray) -> np.ndarray:
-    """math.erfc elementwise: the scalar path's function, so array and scalar
-    values agree bit for bit."""
+    """math.erfc elementwise, the function the scalar gaussian_cdf calls."""
     return np.fromiter(map(math.erfc, x.ravel().tolist()), float,
                        x.size).reshape(x.shape)
 
 
-def gaussian_cdf(t):
+def gaussian_cdf(t: float) -> float:
     """Standard Gaussian CDF via erfc, accurate in both tails."""
-    if isinstance(t, np.ndarray):
-        if not np.all(np.isfinite(t)):
-            raise DomainError("gaussian_cdf requires finite input")
-        return 0.5 * _erfc_array(-t / _SQRT2)
     t = float(t)
     if not math.isfinite(t):
         raise DomainError(f"gaussian_cdf requires finite input, got {t}")
@@ -154,34 +149,6 @@ def hermite_eval(k: int, z):
     if k == 3:
         return z * (z * z - 3.0)
     raise DomainError(f"hermite_eval supports k in 0..3, got {k}")
-
-
-# Scalar closed forms; the tests use them as references for gaussian_moments.
-
-def interval_mass(a: float, b: float) -> float:
-    """Gaussian measure of [a, b]."""
-    return gaussian_cdf(b) - gaussian_cdf(a)
-
-
-def interval_z_moment(a: float, b: float) -> float:
-    """Integral of z * pdf(z) over [a, b]."""
-    return gaussian_pdf(a) - gaussian_pdf(b)
-
-
-def tail_first_moment(eta: float) -> float:
-    """Integral of z * pdf(z) over [eta, inf) for eta >= 0; equals pdf(eta)."""
-    eta = float(eta)
-    if not math.isfinite(eta) or eta < 0.0:
-        raise DomainError(f"tail_first_moment requires eta >= 0, got {eta}")
-    return gaussian_pdf(eta)
-
-
-def h3_tail_integral(eta: float) -> float:
-    """Two-sided tail integral 2 * int_eta^inf H3(z) pdf(z) dz, closed form."""
-    eta = float(eta)
-    if not math.isfinite(eta) or eta < 0.0:
-        raise DomainError(f"h3_tail_integral requires eta >= 0, got {eta}")
-    return -2.0 * (1.0 - eta * eta) * gaussian_pdf(eta)
 
 
 # pdf(z) and Phi(-|z|) underflow to exactly 0.0 for |z| >= 38.6, so clipping
@@ -313,13 +280,3 @@ def gauss_integrate_with_error(
     panels = sorted((lo, val) for _, _, lo, _, val in heap)
     return math.fsum(v for _, v in panels), total_err
 
-
-def gauss_integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec = DEFAULT_SPEC,
-    kinks: Iterable[float] = (),
-    interval: tuple[float, float] | None = None,
-) -> float:
-    """Adaptive Gaussian-weight integral; see gauss_integrate_with_error."""
-    value, _ = gauss_integrate_with_error(f, spec, kinks, interval)
-    return value

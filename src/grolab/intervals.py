@@ -164,6 +164,7 @@ def _coerce(x) -> Interval:
 PI = Interval(_down(math.pi), _up(math.pi))
 TWO_PI = PI * 2.0
 SQRT_2PI = TWO_PI.sqrt()
+INV_SQRT_2PI = 1.0 / SQRT_2PI          # pdf(0)
 SQRT_2 = Interval.exact(2.0).sqrt()
 SQRT_2_OVER_PI = (Interval.exact(2.0) / PI).sqrt()
 
@@ -211,7 +212,8 @@ FLOATS = SimpleNamespace(
     min=min, max=max,
     pdf=lambda z: gauss.gaussian_pdf(z),
     cdf=lambda t: gauss.gaussian_cdf(t),
-    SQRT_2PI=gauss.SQRT_2PI, SQRT_2_OVER_PI=gauss.SQRT_2_OVER_PI,
+    SQRT_2PI=gauss.SQRT_2PI, INV_SQRT_2PI=gauss.INV_SQRT_2PI,
+    SQRT_2_OVER_PI=gauss.SQRT_2_OVER_PI,
 )
 INTERVALS = SimpleNamespace(
     exact=_coerce, exp=lambda x: x.exp(), log=lambda x: x.log(),
@@ -220,7 +222,8 @@ INTERVALS = SimpleNamespace(
     min=_min, max=_max,
     pdf=lambda z: gaussian_pdf_iv(z),
     cdf=lambda t: gaussian_cdf_iv(t),
-    SQRT_2PI=SQRT_2PI, SQRT_2_OVER_PI=SQRT_2_OVER_PI,
+    SQRT_2PI=SQRT_2PI, INV_SQRT_2PI=INV_SQRT_2PI,
+    SQRT_2_OVER_PI=SQRT_2_OVER_PI,
 )
 
 

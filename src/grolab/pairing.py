@@ -25,7 +25,8 @@ _INNER_MOMENT_TOL = 1e-9
 def inner_constants(eta: Num) -> tuple[Num, Num, Num]:
     """(p, s1, t2): mass, first and second absolute moments of |Z| < eta.
 
-    p = 2 Phi(eta) - 1,  s1 = 2 (pdf(0) - pdf(eta)),  t2 = p - 2 eta pdf(eta).
+    p = 2 Phi(eta) - 1,  s1 = 2 (pdf(0) - pdf(eta)),  t2 = p - 2 eta pdf(eta),
+    with pdf(0) the constant INV_SQRT_2PI.
     """
     ar = arith(eta)
     eta = ar.exact(eta)
@@ -33,7 +34,7 @@ def inner_constants(eta: Num) -> tuple[Num, Num, Num]:
         raise DomainError(f"inner_constants requires eta > 0, got {eta}")
     pdf_eta = ar.pdf(eta)
     p = 2.0 * ar.cdf(eta) - 1.0
-    s1 = 2.0 * (ar.pdf(ar.exact(0.0)) - pdf_eta)
+    s1 = 2.0 * (ar.INV_SQRT_2PI - pdf_eta)
     t2 = p - 2.0 * eta * pdf_eta
     return p, s1, t2
 
@@ -50,7 +51,7 @@ def kappa_Q(eta: Num) -> tuple[Num, Num, Num]:
         raise DomainError(f"kappa_Q requires eta > 0, got {eta}")
     pdf_eta = ar.pdf(eta)
     b = -2.0 * (1.0 - eta * eta) * pdf_eta
-    a_max = eta * eta * (ar.pdf(ar.exact(0.0)) - pdf_eta)
+    a_max = eta * eta * (ar.INV_SQRT_2PI - pdf_eta)
     return b, a_max, (b * b - a_max * a_max) / 6.0
 
 
@@ -61,18 +62,13 @@ def transverse_bound(p: Num, s1: Num, t2: Num) -> Num:
     return p * p + s1 * s1 + 0.5 * t2 * t2
 
 
-def K0_upper(eta: Num) -> Num:
+def K0_upper(b: Num, a_max: Num, transverse: Num) -> Num:
     """Upper bound on the L2 norm of the third-chaos component of a maximizer.
 
-    Uses (|B| + A_max)^2 / 6 for the zonal part so the bound is valid for
-    either sign of the inner term, plus the transverse mass bound.
+    From the kappa_Q terms B, A_max and the transverse bound: uses
+    (|B| + A_max)^2 / 6 for the zonal part so the bound is valid for either
+    sign of the inner term, plus the transverse mass bound.
     """
-    b, a_max, _ = kappa_Q(eta)
-    return _K0_bound(b, a_max, transverse_bound(*inner_constants(eta)))
-
-
-def _K0_bound(b: Num, a_max: Num, transverse: Num) -> Num:
-    """K0_upper from the kappa_Q terms B, A_max and the transverse bound."""
     ar = arith(b, a_max, transverse)
     return ar.sqrt(ar.square(abs(b) + a_max) / 6.0 + transverse)
 
@@ -106,7 +102,7 @@ class PairingConstants:
         tr = transverse_bound(p, s1, t2)
         return cls(eta_star=eta, B=b, A_max=a_max, kappa_Q=kq, p=p, s1=s1,
                    t2=t2, transverse=tr, pairing_lower=kq - tr,
-                   K0_upper=_K0_bound(b, a_max, tr))
+                   K0_upper=K0_upper(b, a_max, tr))
 
 
 def A_bound_check(profile: Profile, eta: float) -> tuple[float, float]:
@@ -133,6 +129,16 @@ def signflip_check(a, b, beta):
     """Both sides of |a - beta b| <= |a| - beta sign(a) b + 2 beta |b| 1{flip}.
 
     Accepts scalars or arrays; beta must be nonnegative (scalar or array).
+    flip is |a| <= beta |b|.  The inequality holds for all real a, b and
+    beta >= 0, by cases:
+    - |a| > beta |b| (no flip): a - beta b has the sign of a, so
+      |a - beta b| = sign(a) (a - beta b) = |a| - beta sign(a) b, and the
+      two sides are equal.
+    - |a| <= beta |b| (flip): |a - beta b| <= |a| + beta |b|
+      = |a| - beta |b| + 2 beta |b| <= |a| - beta sign(a) b + 2 beta |b|,
+      since -beta |b| <= -beta sign(a) b.
+    Where no sign flips the sides are equal, so no interval can separate
+    them; the sampled check is a cross-check of this proof.
     """
     beta_arr = np.asarray(beta, dtype=float)
     if np.any(beta_arr < 0.0):

@@ -126,18 +126,6 @@ class Profile:
         return cls(z_cut=z_cut, breakpoints=bp, values=values,
                    tail_rule=tail_rule, tail_values=tail_values)
 
-    @classmethod
-    def bathtub(cls, h: float, z_cut: float | None = None) -> "Profile":
-        """Odd single-threshold profile: -sign(z) on |z| < h, sign(z) beyond."""
-        if h <= 0.0:
-            raise DomainError(f"bathtub threshold must be positive, got {h}")
-        if z_cut is None or abs(z_cut - h) < 1e-15:
-            return cls(z_cut=h, breakpoints=(0.0,), values=(1.0, -1.0))
-        if z_cut < h:
-            raise DomainError("z_cut must be >= h for a bathtub profile")
-        return cls(z_cut=z_cut, breakpoints=(-h, 0.0, h),
-                   values=(-1.0, 1.0, -1.0, 1.0))
-
 
 def _dedupe_edges(points, lo: float, hi: float) -> list[float]:
     """Sorted interior points of (lo, hi), duplicates within 1e-15 merged."""
@@ -305,9 +293,8 @@ def _dual_anchor(params: ReedsParams) -> float:
     2 pdf(eta) + 2 a (pdf(0) - pdf(eta)); the dual value at mu = -alpha is
     attained exactly when that moment can reach alpha with |a| <= 1.
     """
-    eta = params.eta
-    denom = 2.0 * (gaussian_pdf(0.0) - gaussian_pdf(eta))
-    return (params.alpha - 2.0 * gaussian_pdf(eta)) / denom
+    pdf_eta = gaussian_pdf(params.eta)
+    return (params.alpha - 2.0 * pdf_eta) / (2.0 * (INV_SQRT_2PI - pdf_eta))
 
 
 def _dual_attained_value(params: ReedsParams) -> float:
@@ -463,23 +450,6 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     prof = Profile(z_cut=z_cut, breakpoints=edges[1:-1][cut],
                    values=theta[np.concatenate(([0], cut + 1))])
     return prof, value
-
-
-# -- structural helpers ------------------------------------------------------
-
-def odd_part(profile: Profile) -> Profile:
-    """(theta(z) - theta(-z)) / 2, on the symmetrized cell structure."""
-    edges, mids, theta = _cells(profile, kinks=[-b for b in profile.breakpoints],
-                                window=profile.z_cut)
-    vals = 0.5 * (theta - profile.evaluate(-mids))
-    if profile.tail_rule == SIGN_TAILS:
-        return Profile(z_cut=profile.z_cut, breakpoints=edges[1:-1],
-                       values=vals)
-    left, right = profile.tail_values
-    odd_right = 0.5 * (right - left)
-    return Profile(z_cut=profile.z_cut, breakpoints=edges[1:-1],
-                   values=vals, tail_rule=CONST_TAILS,
-                   tail_values=(-odd_right, odd_right))
 
 
 # -- constructive projection onto the maximizing set -------------------------

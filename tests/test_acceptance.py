@@ -39,7 +39,7 @@ from grolab.explorer import (
     sample_theta_member,
     sign_ascent,
 )
-from grolab.gauss import gauss_integrate, hermite_eval
+from grolab.gauss import hermite_eval
 from grolab.pairing import PairingConstants, kappa_Q, signflip_check
 from grolab.profiles import (
     F_value_dual,
@@ -47,8 +47,9 @@ from grolab.profiles import (
     dual_value,
     gap_certificate,
     lp_maximize,
-    odd_part,
 )
+
+from oracles import gauss_integrate, odd_part
 
 LAM_LIT = 0.197479091
 

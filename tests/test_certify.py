@@ -3,8 +3,9 @@ import math
 import pytest
 
 from grolab.baseline import _LAMBDA_FEASIBLE_MAX, LAMBDA_STAR, solve_eta_star
-from grolab.certify import _beyond, eta_star_enclosure
-from grolab.claims import LAM_LIT, TARGETS
+from grolab.certify import _beyond, all_certified_checks, eta_star_enclosure
+from grolab.claims import CLAIMS, LAM_LIT, TARGETS
+from grolab.cli import RunConfig, run
 from grolab.errors import InternalCheckError
 from grolab.intervals import Interval
 
@@ -42,6 +43,15 @@ def test_eta_enclosure_fails_loudly_where_no_sign_is_certain():
         eta_star_enclosure(lam)
 
 
+def test_beyond_is_strict():
+    # an enclosure touching the bound proves nothing, whatever the relation
+    iv = Interval(1.0, 2.0)
+    for relation in (">", ">="):
+        assert not _beyond("x", iv, relation, 1.0).passed
+    for relation in ("<", "<="):
+        assert not _beyond("x", iv, relation, 2.0).passed
+
+
 def test_beyond_rejects_unknown_relation():
     iv = Interval(1.0, 2.0)
     assert _beyond("x", iv, ">", 0.0).passed
@@ -49,3 +59,17 @@ def test_beyond_rejects_unknown_relation():
     for relation in ("=", "==", "=>", "!=", ""):
         with pytest.raises(ValueError, match="unknown relation"):
             _beyond("x", iv, relation, 0.0)
+
+
+def test_every_claim_is_in_both_reports():
+    # One table entry gives one float line and one certified line under the
+    # same base name; the certified report has no other line but the two
+    # argmax brackets.
+    labels = [c.label for c in CLAIMS]
+    assert len(set(labels)) == len(labels)
+    floats = {c.name.split(" ")[0]
+              for c in run(RunConfig(command="verify-all")).checks}
+    assert set(labels) <= floats
+    certified = [c.name for c in all_certified_checks()]
+    assert sorted(certified) == sorted(
+        [*labels, "argmax_bracket_left", "argmax_bracket_right"])

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grolab.baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound,
-                             _bound_derivative, _denominator, solve_eta_star)
+from grolab.baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound_derivative,
+                             _denominator, solve_eta_star)
 from grolab.chain import (
     ALPHA_MIN,
     BETA_STAR,
@@ -15,8 +15,6 @@ from grolab.chain import (
     KAPPA0,
     L0_bound,
     P3_COEFF,
-    STRIP_Z0,
-    final_branches,
     final_chain,
     kappa_eff,
     kg_lower_bound,
@@ -26,10 +24,9 @@ from grolab.chain import (
     strip_case_checks,
     strip_z0,
 )
-from grolab.claims import LAM_LIT, PAIRING
+from grolab.claims import CLAIMS, LAM_LIT, PAIRING, Inputs
 from grolab.errors import DomainError
 from grolab.intervals import Interval
-from grolab.pairing import K0_upper, PairingConstants
 
 
 def _poly(z):
@@ -94,23 +91,35 @@ def test_C_z0_resolution_convergence():
         assert abs(fine - coarse) < 1e-6
 
 
+# Case ids named after the value's producer (the PairingConstants field, the
+# drop at a beta) rather than the claim label, as the cases were first named.
+_CASE_IDS = {**{name: f"pairing_{name}" for name in PAIRING},
+             **{f"neighborhood_drop_per_beta_{beta:g}":
+                f"neighborhood_drop({beta:g})" for beta in (1e-10, BETA_STAR)}}
+# Relative width budgets of the claims' enclosures, 1e-14 where not listed:
+# the pairing constants and kappa_eff go through log, pow and differences.
+_CLAIM_REL = {**{name: 1e-11 for name in PAIRING}, "kappa_eff": 1e-12,
+              **{f"neighborhood_drop_per_beta_{beta:g}": 1e-12
+                 for beta in (1e-10, BETA_STAR)}}
+
+
+def _claim_inputs(num):
+    """claims.Inputs with eta at the float root, as num's number."""
+    return Inputs(num, lambda lam: num(solve_eta_star(lam)))
+
+
 def _own_interval_cases():
     """id -> (f, rel): f(num) evaluates one shared formula with its inputs
-    made by num, float or Interval.exact; rel bounds the relative width."""
+    made by num, float or Interval.exact; rel bounds the relative width.
+    Every claims.CLAIMS entry, plus C_z0 at more points, the denominator and
+    the bound's derivative."""
+    cases = {_CASE_IDS.get(c.label, c.label):
+             (lambda num, c=c: c.formula(_claim_inputs(num)),
+              _CLAIM_REL.get(c.label, 1e-14))
+             for c in CLAIMS}
     eta = solve_eta_star(LAM_LIT)
-    cases = {f"C_z0({z0!r})": (lambda num, z0=z0: C_z0(num(z0)), 1e-14)
-             for z0 in _Z0S}
-    cases["K_strip"] = (lambda num: K_strip(num(STRIP_Z0), ALPHA_MIN), 1e-14)
-    cases["L0_bound"] = (lambda num: L0_bound(num(ALPHA_MIN)), 1e-14)
-    cases["kappa_eff"] = (lambda num: kappa_eff(num(EPSILON_STAR)), 1e-12)
-    for beta in (1e-10, BETA_STAR):
-        cases[f"neighborhood_drop({beta:g})"] = (
-            lambda num, beta=beta: neighborhood_drop(num(beta)), 1e-12)
-    for name in PAIRING:
-        cases[f"pairing_{name}"] = (
-            lambda num, name=name: getattr(PairingConstants.at_eta(num(eta)),
-                                           name), 1e-11)
-    cases["K0_upper"] = (lambda num: K0_upper(num(eta)), 1e-14)
+    cases.update({f"C_z0({z0!r})": (lambda num, z0=z0: C_z0(num(z0)), 1e-14)
+                  for z0 in _Z0S})
     cases["denominator"] = (
         lambda num: _denominator(num(LAM_LIT), num(eta)), 1e-14)
     for side, lam in (("-", LAMBDA_STAR - 1e-8), ("+", LAMBDA_STAR + 1e-8)):
@@ -119,14 +128,6 @@ def _own_interval_cases():
             lambda num, lam=lam: _bound_derivative(num(lam),
                                                    num(solve_eta_star(lam))),
             1e-5)
-    cases["final_drop"] = (lambda num: final_branches(num(BETA_STAR))[1], 1e-14)
-    # as certify does: the bound and the norm both at LAMBDA_STAR
-    eta_lstar = solve_eta_star(LAMBDA_STAR)
-    cases["kg_increment"] = (
-        lambda num: kg_lower_bound(final_branches(num(BETA_STAR))[1],
-                                   num(LAMBDA_STAR),
-                                   _bound(num(LAMBDA_STAR), num(eta_lstar))),
-        1e-14)
     return cases
 
 
@@ -254,6 +255,14 @@ def test_final_chain_reference():
     assert report.kg_increment > 1e-26
     assert report.beta_star == BETA_STAR
     assert kappa_eff(EPSILON_STAR) >= 0.0058
+
+
+def test_final_chain_increment_is_the_claims_increment():
+    # one increment formula: final_chain and both kg_increment claims agree
+    # bit for bit
+    x = _claim_inputs(float)
+    values = {c.formula(x) for c in CLAIMS if c.name.startswith("kg_increment")}
+    assert values == {final_chain(BETA_STAR).kg_increment}
 
 
 def test_final_chain_large_beta_no_drop():

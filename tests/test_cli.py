@@ -11,6 +11,7 @@ import pytest
 
 import grolab
 
+from grolab import claims
 from grolab.certify import all_certified_checks
 from grolab.cli import (
     DEFAULT_SEED,
@@ -126,10 +127,14 @@ def test_to_json_float_precision():
     assert parsed["y"][0] == 1e-300
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["constants"]) == 0
-    # a beta large enough that the chain certifies no drop -> check fails
-    assert main(["chain", "--beta", "4e-24"]) == 1
+    # a bound K_strip = 6.91 does not meet: the check fails, named on stderr
+    monkeypatch.setitem(claims.BOUNDS, "K_strip", 6.0)
+    capsys.readouterr()
+    assert main(["chain"]) == 1
+    assert "failed checks: K_strip <= 6" in capsys.readouterr().err
+    monkeypatch.undo()
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
@@ -240,10 +245,9 @@ _READS = {
     "baseline": {"certified"},
     "profile": {"certified", "seed", "grid", "profile", "save_profile"},
     "pairing": {"certified", "seed"},
-    "chain": {"certified", "beta", "epsilon"},
+    "chain": {"certified"},
     "explore": {"certified", "seed"},
-    "verify-all": {"certified", "seed", "grid", "beta", "epsilon", "profile",
-                   "save_profile"},
+    "verify-all": {"certified", "seed", "grid", "profile", "save_profile"},
     "sweep": set(),
 }
 _KEY_VALUES = {"seed": "5", "certified": "1", "beta": "1e-12",
@@ -323,7 +327,7 @@ def test_config_file_errors(tmp_path):
 
 def _args(**flags):
     base = dict(command="profile", config=None, out=None, certified=False,
-                seed=None, beta=None, epsilon=None, grid=None)
+                seed=None, grid=None)
     return argparse.Namespace(**{**base, **flags})
 
 
@@ -334,16 +338,19 @@ def test_seed_zero_is_kept():
     assert main(["pairing", "--seed", "-1"]) == 2
 
 
-def test_beta_out_of_range_exits_2():
-    assert main(["chain", "--beta", "0"]) == 2
-    assert main(["chain", "--beta", "1e-3"]) == 2
-    assert build_config(_args(beta=8e-25)).beta == 8e-25
-
-
-def test_epsilon_out_of_range_exits_2():
-    assert main(["chain", "--epsilon", "0"]) == 2
-    assert main(["chain", "--epsilon", "0.5"]) == 2
-    assert build_config(_args(epsilon=1e-7)).epsilon == 1e-7
+@pytest.mark.parametrize("key", ["beta", "epsilon"])
+def test_beta_epsilon_knobs_exit_2(tmp_path, key, capsys):
+    # The chain's checks run at the paper's beta and epsilon only; sweep
+    # --parameter beta|epsilon reports the chain at other values.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1e-12\n", encoding="utf-8")
+    for command in ("chain", "verify-all"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{key}", "1e-12"])
+        assert exc.value.code == 2
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not hasattr(RunConfig(command="chain"), key)
 
 
 def test_grid_out_of_range_exits_2():

@@ -13,12 +13,13 @@ from grolab.explorer import (
     sample_theta_member,
     sign_ascent,
 )
-from grolab.gauss import gauss_integrate, hermite_eval
+from grolab.gauss import hermite_eval
 from grolab.pairing import kappa_Q
 from grolab.profiles import F_value_dual, Profile, V_value, moment
 from grolab.baseline import F_value
 
 from conftest import LAM
+from oracles import bathtub, gauss_integrate
 
 BETAS = [1e-3 / 2 ** k for k in range(4)]
 
@@ -45,7 +46,7 @@ def test_norm_matches_V(params, rng):
 
 def test_norm_bathtub_closed_form(params):
     h = solve_h(params.alpha)
-    tub = Profile.bathtub(h, z_cut=params.eta)
+    tub = bathtub(h, z_cut=params.eta)
     val = r_lambda_norm_1d(tub, params)
     assert val == pytest.approx(F_value(params.alpha, LAM), abs=1e-10)
 
@@ -181,7 +182,7 @@ def test_scan_validation(params):
 
 
 def test_sign_ascent_bathtub_fixed_value(params):
-    tub = Profile.bathtub(solve_h(params.alpha), z_cut=params.eta)
+    tub = bathtub(solve_h(params.alpha), z_cut=params.eta)
     _, values = sign_ascent(tub, params, 4)
     target = F_value_dual(params)
     for v in values:
@@ -214,7 +215,7 @@ def test_sign_ascent_monotone_random_starts(params, rng):
 
 
 def test_sign_ascent_validation(params):
-    tub = Profile.bathtub(solve_h(params.alpha))
+    tub = bathtub(solve_h(params.alpha))
     with pytest.raises(DomainError):
         sign_ascent(tub, params, 0)
 

@@ -1,7 +1,10 @@
 import mpmath
 import pytest
 
+from grolab.gauss import gaussian_pdf
 from grolab.intervals import (
+    FLOATS,
+    INTERVALS,
     Interval,
     SQRT_2PI,
     gaussian_cdf_iv,
@@ -83,3 +86,12 @@ def test_widths_stay_tight():
     assert pdf.width < 1e-14
     cdf = gaussian_cdf_iv(z)
     assert cdf.width < 1e-14
+
+
+def test_pdf_at_zero_is_one_constant():
+    # pdf(0) is INV_SQRT_2PI in both number systems: the float is the density
+    # at 0 bit for bit, and the enclosure is narrower than pdf's own at 0.
+    assert gaussian_pdf(0.0) == FLOATS.INV_SQRT_2PI
+    iv = INTERVALS.INV_SQRT_2PI
+    assert _contains(iv, 1 / mpmath.sqrt(2 * mpmath.pi))
+    assert iv.width < gaussian_pdf_iv(Interval.exact(0.0)).width

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from grolab.baseline import solve_h
+from grolab import intervals
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import sample_theta_member
-from grolab.gauss import gauss_integrate, gaussian_pdf, hermite_eval
+from grolab.gauss import gaussian_pdf, hermite_eval
 from grolab.pairing import (
     A_bound_check,
     K0_upper,
@@ -19,6 +20,7 @@ from grolab.pairing import (
 from grolab.profiles import Profile
 
 from conftest import LAM
+from oracles import bathtub, gauss_integrate
 
 
 def test_inner_constants_reference(eta_star):
@@ -85,7 +87,7 @@ def test_pairing_lower_bound(eta_star):
 
 
 def test_K0_upper(eta_star):
-    val = K0_upper(eta_star)
+    val = PairingConstants.at_eta(eta_star).K0_upper
     assert val <= 0.359
     b, a_max, _ = kappa_Q(eta_star)
     assert (abs(b) + a_max) ** 2 <= 0.7226 ** 2
@@ -93,7 +95,7 @@ def test_K0_upper(eta_star):
     b1, a1, _ = kappa_Q(1.0)
     assert b1 == 0.0
     p, s1, t2 = inner_constants(1.0)
-    assert K0_upper(1.0) == pytest.approx(
+    assert K0_upper(b1, a1, transverse_bound(p, s1, t2)) == pytest.approx(
         math.sqrt(a1 ** 2 / 6.0 + transverse_bound(p, s1, t2)), abs=1e-14)
 
 
@@ -108,12 +110,28 @@ def test_pairing_constants_dataclass(eta_star):
     assert cons.pairing_lower > 0.0454
 
 
+def test_interval_at_eta_takes_pdf_once(monkeypatch, eta_star):
+    # pdf(0) is the constant INV_SQRT_2PI, so the interval constants need one
+    # density value, pdf(eta): once in kappa_Q and once in inner_constants.
+    calls = []
+    original = intervals.gaussian_pdf_iv
+
+    def counted(z):
+        calls.append(z)
+        return original(z)
+
+    monkeypatch.setattr(intervals, "gaussian_pdf_iv", counted)
+    eta = intervals.Interval.exact(eta_star)
+    PairingConstants.at_eta(eta)
+    assert calls == [eta, eta]
+
+
 def test_A_bound_trivial_and_bathtub(params, eta_star):
     zeros = Profile.constant(0.0, z_cut=eta_star)
     a_val, bound = A_bound_check(zeros, eta_star)
     assert a_val == 0.0
     assert bound == pytest.approx(0.000839319067615, abs=1e-12)
-    tub = Profile.bathtub(solve_h(params.alpha), z_cut=eta_star)
+    tub = bathtub(solve_h(params.alpha), z_cut=eta_star)
     a_val, bound = A_bound_check(tub, eta_star)
     assert a_val <= bound + 1e-12
 

@@ -9,14 +9,7 @@ from grolab.baseline import LAMBDA_STAR, ReedsParams, solve_h
 from grolab.chain import gap_lower_large_delta
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import sample_feasible_profile, sample_theta_member
-from grolab.gauss import (
-    gauss_integrate,
-    gaussian_cdf,
-    gaussian_moments,
-    gaussian_pdf,
-    interval_mass,
-    interval_z_moment,
-)
+from grolab.gauss import gaussian_cdf, gaussian_moments, gaussian_pdf
 from grolab.profiles import (
     A_B_eval,
     F_value_dual,
@@ -29,7 +22,6 @@ from grolab.profiles import (
     gap_tail_integral,
     lp_maximize,
     moment,
-    odd_part,
     profile_from_text,
     profile_to_text,
     repair_to_theta,
@@ -37,6 +29,8 @@ from grolab.profiles import (
 )
 
 from conftest import LAM
+from oracles import (bathtub, gauss_integrate, interval_mass,
+                     interval_z_moment, odd_part)
 
 
 # -- Profile type -------------------------------------------------------------
@@ -103,7 +97,7 @@ def test_profile_evaluate():
     # the tail-padded table lookup equals the reference bit for bit on
     # every edge, its neighbours, +-inf and cell interiors, for arrays and
     # scalars alike
-    profiles = [prof, const, Profile.bathtub(0.7, z_cut=1.5),
+    profiles = [prof, const, bathtub(0.7, z_cut=1.5),
                 Profile(z_cut=2.0, breakpoints=(-1.0, 0.0, 0.5),
                         values=(-0.0, 0.0, 1.0, -0.75), tail_rule="const",
                         tail_values=(-0.0, 0.5)),
@@ -148,7 +142,7 @@ def test_A_B_values(params):
 
 def test_moment_bathtub(params):
     h = solve_h(params.alpha)
-    tub = Profile.bathtub(h, z_cut=params.eta)
+    tub = bathtub(h, z_cut=params.eta)
     assert moment(tub) == pytest.approx(params.alpha, abs=1e-13)
 
 
@@ -161,7 +155,7 @@ def test_moment_full_sign_profile():
 def test_theta_moments_memo(params, rng):
     # a Profile's full-line moments are computed once, equal to the direct
     # cell sum bit for bit, and shared read-only
-    profiles = [Profile.bathtub(solve_h(params.alpha), z_cut=params.eta),
+    profiles = [bathtub(solve_h(params.alpha), z_cut=params.eta),
                 Profile(z_cut=1.5, breakpoints=(-0.2, 0.4), values=(0.3, -0.6, 0.9),
                         tail_rule="const", tail_values=(0.25, -0.5)),
                 sample_feasible_profile(int(rng.integers(1 << 30)), params),
@@ -186,7 +180,7 @@ def test_moment_zero_inner(params, eta_star):
 
 def test_V_bathtub_equals_denominator(params):
     h = solve_h(params.alpha)
-    tub = Profile.bathtub(h, z_cut=params.eta)
+    tub = bathtub(h, z_cut=params.eta)
     oracle = (1.0 - LAM) / 1.676956674215576
     assert V_value(tub, params) == pytest.approx(oracle, abs=1e-10)
 
@@ -615,7 +609,7 @@ def test_repair_already_member(eta_star):
 
 
 def test_repair_bathtub_is_member(params, eta_star):
-    tub = Profile.bathtub(solve_h(params.alpha), z_cut=eta_star)
+    tub = bathtub(solve_h(params.alpha), z_cut=eta_star)
     repaired, cost = repair_to_theta(tub, lam=LAM)
     assert cost <= 1e-12
     assert abs(theta_moments(repaired, eta_star)[1]) <= 1e-13
