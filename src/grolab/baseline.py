@@ -55,8 +55,10 @@ def _eta_equation(eta: Num, lam: Num) -> Num:
 def solve_eta_star(lam: float) -> float:
     """Unique root eta in (0, 1) of sqrt(2/pi) eta exp(-eta^2/2) = lambda.
 
-    The map is strictly increasing on (0, 1), so bisection is safe; one
-    Newton step polishes the root to full double precision.
+    The map is strictly increasing on (0, 1), so bisection is safe; it stops
+    at the first step that leaves (lo, hi) unchanged, since the step depends
+    only on (lo, hi) and every later one would leave it unchanged too.  Two
+    Newton steps polish the root to full double precision.
     """
     lam = float(lam)
     if not (0.0 < lam < _LAMBDA_FEASIBLE_MAX):
@@ -68,8 +70,12 @@ def solve_eta_star(lam: float) -> float:
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         if _eta_equation(mid, lam) < 0.0:
+            if lo == mid:
+                break
             lo = mid
         else:
+            if hi == mid:
+                break
             hi = mid
     eta = 0.5 * (lo + hi)
     for _ in range(2):

@@ -215,6 +215,10 @@ def final_chain(beta: float) -> ChainReport:
     """final_branches at a float beta, with the increment to the lower bound."""
     beta = float(beta)
     branches, drop = final_branches(beta)
+    # At beta = DETUNED_BOUND branch 2 is exactly 0.0 and -max(...) is -0.0;
+    # report it as 0.  Not in final_branches, whose interval path would
+    # round an added 0.0 outward.
+    drop += 0.0
     increment = (kg_increment(drop, solve_eta_star(LAMBDA_STAR))
                  if drop > 0.0 else 0.0)
     return ChainReport(

@@ -4,7 +4,9 @@ Every integral the library needs is a piecewise polynomial of degree <= 3
 times the standard Gaussian density, so one exact primitive lives here:
 `gaussian_moments`, the moments int_a^b z^k pdf(z) dz (k = 0..3) of an array
 of cells.  An integral is then a dot product of per-cell polynomial
-coefficients with these moments.
+coefficients with these moments.  Its row 0, the cell masses, is
+`cell_masses`, the only part that needs erfc; a caller that needs only
+masses and first moments takes `cell_masses` and `gaussian_pdf` of the edges.
 
 The adaptive Gauss-Legendre panel rule is kept as an independent oracle: the
 tests check the closed forms against it, and the `closed_form_vs_quadrature`
@@ -60,22 +62,20 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
+def _pdf(z: np.ndarray) -> np.ndarray:
+    return np.exp(-0.5 * z * z) * INV_SQRT_2PI
+
+
 def gaussian_pdf(z):
     """Standard Gaussian density; accepts a float or an ndarray."""
     if isinstance(z, np.ndarray):
         if not np.all(np.isfinite(z)):
             raise DomainError("gaussian_pdf requires finite input")
-        return np.exp(-0.5 * z * z) * INV_SQRT_2PI
+        return _pdf(z)
     z = float(z)
     if not math.isfinite(z):
         raise DomainError(f"gaussian_pdf requires finite input, got {z}")
     return math.exp(-0.5 * z * z) * INV_SQRT_2PI
-
-
-def _erfc_array(x: np.ndarray) -> np.ndarray:
-    """math.erfc elementwise, the function the scalar gaussian_cdf calls."""
-    return np.fromiter(map(math.erfc, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
 
 
 def gaussian_cdf(t: float) -> float:
@@ -156,6 +156,23 @@ def hermite_eval(k: int, z):
 _EDGE_CLIP = 40.0
 
 
+def cell_masses(edges: np.ndarray) -> np.ndarray:
+    """Gaussian mass I_0 = Phi(e_{i+1}) - Phi(e_i) of every cell.
+
+    edges is a nondecreasing float array of n + 1 cell edges, which may start
+    at -inf and end at +inf; returns the n masses.  Each is the Phi
+    difference written as 2 Phi(e) - 1 = sign(e) (1 - erfc(|e| / sqrt 2))
+    with the two parts differenced separately: for a cell on one side of 0
+    the sign parts cancel exactly and only the erfc values of that tail are
+    subtracted, so far-tail cells keep their relative accuracy.  erfc is
+    math.erfc, the function the scalar gaussian_cdf calls, once per edge.
+    """
+    s = np.sign(edges)
+    s_erfc = s * np.fromiter(map(math.erfc, (np.abs(edges) / _SQRT2).tolist()),
+                             float, edges.size)
+    return 0.5 * ((s[1:] - s[:-1]) - (s_erfc[1:] - s_erfc[:-1]))
+
+
 def gaussian_moments(edges) -> np.ndarray:
     """Exact moments I_k = int_{e_i}^{e_{i+1}} z^k pdf(z) dz, k = 0..3.
 
@@ -163,22 +180,17 @@ def gaussian_moments(edges) -> np.ndarray:
     -inf and end at +inf.  Returns an array of shape (4, n) whose row k holds
     I_k of every cell.
 
-    I_0 is the Phi difference written as 2 Phi(e) - 1 = sign(e) (1 - erfc(|e|
-    / sqrt 2)) with the two parts differenced separately: for a cell on one
-    side of 0 the sign parts cancel exactly and only the erfc values of that
-    tail are subtracted, so far-tail cells keep their relative accuracy.  The
+    I_0 is cell_masses, I_1 = pdf(a) - pdf(b) on each cell [a, b], and the
     higher moments follow from I_k = (k - 1) I_{k-2} + a^{k-1} pdf(a) -
-    b^{k-1} pdf(b) on each cell [a, b].
+    b^{k-1} pdf(b).
     """
     e = np.minimum(np.maximum(np.asarray(edges, dtype=float), -_EDGE_CLIP),
                    _EDGE_CLIP)
-    s = np.sign(e)
-    s_erfc = s * _erfc_array(np.abs(e) / _SQRT2)
-    pdf = np.exp(-0.5 * e * e) * INV_SQRT_2PI
+    pdf = _pdf(e)
     z_pdf = e * pdf
     zz_pdf = e * z_pdf
     out = np.empty((4, e.size - 1))
-    out[0] = 0.5 * ((s[1:] - s[:-1]) - (s_erfc[1:] - s_erfc[:-1]))
+    out[0] = cell_masses(e)
     out[1] = pdf[:-1] - pdf[1:]
     out[2] = out[0] + (z_pdf[:-1] - z_pdf[1:])
     out[3] = 2.0 * out[1] + (zz_pdf[:-1] - zz_pdf[1:])

@@ -24,8 +24,8 @@ import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star, solve_h
 from .errors import DomainError, FeasibilityError, InternalCheckError
-from .gauss import (INV_SQRT_2PI, gaussian_cdf, gaussian_moments,
-                    gaussian_pdf)
+from .gauss import (INV_SQRT_2PI, cell_masses, gaussian_cdf,
+                    gaussian_moments, gaussian_pdf)
 
 SIGN_TAILS = "sign"
 CONST_TAILS = "const"
@@ -369,13 +369,52 @@ def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
 
 # -- discretized maximization (bathtub fill) ---------------------------------
 
+def _lp_cells(edges: np.ndarray, eta: float, alpha: float,
+              lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell integrals a_i = int z pdf and c_i = int B pdf on the grid.
+
+    B = lambda for z < -eta, -alpha z on (-eta, eta) and -lambda for z > eta.
+    a is pdf(e_i) - pdf(e_{i+1}) on every cell; the mass (erfc) is taken
+    only on cells beyond +-eta, where B is constant.  Each of -eta and eta
+    splits at most one cell (none when it is a grid edge); that cell's
+    pieces are summed left to right from 0.0, and every other cell is
+    0.0 + its own integral, so a -0.0 integral is stored as +0.0.
+    """
+    pdf = gaussian_pdf(edges)
+    a = pdf[:-1] - pdf[1:]
+    c = -alpha * a
+    lo = int(np.searchsorted(edges, -eta, side="right"))  # e[lo-1] <= -eta < e[lo]
+    hi = int(np.searchsorted(edges, eta))                 # e[hi-1] < eta <= e[hi]
+    c[:lo - 1] = lam * cell_masses(edges[:lo])
+    c[hi:] = -lam * cell_masses(edges[hi:])
+    c += 0.0  # a zero integral is +0.0, never -0.0
+    for j in sorted({lo - 1, hi - 1}):
+        kinks = [k for k in (-eta, eta) if edges[j] < k < edges[j + 1]]
+        if not kinks:
+            continue
+        cuts = np.array([edges[j], *kinks, edges[j + 1]])
+        cut_pdf = gaussian_pdf(cuts)  # np.exp like the grid's, not math.exp
+        a_piece = cut_pdf[:-1] - cut_pdf[1:]
+        mid = 0.5 * (cuts[:-1] + cuts[1:])
+        c_piece = np.where(np.abs(mid) < eta, -alpha * a_piece,
+                           -lam * np.sign(mid) * cell_masses(cuts))
+        a_sum = c_sum = 0.0
+        for x, y in zip(a_piece.tolist(), c_piece.tolist()):
+            a_sum += x
+            c_sum += y
+        a[j], c[j] = a_sum, c_sum
+    return a, c
+
+
 def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     """Exact solution of the grid-discretized moment-constrained LP.
 
     Single equality constraint plus box bounds: the maximizer is a bathtub
     fill ordered by objective-per-moment ratio, with one fractional tie
     group found by a parametric threshold.  Sign tails are kept symbolic
-    beyond the grid window.  Cell integrals are closed forms.
+    beyond the grid window.  Cell integrals are closed forms taken on the
+    grid cells themselves (_lp_cells): the first moment pdf(a) - pdf(b) on
+    every cell, and erfc (through cell_masses) only on cells beyond +-eta.
 
     The LP is solved on all grid_size cells, and the returned value is
     c . theta over all of them.  The returned profile is the same function
@@ -390,18 +429,7 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     eta = params.eta
     z_cut = max(eta, solve_h(alpha)) + 1.0
     edges = np.linspace(-z_cut, z_cut, grid_size + 1)
-    # Cut the grid at the kinks +-eta of B, integrate B = lambda, -alpha z,
-    # -lambda on the pieces, and sum the pieces back into their grid cells.
-    # Sorted union without np.union1d, which imports numpy.ma at run time.
-    pieces = np.sort(np.concatenate((edges, (-eta, eta))))
-    pieces = pieces[np.concatenate(([True], pieces[1:] != pieces[:-1]))]
-    mid = 0.5 * (pieces[:-1] + pieces[1:])
-    cell = np.searchsorted(edges, mid) - 1
-    moments = gaussian_moments(pieces)
-    b_int = np.where(np.abs(mid) < eta, -alpha * moments[1],
-                     -params.lam * np.sign(mid) * moments[0])
-    a = np.bincount(cell, weights=moments[1], minlength=grid_size)
-    c = np.bincount(cell, weights=b_int, minlength=grid_size)
+    a, c = _lp_cells(edges, eta, alpha, params.lam)
 
     target = alpha - 2.0 * gaussian_pdf(z_cut)
     abs_a = np.abs(a)

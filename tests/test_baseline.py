@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grolab.baseline import (
+    _LAMBDA_FEASIBLE_MAX,
     DAVIE_REEDS_C,
     LAMBDA_STAR,
     F_derivatives,
@@ -15,6 +16,7 @@ from grolab.baseline import (
     solve_eta_star,
     solve_h,
 )
+from grolab.baseline import _eta_equation
 from grolab.errors import DomainError
 from grolab.gauss import SQRT_2_OVER_PI, gaussian_pdf
 
@@ -39,6 +41,32 @@ def test_eta_star_small_lambda_expansion():
     lam = 1e-6
     eta = solve_eta_star(lam)
     assert eta == pytest.approx(lam * math.sqrt(math.pi / 2.0), rel=1e-5)
+
+
+def _solve_eta_star_64_steps(lam):
+    """solve_eta_star with all 64 bisection steps, no early exit."""
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if _eta_equation(mid, lam) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    eta = 0.5 * (lo + hi)
+    for _ in range(2):
+        deriv = 2.0 * gaussian_pdf(eta) * (1.0 - eta * eta)
+        eta -= _eta_equation(eta, lam) / deriv
+    return eta
+
+
+def test_eta_star_early_exit_is_bit_identical():
+    # The bisection stops at its first no-op step; the root is the same
+    # double as after all 64 steps.
+    lams = [*np.linspace(0.18, 0.215, 1000).tolist(),
+            *np.linspace(1e-6, 0.48, 1000).tolist(),
+            1e-300, math.nextafter(_LAMBDA_FEASIBLE_MAX, 0.0)]
+    for lam in lams:
+        assert solve_eta_star(lam).hex() == _solve_eta_star_64_steps(lam).hex(), lam
 
 
 def test_eta_star_domain():

@@ -174,6 +174,15 @@ def test_sweep_epsilon_crossing():
     assert min(wvals) < 0.0
 
 
+def test_sweep_beta_has_no_negative_zero():
+    # At beta = DETUNED_BOUND the final drop is exactly zero; it prints as 0.
+    csv_text = sweep("beta", (8e-25, 9e-25, 2))
+    fields = [f for ln in csv_text.strip().splitlines()[1:]
+              for f in ln.split(",")]
+    assert fields[-2:] == ["0", "0"]
+    assert "-0" not in fields
+
+
 def test_sweep_validation():
     with pytest.raises(UsageError):
         sweep("lambda", (0.2, 0.1, 5))

@@ -16,6 +16,7 @@ from grolab.profiles import (
     Profile,
     V_value,
     _int_A_full,
+    _lp_cells,
     _partition,
     dual_value,
     gap_certificate,
@@ -429,20 +430,28 @@ def test_lp_domain_errors(params):
         lp_maximize(ReedsParams(lam=LAM, alpha=0.799), 256)
 
 
+def _lp_cells_reference(edges, eta, alpha, lam):
+    """_lp_cells by cutting the grid at +-eta, integrating every piece and
+    summing the pieces back into their grid cells with bincount."""
+    pieces = np.union1d(edges, (-eta, eta))
+    mid = 0.5 * (pieces[:-1] + pieces[1:])
+    cell = np.searchsorted(edges, mid) - 1
+    moments = gaussian_moments(pieces)
+    b_int = np.where(np.abs(mid) < eta, -alpha * moments[1],
+                     -lam * np.sign(mid) * moments[0])
+    grid_size = len(edges) - 1
+    a = np.bincount(cell, weights=moments[1], minlength=grid_size)
+    c = np.bincount(cell, weights=b_int, minlength=grid_size)
+    return a, c
+
+
 def _lp_maximize_reference(params, grid_size):
     """lp_maximize with the tie groups walked one at a time."""
     alpha = params.alpha
     eta = params.eta
     z_cut = max(eta, solve_h(alpha)) + 1.0
     edges = np.linspace(-z_cut, z_cut, grid_size + 1)
-    pieces = np.union1d(edges, (-eta, eta))
-    mid = 0.5 * (pieces[:-1] + pieces[1:])
-    cell = np.searchsorted(edges, mid) - 1
-    moments = gaussian_moments(pieces)
-    b_int = np.where(np.abs(mid) < eta, -alpha * moments[1],
-                     -params.lam * np.sign(mid) * moments[0])
-    a = np.bincount(cell, weights=moments[1], minlength=grid_size)
-    c = np.bincount(cell, weights=b_int, minlength=grid_size)
+    a, c = _lp_cells_reference(edges, eta, alpha, params.lam)
     target = alpha - 2.0 * gaussian_pdf(z_cut)
     abs_a = np.abs(a)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -480,6 +489,54 @@ def _lp_maximize_reference(params, grid_size):
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_lp_cells_match(edges, eta, alpha, lam):
+    a, c = _lp_cells(edges, eta, alpha, lam)
+    ref_a, ref_c = _lp_cells_reference(edges, eta, alpha, lam)
+    assert np.array_equal(_bits(a), _bits(ref_a)), (len(edges), eta)
+    assert np.array_equal(_bits(c), _bits(ref_c)), (len(edges), eta)
+    return a, c
+
+
+def test_lp_cells_match_reference():
+    # The grid cells are integrated directly, with +-eta splitting one cell
+    # each, bit for bit as the piece union summed by bincount.
+    zero_moment_cells = 0
+    for grid in (64, 65, 1024, 1025, 16384):
+        for lam in np.linspace(0.02, 0.35, 8):
+            params = ReedsParams.at_reeds_point(float(lam))
+            z_cut = max(params.eta, solve_h(params.alpha)) + 1.0
+            edges = np.linspace(-z_cut, z_cut, grid + 1)
+            a, c = _assert_lp_cells_match(edges, params.eta, params.alpha,
+                                          params.lam)
+            if grid % 2 and a[grid // 2] == 0.0:
+                # A zero-moment middle cell (its edges are exact negatives)
+                # has c = 0.0 + (-alpha * 0.0) = +0.0.
+                assert _bits(c[grid // 2]) == _bits(0.0), lam
+                zero_moment_cells += 1
+    assert zero_moment_cells >= 8
+
+
+def test_lp_cells_kinks_on_edges_or_in_one_cell():
+    params = ReedsParams.at_reeds_point(LAM)
+    eta, alpha, lam = params.eta, params.alpha, params.lam
+    outer = np.linspace(eta, eta + 1.0, 40)
+    inner = np.linspace(-eta, eta, 31)
+    # +-eta both grid edges: no cell is split.
+    both = np.concatenate((-outer[::-1], inner[1:-1], outer))
+    assert np.isin((-eta, eta), both).all()
+    _assert_lp_cells_match(both, eta, alpha, lam)
+    # Only one of them a grid edge: the other splits its cell.
+    right_only = np.concatenate((np.linspace(-eta - 1.0, 0.0, 50)[:-1],
+                                 np.linspace(0.0, eta, 20), outer[1:]))
+    assert eta in right_only and -eta not in right_only
+    _assert_lp_cells_match(right_only, eta, alpha, lam)
+    _assert_lp_cells_match(-right_only[::-1], eta, alpha, lam)
+    # A small eta inside one cell: three pieces, summed left to right.
+    for grid in (64, 65):
+        edges = np.linspace(-1.0, 1.0, grid + 1)
+        _assert_lp_cells_match(edges, 1e-3, 0.5, 5e-4)
 
 
 def test_lp_walk_matches_reference():
