@@ -5,7 +5,8 @@ times the standard Gaussian density, so one exact primitive lives here:
 `gaussian_moments`, the moments int_a^b z^k pdf(z) dz (k = 0..3) of an array
 of cells.  An integral is then a dot product of per-cell polynomial
 coefficients with these moments.  Its row 0, the cell masses, is
-`cell_masses`, the only part that needs erfc; a caller that needs only
+`cell_masses`: erfc differences, or, on a partition of narrow cells, a
+midpoint series with one exp per cell and no erfc.  A caller that needs only
 masses and first moments takes `cell_masses` and `gaussian_pdf` of the edges.
 
 The adaptive Gauss-Legendre panel rule is kept as an independent oracle: the
@@ -155,18 +156,59 @@ def hermite_eval(k: int, z):
 # edges (infinite ones included) to +-40 leaves every moment unchanged.
 _EDGE_CLIP = 40.0
 
+# Widest cell whose mass cell_masses takes from the midpoint series.
+_SERIES_MAX_WIDTH = 2.0 ** -10
 
-def cell_masses(edges: np.ndarray) -> np.ndarray:
+
+def cell_masses(edges) -> np.ndarray:
     """Gaussian mass I_0 = Phi(e_{i+1}) - Phi(e_i) of every cell.
 
-    edges is a nondecreasing float array of n + 1 cell edges, which may start
-    at -inf and end at +inf; returns the n masses.  Each is the Phi
-    difference written as 2 Phi(e) - 1 = sign(e) (1 - erfc(|e| / sqrt 2))
-    with the two parts differenced separately: for a cell on one side of 0
-    the sign parts cancel exactly and only the erfc values of that tail are
-    subtracted, so far-tail cells keep their relative accuracy.  erfc is
-    math.erfc, the function the scalar gaussian_cdf calls, once per edge.
+    edges is a nondecreasing array of n + 1 cell edges, which may start at
+    -inf and end at +inf; returns the n masses.  Like mills_ratio it has two
+    regimes, chosen once per call.
+
+    A partition of [-40, 40] whose every cell is at most W = 2**-10 wide (a
+    grid of a few thousand cells or more) takes the midpoint series
+    I_0 = h pdf(m) sum_{n=0..3} He_{2n}(m) (h/2)^{2n} / (2n+1)!, with m the
+    cell's midpoint and h its width: pdf(m + t) = pdf(m) sum_k He_k(m)
+    (-t)^k / k! integrated over |t| <= h/2, where the odd terms cancel.  The
+    first omitted term, n = 4, is at most max |He_8| (h/2)^8 / 9! <=
+    40^8 2^-88 / 9! relative to pdf on the cell, whose extremes differ by at
+    most exp(40 W) = 1.04: below 6.1e-20, 1/1800 ulp (three terms would
+    leave 1.1e-14).  One exp per cell and no erfc; the result is within a
+    few ulp of the mass of [m - h/2, m + h/2] once the rounding of m * m is
+    accounted for, which is pdf's own conditioning (relative error up to
+    m^2/2 times 2^-53, as if m moved by half an ulp).  An erfc difference
+    across such a cell loses relative accuracy as erfc / (h pdf): up to
+    2.4e-12 at grid 16384.
+
+    Any other partition takes each mass as the Phi difference written as
+    2 Phi(e) - 1 = sign(e) (1 - erfc(|e| / sqrt 2)) with the two parts
+    differenced separately: for a cell on one side of 0 the sign parts
+    cancel exactly and only the erfc values of that tail are subtracted, so
+    far-tail cells keep their relative accuracy.  erfc is math.erfc, the
+    function the scalar gaussian_cdf calls, once per edge.  A single wide
+    cell sends the whole call here, which is cheaper than choosing per cell.
     """
+    edges = np.asarray(edges, dtype=float)
+    n = edges.size - 1
+    # Cheap necessary test first; the bounds keep +-inf (and inf - inf) out.
+    if (n > 0 and -_EDGE_CLIP <= edges[0] and edges[-1] <= _EDGE_CLIP
+            and edges[-1] - edges[0] <= n * _SERIES_MAX_WIDTH):
+        h = edges[1:] - edges[:-1]
+        if (h <= _SERIES_MAX_WIDTH).all():
+            mm = edges[:-1] + edges[1:]
+            mm *= 0.5
+            mm *= mm  # m^2 of the correctly rounded midpoint m
+            t = 0.25 * h * h
+            # Horner in t; He_2, He_4, He_6 as polynomials in m^2.
+            s = t * ((((mm - 15.0) * mm + 45.0) * mm - 15.0) * (1.0 / 5040.0))
+            s += ((mm - 6.0) * mm + 3.0) * (1.0 / 120.0)
+            s *= t
+            s += (mm - 1.0) * (1.0 / 6.0)
+            s *= t
+            s += 1.0
+            return h * (np.exp(-0.5 * mm) * INV_SQRT_2PI) * s
     s = np.sign(edges)
     s_erfc = s * np.fromiter(map(math.erfc, (np.abs(edges) / _SQRT2).tolist()),
                              float, edges.size)

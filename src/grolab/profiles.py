@@ -374,11 +374,14 @@ def _lp_cells(edges: np.ndarray, eta: float, alpha: float,
     """Per-cell integrals a_i = int z pdf and c_i = int B pdf on the grid.
 
     B = lambda for z < -eta, -alpha z on (-eta, eta) and -lambda for z > eta.
-    a is pdf(e_i) - pdf(e_{i+1}) on every cell; the mass (erfc) is taken
-    only on cells beyond +-eta, where B is constant.  Each of -eta and eta
-    splits at most one cell (none when it is a grid edge); that cell's
-    pieces are summed left to right from 0.0, and every other cell is
-    0.0 + its own integral, so a -0.0 integral is stored as +0.0.
+    a is pdf(e_i) - pdf(e_{i+1}) on every cell; the mass (cell_masses) is
+    taken only on cells beyond +-eta, where B is constant.  On a fine grid
+    (cells at most 2**-10 wide, grid_size >~ 2,600 at the Reeds point) that
+    is cell_masses' midpoint series, with no erfc; on a coarser grid it is
+    an erfc difference.  Each of -eta and eta splits at most one cell (none
+    when it is a grid edge); that cell's pieces are summed left to right
+    from 0.0, and every other cell is 0.0 + its own integral, so a -0.0
+    integral is stored as +0.0.
     """
     pdf = gaussian_pdf(edges)
     a = pdf[:-1] - pdf[1:]
@@ -414,7 +417,8 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     group found by a parametric threshold.  Sign tails are kept symbolic
     beyond the grid window.  Cell integrals are closed forms taken on the
     grid cells themselves (_lp_cells): the first moment pdf(a) - pdf(b) on
-    every cell, and erfc (through cell_masses) only on cells beyond +-eta.
+    every cell, and the mass (cell_masses: a midpoint series on a fine grid,
+    erfc differences on a coarse one) only on cells beyond +-eta.
 
     The LP is solved on all grid_size cells, and the returned value is
     c . theta over all of them.  The returned profile is the same function
@@ -441,10 +445,16 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     # moment contribution drops from |a_i| to -|a_i|.  A zero-moment cell (the
     # symmetric middle cell of an odd grid, where c = 0 too) has no ratio and
     # moves neither the moment nor the value; it stays out of the walk at 0.
-    walk = np.flatnonzero(abs_a > 0.0)
-    ratio = c[walk] / a[walk]
-    rank = np.argsort(ratio, kind="stable")
-    order = walk[rank]
+    # Without one (every even grid) the walk is every cell: no gather.
+    nonzero = abs_a > 0.0
+    if nonzero.all():
+        ratio = c / a
+        rank = order = np.argsort(ratio, kind="stable")
+    else:
+        walk = np.flatnonzero(nonzero)
+        ratio = c[walk] / a[walk]
+        rank = np.argsort(ratio, kind="stable")
+        order = walk[rank]
     sorted_ratio = ratio[rank]
     # Flips go in ascending ratio order, ties grouped (mirror cells share their
     # ratio exactly); the group that would cross the target gets a common

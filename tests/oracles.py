@@ -4,6 +4,8 @@ tests use, as references for the kernels in grolab.gauss and grolab.profiles.
 
 import math
 
+import numpy as np
+
 from grolab.errors import DomainError
 from grolab.gauss import (DEFAULT_SPEC, gauss_integrate_with_error,
                           gaussian_cdf, gaussian_pdf)
@@ -18,6 +20,16 @@ def interval_mass(a: float, b: float) -> float:
 def interval_z_moment(a: float, b: float) -> float:
     """Integral of z * pdf(z) over [a, b]."""
     return gaussian_pdf(a) - gaussian_pdf(b)
+
+
+def erfc_cell_masses(edges) -> np.ndarray:
+    """Cell masses as erfc differences on every partition: grolab.gauss's
+    cell_masses for cells wider than 2**-10, here taken on narrow ones too."""
+    edges = np.asarray(edges, dtype=float)
+    s = np.sign(edges)
+    s_erfc = s * np.array([math.erfc(abs(e) / math.sqrt(2.0))
+                           for e in edges.tolist()])
+    return 0.5 * ((s[1:] - s[:-1]) - (s_erfc[1:] - s_erfc[:-1]))
 
 
 def tail_first_moment(eta: float) -> float:

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from grolab.baseline import ReedsParams, solve_h
 from grolab.errors import AccuracyError, DomainError
 from grolab.gauss import (
     QuadratureSpec,
+    cell_masses,
     gaussian_cdf,
     gaussian_isf,
     gaussian_moments,
@@ -14,8 +17,14 @@ from grolab.gauss import (
     mills_ratio,
 )
 
-from oracles import (gauss_integrate, h3_tail_integral, interval_mass,
-                     interval_z_moment, tail_first_moment)
+from oracles import (erfc_cell_masses, gauss_integrate, h3_tail_integral,
+                     interval_mass, interval_z_moment, tail_first_moment)
+
+from conftest import LAM
+
+# cell_masses takes the midpoint series on partitions of [-40, 40] whose
+# cells are at most this wide.
+_SERIES_MAX_WIDTH = 2.0 ** -10
 
 
 def test_pdf_values():
@@ -250,6 +259,93 @@ def test_far_tail_mass_matches_mpmath():
         ref = [float((lo - hi) / 2) for lo, hi in zip(erfc_x, erfc_x[1:])]
     for got, want in zip(mass, ref):
         assert abs(got - want) <= 4 * math.ulp(want), (got, want)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("width", [0.0, 1e-12, _SERIES_MAX_WIDTH])
+def test_midpoint_series_matches_mpmath(width):
+    # One narrow cell inside [-40, 40] per call, so every mass is the
+    # midpoint series.  The reference takes the kernel's own midpoint m and
+    # width h, and its rounded square fl(m * m) in pdf(m): that rounding is
+    # pdf's conditioning (up to m^2/2 times 2^-53 relative, hundreds of ulp
+    # at |m| near 40), not the series' error.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(19)
+    mids = np.concatenate((np.linspace(-39.99, 39.99, 161),
+                           rng.uniform(-39.99, 39.99, 80)))
+    with mpmath.workprec(200):
+        for mid in mids.tolist():
+            edges = np.array([mid - 0.5 * width, mid + 0.5 * width])
+            got = float(cell_masses(edges)[0])
+            m = float(0.5 * (edges[0] + edges[1]))
+            h = float(edges[1] - edges[0])
+            if h == 0.0:
+                assert _bits(got) == _bits(0.0), mid
+                continue
+            mp_m, mp_h = abs(mpmath.mpf(m)), mpmath.mpf(h)
+            mass = (mpmath.ncdf(mp_h / 2 - mp_m)
+                    - mpmath.ncdf(-mp_h / 2 - mp_m))
+            want = float(mass * mpmath.exp(mp_m ** 2 / 2 - mpmath.mpf(m * m) / 2))
+            assert abs(got - want) <= 4 * math.ulp(want), (mid, got, want)
+
+
+def test_midpoint_series_beats_erfc_on_lp_grid():
+    # The grid-16384 cells just beyond +-eta, where lp_maximize's fractional
+    # group sits, against their exact masses: the series is within 4 ulp,
+    # the erfc difference off by ~1e-12 relative (erfc / (h pdf) ulp).
+    mpmath = pytest.importorskip("mpmath")
+    params = ReedsParams.at_reeds_point(LAM)
+    z_cut = max(params.eta, solve_h(params.alpha)) + 1.0
+    edges = np.linspace(-z_cut, z_cut, 16385)
+    lo = int(np.searchsorted(edges, -params.eta, side="right"))
+    hi = int(np.searchsorted(edges, params.eta))
+    worst_erfc = 0.0
+    for near in (edges[lo - 61:lo], edges[hi:hi + 61]):
+        got = cell_masses(near)
+        erfc_diff = erfc_cell_masses(near)
+        with mpmath.workprec(200):
+            cdf = [mpmath.ncdf(mpmath.mpf(e)) for e in near.tolist()]
+            want = [float(b - a) for a, b in zip(cdf, cdf[1:])]
+        for g, e, w in zip(got.tolist(), erfc_diff.tolist(), want):
+            assert abs(g - w) <= 4 * math.ulp(w), (g, w)
+            worst_erfc = max(worst_erfc, abs(e - w) / w)
+    assert worst_erfc > 5e-13
+
+
+def test_cell_masses_regime_boundary():
+    # Cells exactly 2**-10 wide take the series; one cell twice as wide
+    # sends the whole call to the erfc difference, bit for bit.
+    fine = np.linspace(-1.0, 1.0, 2049)
+    assert (np.diff(fine) == _SERIES_MAX_WIDTH).all()
+    series = cell_masses(fine)
+    assert not np.array_equal(series, erfc_cell_masses(fine))
+    assert np.max(np.abs(series / erfc_cell_masses(fine) - 1.0)) <= 1e-12
+    one_wide = np.delete(fine, 1000)
+    assert np.array_equal(_bits(cell_masses(one_wide)),
+                          _bits(erfc_cell_masses(one_wide)))
+    # Narrow cells reaching beyond +-40, infinite edges and a coarse grid
+    # all stay on erfc.
+    for edges in ([39.9995, 40.0005], [-np.inf, 0.0, np.inf],
+                  np.linspace(-40.0001, -39.9999, 3),
+                  np.linspace(-2.0, 2.0, 1025)):
+        assert np.array_equal(_bits(cell_masses(edges)),
+                              _bits(erfc_cell_masses(edges))), edges
+
+
+def test_cell_masses_infinite_and_degenerate_cells():
+    # The regime test never computes inf - inf, so no RuntimeWarning even
+    # outside the suite's -W error::RuntimeWarning.
+    inf = math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        masses = cell_masses([-inf, -inf, 0.0, inf, inf])
+        assert np.array_equal(_bits(masses), _bits([0.0, 0.5, 0.5, 0.0]))
+        for edges in ([inf, inf], [-inf, -inf], [1.7e308, 1.7e308]):
+            assert np.array_equal(_bits(cell_masses(edges)), _bits([0.0]))
+        assert cell_masses([0.0]).size == 0
 
 
 def test_mills_ratio_matches_mpmath():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from grolab import profiles
 from grolab.baseline import LAMBDA_STAR, ReedsParams, solve_h
 from grolab.chain import gap_lower_large_delta
 from grolab.errors import DomainError, FeasibilityError
@@ -30,8 +31,8 @@ from grolab.profiles import (
 )
 
 from conftest import LAM
-from oracles import (bathtub, gauss_integrate, interval_mass,
-                     interval_z_moment, odd_part)
+from oracles import (bathtub, erfc_cell_masses, gauss_integrate,
+                     interval_mass, interval_z_moment, odd_part)
 
 
 # -- Profile type -------------------------------------------------------------
@@ -558,6 +559,32 @@ def test_lp_walk_matches_reference():
                                   _bits(ref_prof.evaluate(z))), (grid, lam)
             bits = _bits(prof.values)
             assert (bits[1:] != bits[:-1]).all(), (grid, lam)
+
+
+def test_lp_fine_grid_masses_match_erfc(monkeypatch):
+    # Grid-16384 cells are 1.5e-4 wide, so the outer masses come from
+    # cell_masses' midpoint series.  Taken as erfc differences instead, they
+    # move by up to 2.4e-12 relative, yet the canonical profile keeps its
+    # text and the value moves by at most 2 ulp.  Grid-1024 cells (2.5e-3
+    # wide) stay on erfc, bit for bit.
+    def grid_c(params):
+        z_cut = max(params.eta, solve_h(params.alpha)) + 1.0
+        return [_lp_cells(np.linspace(-z_cut, z_cut, grid + 1), params.eta,
+                          params.alpha, params.lam)[1] for grid in (16384, 1024)]
+
+    cases = [ReedsParams.at_reeds_point(float(lam))
+             for lam in np.linspace(0.18, 0.215, 8)]
+    series = [(grid_c(params), lp_maximize(params, 16384))
+              for params in cases]
+    monkeypatch.setattr(profiles, "cell_masses", erfc_cell_masses)
+    for params, ((fine, coarse), (prof, value)) in zip(cases, series):
+        erfc_fine, erfc_coarse = grid_c(params)
+        assert not np.array_equal(erfc_fine, fine)
+        assert np.allclose(erfc_fine, fine, rtol=5e-12, atol=0.0)
+        assert np.array_equal(_bits(erfc_coarse), _bits(coarse))
+        ref_prof, ref_value = lp_maximize(params, 16384)
+        assert profile_to_text(prof) == profile_to_text(ref_prof)
+        assert abs(value - ref_value) <= 2 * math.ulp(ref_value)
 
 
 def test_lp_canonical_odd_grid():
