@@ -11,7 +11,7 @@ Modules:
                  interval operations for the shared formulas
     certify   -- interval-certified checks: the shared formulas on intervals
     claims    -- the paper's numeric targets, each stated once
-    explorer  -- norm scans, sign ascent, Monte Carlo cross-checks
+    explorer  -- norm and perturbation scans, random profile generators
     cli       -- the `grolab` command
 """
 

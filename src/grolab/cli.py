@@ -73,9 +73,13 @@ class RunConfig:
 
 # -- suites -------------------------------------------------------------------
 
-def _claim_checks(suite: str) -> list[Check]:
-    """The suite's claims.CLAIMS entries, evaluated in floats."""
-    x = Inputs(float, baseline.solve_eta_star)
+def _float_inputs() -> Inputs:
+    """claims.Inputs in floats, with eta at the float root."""
+    return Inputs(float, baseline.solve_eta_star)
+
+
+def _claim_checks(suite: str, x: Inputs) -> list[Check]:
+    """The suite's claims.CLAIMS entries, evaluated in floats on x."""
     checks = []
     for claim in suite_claims(suite):
         value = claim.formula(x)
@@ -90,7 +94,7 @@ def _claim_checks(suite: str) -> list[Check]:
 
 def _baseline_constants() -> list[Check]:
     target, tol = TARGETS["lambda_star"]
-    return _claim_checks("baseline") + [
+    return _claim_checks("baseline", _float_inputs()) + [
         approx_check("lambda_star", target, baseline.optimize_lambda(), tol)]
 
 
@@ -193,8 +197,8 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
 
 
 def _pairing_checks(cfg: RunConfig) -> list[Check]:
-    checks = _claim_checks("pairing")
-    eta = baseline.solve_eta_star(LAM_LIT)
+    x = _float_inputs()
+    checks = _claim_checks("pairing", x)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     a = rng.uniform(-10, 10, 100_000)
     b = rng.uniform(-10, 10, 100_000)
@@ -205,18 +209,18 @@ def _pairing_checks(cfg: RunConfig) -> list[Check]:
     ok = True
     for k in range(20):
         member = explorer.sample_theta_member(cfg.seed + 1000 + k, lam=LAM_LIT)
-        a_val, bound = pairing.A_bound_check(member, eta)
+        a_val, bound = pairing.A_bound_check(member, x.eta)
         if a_val > bound + 1e-10:
             ok = False
     checks.append(flag_check("A_bound_20_members", ok))
     # at the solved eta, 2 eta pdf(eta) equals lambda, so t2 = p - lambda
-    p, _, t2 = pairing.inner_constants(eta)
-    checks.append(approx_check("t2_identity", p - LAM_LIT, t2, 1e-9))
+    checks.append(approx_check("t2_identity", x.pairing.p - LAM_LIT,
+                               x.pairing.t2, 1e-9))
     return checks
 
 
 def _chain_checks(cfg: RunConfig) -> list[Check]:
-    checks = _claim_checks("chain")
+    checks = _claim_checks("chain", _float_inputs())
     env_ok = all(chain.log_tail_envelope_margin(float(a)) >= 0.0
                  for a in np.linspace(2.3, 40.0, 500))
     checks.append(flag_check("gaussian_tail_envelope", env_ok))
@@ -241,24 +245,12 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
         checks.append(approx_check(f"scan_limit_{k}", expected, limit, 1e-6))
         checks.append(bound_check(f"scan_limit_vs_kappa_Q_{k}", kq - 1e-9,
                                   limit, ">="))
-    ok = True
-    for k in range(5):
-        start = explorer.sample_feasible_profile(cfg.seed + 3000 + k, params)
-        _, values = explorer.sign_ascent(start, params, 6)
-        if any(v2 < v1 - 1e-10 for v1, v2 in zip(values, values[1:])):
-            ok = False
-    checks.append(flag_check("sign_ascent_monotone", ok))
-    member = explorer.sample_theta_member(cfg.seed + 4000, lam=LAM_LIT)
-    est, se = explorer.mc_norm_estimate(member, params, 0.0,
-                                        samples=100_000, seed=cfg.seed)
-    truth = explorer.r_lambda_norm_1d(member, params)
-    checks.append(bound_check("mc_within_4_sigma", 4.0 * se, abs(est - truth),
-                              "<="))
     return checks
 
 
 _SUITES = {
-    "constants": lambda cfg: _baseline_constants() + _claim_checks("pairing"),
+    "constants": lambda cfg: (_baseline_constants()
+                              + _claim_checks("pairing", _float_inputs())),
     "baseline": _baseline_checks,
     "profile": _profile_checks,
     "pairing": _pairing_checks,
@@ -389,7 +381,7 @@ def load_config_file(path: str, command: str) -> dict[str, str]:
                     raise UsageError(
                         f"{path}:{lineno}: unknown key {key!r} for {command}")
                 out[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     return out
 

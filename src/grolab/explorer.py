@@ -1,5 +1,5 @@
 """Empirical side: exact 1-D operator-norm evaluation, perturbation scans,
-alternating sign ascent, and Monte Carlo cross-checks.
+and the random profile generators the verification suites sample.
 
 The 1-D representation treats a profile theta as the conditional bias of a
 +-1-valued function given the distinguished Gaussian coordinate; the norm
@@ -10,21 +10,16 @@ zonal pairing coefficient as a numerical derivative.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star
 from .errors import DomainError
 from .gauss import gaussian_moments, gaussian_pdf, hermite_eval
 from .profiles import (
-    CONST_TAILS,
-    SIGN_TAILS,
     Profile,
     V_value,
     _cells,
     check_feasible,
-    moment,
     repair_to_theta,
     theta_moments,
 )
@@ -127,81 +122,6 @@ def richardson_limit(rows: list[tuple[float, float]]) -> float:
         raise DomainError("need at least two scan rows to extrapolate")
     (b1, r1), (b2, r2) = rows[-2], rows[-1]
     return (b1 * r2 - b2 * r1) / (b1 - b2)
-
-
-def _reflect(profile: Profile) -> Profile:
-    bp = tuple(sorted(-b for b in profile.breakpoints))
-    vals = tuple(reversed(profile.values))
-    if profile.tail_rule == SIGN_TAILS:
-        # reflecting sign(z) gives -sign(z); fold it into constant tails
-        return Profile(z_cut=profile.z_cut, breakpoints=bp, values=vals,
-                       tail_rule=CONST_TAILS, tail_values=(1.0, -1.0))
-    left, right = profile.tail_values
-    return Profile(z_cut=profile.z_cut, breakpoints=bp, values=vals,
-                   tail_rule=CONST_TAILS, tail_values=(right, left))
-
-
-def _ascent_step(profile: Profile, lam: float, alpha: float) -> Profile:
-    """One alternating-maximization update of the conditional profile.
-
-    The new witness is the sign of the operator output: sign(z) outside the
-    flat window |z| < lam/alpha and the negated bias inside it.
-    """
-    eta = lam / alpha
-    edges, _, theta = _cells(profile, window=eta)
-    return Profile(z_cut=eta, breakpoints=edges[1:-1], values=-theta)
-
-
-def sign_ascent(initial: Profile, params: ReedsParams,
-                iterations: int) -> tuple[Profile, list[float]]:
-    """Alternating maximization of the norm starting from a profile.
-
-    Each step replaces the profile by the conditional bias of the sign of
-    the operator output and re-estimates its first moment.  The recorded
-    norm sequence is nondecreasing.
-    """
-    if iterations < 1:
-        raise DomainError(f"iterations must be >= 1, got {iterations}")
-    lam = params.lam
-    cur = initial
-    m = moment(cur)
-    if m < 0.0:
-        cur, m = _reflect(cur), -m
-    if m <= 1e-12:
-        raise DomainError("initial profile has vanishing first moment")
-    values = [r_lambda_norm_1d(cur, ReedsParams(lam=lam, alpha=m))]
-    for _ in range(iterations):
-        cur = _ascent_step(cur, lam, m)
-        m = moment(cur)
-        if m < 0.0:
-            cur, m = _reflect(cur), -m
-        values.append(r_lambda_norm_1d(cur, ReedsParams(lam=lam, alpha=m)))
-    return cur, values
-
-
-def mc_norm_estimate(profile: Profile, params: ReedsParams, beta: float,
-                     samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of the perturbed norm.
-
-    Samples the distinguished coordinate, draws the +-1 witness with bias
-    theta(Z), and averages |alpha Z - lam f - beta c3 H3(Z)|.  The Philox
-    counter-based generator keyed by the seed makes runs bit-identical; a
-    parallel split would advance disjoint counter ranges.
-    """
-    if samples < 10_000:
-        raise DomainError(f"samples must be >= 1e4, got {samples}")
-    check_feasible(profile, params)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal(samples)
-    u = rng.random(samples)
-    bias = profile.evaluate(z)
-    f = np.where(u < 0.5 * (1.0 + bias), 1.0, -1.0)
-    c3 = _h3_coefficient(profile)
-    vals = np.abs(params.alpha * z - params.lam * f
-                  - beta * c3 * hermite_eval(3, z))
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return est, stderr
 
 
 # -- profile generators used by scans and the verification suites -------------

@@ -24,6 +24,7 @@ from grolab.chain import (
     strip_case_checks,
     strip_z0,
 )
+from grolab import claims
 from grolab.claims import CLAIMS, LAM_LIT, PAIRING, Inputs
 from grolab.errors import DomainError
 from grolab.intervals import Interval
@@ -132,6 +133,23 @@ def _own_interval_cases():
 
 
 _OWN_INTERVAL_CASES = _own_interval_cases()
+
+
+@pytest.mark.parametrize("num", [float, Interval.exact])
+def test_inputs_take_kg_increment_once(monkeypatch, num):
+    # kg_increment and kg_increment_exceeds read one cached increment
+    calls = []
+    original = claims.kg_increment
+
+    def counted(drop, eta):
+        calls.append((drop, eta))
+        return original(drop, eta)
+
+    monkeypatch.setattr(claims, "kg_increment", counted)
+    x = _claim_inputs(num)
+    values = [c.formula(x) for c in CLAIMS if c.name.startswith("kg_increment")]
+    assert len(values) == 2 and values[0] is values[1]
+    assert calls == [(x.drop, x.eta_lambda_star)]
 
 
 @pytest.mark.parametrize("case", _OWN_INTERVAL_CASES)

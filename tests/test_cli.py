@@ -45,6 +45,13 @@ def test_run_profile_and_explore():
         assert outcome.overall, [c.name for c in outcome.checks if not c.passed]
 
 
+def test_explore_line_names():
+    # a line deleted from the suite that comes back, or a new one, fails here
+    names = [c.name for c in run(RunConfig(command="explore")).checks]
+    assert names == ["scan_limit_0", "scan_limit_vs_kappa_Q_0 >= 0.086812",
+                     "scan_limit_1", "scan_limit_vs_kappa_Q_1 >= 0.086812"]
+
+
 def test_unknown_command_rejected():
     with pytest.raises(UsageError):
         RunConfig(command="bogus")
@@ -324,7 +331,7 @@ def test_bad_profile_file_exits_2(tmp_path, text, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("unknown_key = 1\n", encoding="utf-8")
     assert main(["constants", "--config", str(bad)]) == 2
@@ -332,6 +339,11 @@ def test_config_file_errors(tmp_path):
     malformed.write_text("just some text\n", encoding="utf-8")
     assert main(["constants", "--config", str(malformed)]) == 2
     assert main(["constants", "--config", str(tmp_path / "missing.cfg")]) == 2
+    not_utf8 = tmp_path / "not_utf8.cfg"
+    not_utf8.write_bytes(b"seed = \xff\n")
+    capsys.readouterr()
+    assert main(["constants", "--config", str(not_utf8)]) == 2
+    assert "usage error: cannot read config" in capsys.readouterr().err
 
 
 def _args(**flags):

@@ -5,13 +5,11 @@ from grolab.baseline import solve_h
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import (
     beta_derivative_scan,
-    mc_norm_estimate,
     r_lambda_beta_norm_1d,
     r_lambda_norm_1d,
     richardson_limit,
     sample_feasible_profile,
     sample_theta_member,
-    sign_ascent,
 )
 from grolab.gauss import hermite_eval
 from grolab.pairing import kappa_Q
@@ -179,59 +177,6 @@ def test_scan_validation(params):
         beta_derivative_scan(member, params, [])
     with pytest.raises(DomainError):
         richardson_limit([(1e-3, 0.0)])
-
-
-def test_sign_ascent_bathtub_fixed_value(params):
-    tub = bathtub(solve_h(params.alpha), z_cut=params.eta)
-    _, values = sign_ascent(tub, params, 4)
-    target = F_value_dual(params)
-    for v in values:
-        assert v == pytest.approx(target, abs=1e-10)
-
-
-def test_sign_ascent_canonical_member_fixed_point(params, eta_star):
-    zeros = Profile.constant(0.0, z_cut=eta_star)
-    final, values = sign_ascent(zeros, params, 3)
-    target = F_value_dual(params)
-    for v in values:
-        assert v == pytest.approx(target, abs=1e-10)
-    z = np.linspace(-eta_star * 0.99, eta_star * 0.99, 64)
-    assert np.allclose(final.evaluate(z), 0.0, atol=1e-12)
-
-
-def test_sign_ascent_from_sign_profile(params):
-    sgn = Profile(z_cut=0.5, breakpoints=(0.0,), values=(-1.0, 1.0))
-    _, values = sign_ascent(sgn, params, 6)
-    assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
-    # the sequence settles within the first few iterations
-    assert values[3] == pytest.approx(values[-1], abs=1e-12)
-
-
-def test_sign_ascent_monotone_random_starts(params, rng):
-    for _ in range(50):
-        start = sample_feasible_profile(int(rng.integers(1 << 30)), params)
-        _, values = sign_ascent(start, params, 5)
-        assert all(v2 >= v1 - 1e-10 for v1, v2 in zip(values, values[1:]))
-
-
-def test_sign_ascent_validation(params):
-    tub = bathtub(solve_h(params.alpha))
-    with pytest.raises(DomainError):
-        sign_ascent(tub, params, 0)
-
-
-def test_mc_norm_estimate(params):
-    member = sample_theta_member(10, lam=LAM)
-    truth = r_lambda_norm_1d(member, params)
-    for seed in (11, 12):
-        est, se = mc_norm_estimate(member, params, 0.0, samples=200_000,
-                                   seed=seed)
-        assert abs(est - truth) <= 4.0 * se
-    est1, se1 = mc_norm_estimate(member, params, 0.0, samples=50_000, seed=99)
-    est2, se2 = mc_norm_estimate(member, params, 0.0, samples=50_000, seed=99)
-    assert est1 == est2 and se1 == se2
-    with pytest.raises(DomainError):
-        mc_norm_estimate(member, params, 0.0, samples=100, seed=1)
 
 
 def test_sample_helpers(params, eta_star):

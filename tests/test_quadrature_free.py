@@ -10,7 +10,6 @@ from grolab.explorer import (
     beta_derivative_scan,
     sample_feasible_profile,
     sample_theta_member,
-    sign_ascent,
 )
 from grolab.pairing import A_bound_check
 from grolab.profiles import dual_value, gap_certificate, lp_maximize
@@ -49,7 +48,5 @@ def test_library_path_is_quadrature_free(no_quadrature, params):
     assert a_val <= bound + 1e-10
     rows = beta_derivative_scan(member, params, [1e-3, 5e-4])
     assert len(rows) == 2
-    _, values = sign_ascent(prof, params, 3)
-    assert len(values) == 4
     _, value = lp_maximize(params, 1024)
     assert value == pytest.approx(dual_value(-params.alpha, params), abs=1e-8)
