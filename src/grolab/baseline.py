@@ -1,8 +1,8 @@
 """The Davie-Reeds lower-bound machinery for the Grothendieck constant.
 
 Solves the transcendental equation tying lambda to the threshold eta, builds
-the closed-form denominator of the operator-norm ratio, optimizes lambda, and
-exposes the one-parameter objective F(alpha) with its derivatives.
+the closed-form denominator of the operator-norm ratio, finds the optimal
+lambda as a root in eta, and exposes the objective F(alpha) with derivatives.
 """
 
 from __future__ import annotations
@@ -46,30 +46,37 @@ class ReedsParams:
         return cls(lam=lam, alpha=lam / solve_eta_star(lam))
 
 
+def reeds_lambda(eta: Num) -> Num:
+    """lambda = 2 eta pdf(eta), the threshold equation's left side."""
+    ar = arith(eta)
+    return ar.SQRT_2_OVER_PI * eta * ar.exp(-0.5 * eta * eta)
+
+
 def _eta_equation(eta: Num, lam: Num) -> Num:
-    ar = arith(eta, lam)
-    return ar.SQRT_2_OVER_PI * eta * ar.exp(-0.5 * eta * eta) - lam
+    return reeds_lambda(eta) - lam
 
 
-@lru_cache(maxsize=4096)
-def solve_eta_star(lam: float) -> float:
-    """Unique root eta in (0, 1) of sqrt(2/pi) eta exp(-eta^2/2) = lambda.
+def _argmax_equation(eta: Num) -> Num:
+    """S = alpha^2 + 1 - 4 Phi(-eta), alpha = 2 pdf(eta), lambda = eta alpha.
 
-    The map is strictly increasing on (0, 1), so bisection is safe; it stops
-    at the first step that leaves (lo, hi) unchanged, since the step depends
-    only on (lo, hi) and every later one would leave it unchanged too.  Two
-    Newton steps polish the root to full double precision.
+    With den = alpha^2 + lambda (1 - 4 Phi(-eta)) the bound B = (1 - lambda)
+    / den has B' = -lambda' S / den^2 in eta, lambda' = alpha (1 - eta^2) > 0
+    on (0, 1).  S' = 2 alpha (1 - lambda) > 0 and S(0) < 0 < S(1), so S has
+    exactly one root in (0, 1) and B exactly one maximum there.  The
+    supremum is over eta in (0, 1), solve_eta_star's branch: B(1.5) = 1.738.
     """
-    lam = float(lam)
-    if not (0.0 < lam < _LAMBDA_FEASIBLE_MAX):
-        raise DomainError(
-            f"lambda={lam} admits no root with eta in (0, 1); "
-            f"need 0 < lambda < {_LAMBDA_FEASIBLE_MAX:.12g}"
-        )
+    ar = arith(eta)
+    alpha = 2.0 * ar.pdf(eta)
+    return alpha * alpha + 1.0 - 4.0 * ar.cdf(-eta)
+
+
+def _bisect(equation) -> float:
+    """Root in [0, 1] of an increasing equation by bisection, stopped at the
+    first step that leaves (lo, hi) unchanged: so would every later one."""
     lo, hi = 0.0, 1.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if _eta_equation(mid, lam) < 0.0:
+        if equation(mid) < 0.0:
             if lo == mid:
                 break
             lo = mid
@@ -77,12 +84,49 @@ def solve_eta_star(lam: float) -> float:
             if hi == mid:
                 break
             hi = mid
-    eta = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=4096)
+def solve_eta_star(lam: float) -> float:
+    """Unique root eta in (0, 1) of sqrt(2/pi) eta exp(-eta^2/2) = lambda.
+
+    The map is strictly increasing on (0, 1), so bisection is safe; two
+    Newton steps polish its root to full double precision.
+    """
+    lam = float(lam)
+    if not (0.0 < lam < _LAMBDA_FEASIBLE_MAX):
+        raise DomainError(
+            f"lambda={lam} admits no root with eta in (0, 1); "
+            f"need 0 < lambda < {_LAMBDA_FEASIBLE_MAX:.12g}"
+        )
+    eta = _bisect(lambda mid: _eta_equation(mid, lam))
     for _ in range(2):
         # d/deta [sqrt(2/pi) eta e^{-eta^2/2}] = 2 pdf(eta) (1 - eta^2)
         deriv = 2.0 * gaussian_pdf(eta) * (1.0 - eta * eta)
         eta -= _eta_equation(eta, lam) / deriv
     return eta
+
+
+@lru_cache(maxsize=1)
+def solve_eta_argmax() -> float:
+    """The root of _argmax_equation in (0, 1): the eta of the bound's maximum."""
+    return _bisect(_argmax_equation)
+
+
+def argmax_gap(eta0: Num, eta_max: Num) -> Num:
+    """Upper bound on B(eta_max) - B(eta0), eta_max the root of S (see
+    _argmax_equation): S(eta0)^2 lambda'/den^2 / S', the last two factors
+    over hull(eta0, eta_max), since |S| <= |S(eta0)| there and
+    |eta_max - eta0| <= |S(eta0)| / inf S'."""
+    ar = arith(eta0, eta_max)
+    eta = ar.hull(eta0, eta_max)
+    alpha = 2.0 * ar.pdf(eta)
+    lam = eta * alpha
+    den = alpha * alpha + lam * (1.0 - 4.0 * ar.cdf(-eta))
+    slope = alpha * (1.0 - eta * eta) / (den * den)
+    return (ar.square(_argmax_equation(eta0)) * slope
+            / (2.0 * alpha * (1.0 - lam)))
 
 
 # The cores below take the root eta of the threshold equation with lambda,
@@ -101,19 +145,6 @@ def _bound(lam: Num, eta: Num) -> Num:
     return (1.0 - lam) / _denominator(lam, eta)
 
 
-def _bound_derivative(lam: Num, eta: Num) -> Num:
-    """Exact d/dlambda of the bound, via the implicit eta(lambda)."""
-    ar = arith(lam, eta)
-    alpha = lam / eta
-    phi_m = ar.cdf(-eta)
-    pdf_eta = ar.pdf(eta)
-    deta = 1.0 / (2.0 * pdf_eta * (1.0 - eta * eta))
-    dalpha = (eta - lam * deta) / (eta * eta)
-    den = alpha * alpha + lam * (1.0 - 4.0 * phi_m)
-    dden = 2.0 * alpha * dalpha + (1.0 - 4.0 * phi_m) + 4.0 * lam * pdf_eta * deta
-    return (-den - (1.0 - lam) * dden) / (den * den)
-
-
 def reeds_denominator(lam: float) -> float:
     """(lambda/eta)^2 + lambda (1 - 4 Phi(-eta)) at eta = solve_eta_star(lambda)."""
     return _denominator(lam, solve_eta_star(lam))
@@ -124,28 +155,9 @@ def davie_reeds_bound(lam: float) -> float:
     return _bound(lam, solve_eta_star(lam))
 
 
-@lru_cache(maxsize=1)
 def optimize_lambda() -> float:
-    """Argmax of davie_reeds_bound on (1e-4, 0.4).
-
-    Bisects the sign of the exact derivative _bound_derivative (positive at
-    1e-4, negative at 0.4, else DomainError) until the bracket's ends are
-    adjacent doubles, and returns their rounded midpoint.
-    """
-    def slope(lam):
-        return _bound_derivative(lam, solve_eta_star(lam))
-
-    lo, hi = 1e-4, 0.4
-    if not (slope(lo) > 0.0 > slope(hi)):
-        raise DomainError("derivative bracket lost; bound not unimodal here")
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    """Argmax of davie_reeds_bound: lambda at the root of _argmax_equation."""
+    return reeds_lambda(solve_eta_argmax())
 
 
 def F_value(alpha: float, lam: float) -> float:

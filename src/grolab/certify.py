@@ -1,15 +1,13 @@
 """Interval-certified checks of the paper's point claims.
 
-Every entry of claims.CLAIMS is evaluated here on claims.Inputs built from
-Interval.exact and eta_star_enclosure: the same formula the float report
-evaluates, on Interval inputs, where every elementary operation rounds
-outward.  A line passes on strict separation: the enclosure sits inside the
-+-tol window of a TARGETS entry, or entirely on the required side of a
-BOUNDS entry.  The two argmax_bracket lines are the only ones outside the
-table: the bound's derivative changes sign across the lambda_star window.
-Nothing here searches for a root: eta is enclosed by certifying the
-equation's signs on either side of the float root
-baseline.solve_eta_star finds.
+Every entry of claims.CLAIMS, and nothing else, is evaluated here on
+claims.Inputs built from Interval.exact, eta_star_enclosure and
+eta_argmax_enclosure: the same formula the float report evaluates, on
+Interval inputs, where every elementary operation rounds outward.  A line
+passes on strict separation: the enclosure sits inside the +-tol window of a
+TARGETS entry, or entirely on the required side of a BOUNDS entry.  Nothing
+here searches for a root: each root is enclosed by certifying its
+equation's signs on either side of the float root baseline finds.
 """
 
 from __future__ import annotations
@@ -18,9 +16,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .baseline import (LAMBDA_STAR, _bound_derivative, _eta_equation,
+from .baseline import (_argmax_equation, _eta_equation, solve_eta_argmax,
                        solve_eta_star)
-from .claims import BOUNDS, TARGETS, Claim, Inputs, suite_claims
+from .claims import BOUNDS, CLAIMS, TARGETS, Claim, Inputs
 from .errors import InternalCheckError
 from .intervals import Interval
 
@@ -57,55 +55,65 @@ def _within(name: str, iv: Interval, claim: str) -> CertifiedCheck:
                           iv.lo if nearer_lo else iv.hi)
 
 
-def _beyond(name: str, iv: Interval, relation: str, bound: float,
-            requirement: str | None = None) -> CertifiedCheck:
+def _beyond(name: str, iv: Interval, relation: str,
+            bound: float) -> CertifiedCheck:
     """iv strictly on the side of bound that relation (">", ">=", "<", "<=")
-    names; requirement replaces the default text "relation bound"."""
+    names."""
     if relation not in (">", ">=", "<", "<="):
         raise ValueError(f"unknown relation {relation!r}")
     above = relation.startswith(">")
     passed = iv.strictly_above(bound) if above else iv.strictly_below(bound)
-    return CertifiedCheck(name, iv.lo, iv.hi,
-                          requirement or f"{relation} {_spell(bound)}",
+    return CertifiedCheck(name, iv.lo, iv.hi, f"{relation} {_spell(bound)}",
                           passed, iv.lo if above else iv.hi)
 
 
-# Doublings of each end's step before eta_star_enclosure gives up.  From
-# any root in (0, 1) 54 take the left end to 0, where the sign is certain;
-# the right end runs out of them only when lambda is within rounding of
-# baseline._LAMBDA_FEASIBLE_MAX, where no sign at or below eta = 1 is certain.
+# Doublings of each end's step before _enclose_root gives up.  From any
+# root in (0, 1) 54 take the left end to 0, where the sign is certain; the
+# right end runs out of them only for the threshold equation at a lambda
+# within rounding of baseline._LAMBDA_FEASIBLE_MAX, where no sign at or
+# below eta = 1 is certain.
 _MAX_DOUBLINGS = 64
 
 
-@lru_cache(maxsize=8)
-def eta_star_enclosure(lam: float) -> Interval:
-    """Certified enclosure of the root eta in (0, 1) of g(eta) = lambda.
+def _enclose_root(equation, root: float, what: str) -> Interval:
+    """Certified enclosure of the root in [0, 1] of an increasing equation.
 
-    g(eta) = sqrt(2/pi) eta exp(-eta^2/2) is strictly increasing on [0, 1],
-    so endpoints 0 <= lo < hi <= 1 with g(lo) - lambda < 0 < g(hi) - lambda,
-    both signs certified on intervals, enclose its unique root there.  The
-    float root solve_eta_star(lambda) is only the starting point: each end
-    moves outward from it by k ulps, k doubling per step, until its sign is
-    certified.  Cached: each suite's Inputs takes the enclosures at LAM_LIT
-    and LAMBDA_STAR, and Interval is immutable.
+    Endpoints 0 <= lo < hi <= 1 with equation(lo) < 0 < equation(hi), both
+    signs certified on intervals, enclose its unique root there.  Each end
+    moves outward from the float root by k ulps, k doubling per step, until
+    its sign is certified; the error names what.
     """
-    root = solve_eta_star(lam)
-    lam_iv = Interval.exact(lam)
-
     def outward(direction: float, certified) -> float:
         step = direction * math.ulp(root)
         x = root
         for _ in range(_MAX_DOUBLINGS):
             x = min(max(x + step, 0.0), 1.0)
-            if certified(_eta_equation(Interval.exact(x), lam_iv)):
+            if certified(equation(Interval.exact(x))):
                 return x
             step *= 2.0
         raise InternalCheckError(
-            f"eta sign not certified {'above' if direction > 0 else 'below'} "
-            f"the float root {root!r} at lambda={lam!r}")
+            f"sign of {what} not certified "
+            f"{'above' if direction > 0 else 'below'} the float root {root!r}")
 
     return Interval(outward(-1.0, lambda g: g.strictly_below(0.0)),
                     outward(1.0, lambda g: g.strictly_above(0.0)))
+
+
+@lru_cache(maxsize=8)
+def eta_star_enclosure(lam: float) -> Interval:
+    """Certified enclosure of the root eta in (0, 1) of reeds_lambda(eta) =
+    lambda, from solve_eta_star(lambda).  Cached: Inputs takes the
+    enclosures at LAM_LIT and LAMBDA_STAR, and Interval is immutable."""
+    return _enclose_root(lambda eta: _eta_equation(eta, Interval.exact(lam)),
+                         solve_eta_star(lam),
+                         f"the threshold equation at lambda={lam!r}")
+
+
+@lru_cache(maxsize=1)
+def eta_argmax_enclosure() -> Interval:
+    """Certified enclosure of the root of baseline._argmax_equation."""
+    return _enclose_root(_argmax_equation, solve_eta_argmax(),
+                         "the argmax equation")
 
 
 def _certify(claim: Claim, x: Inputs) -> CertifiedCheck:
@@ -115,39 +123,7 @@ def _certify(claim: Claim, x: Inputs) -> CertifiedCheck:
     return _beyond(claim.label, iv, claim.relation, BOUNDS[claim.name])
 
 
-def _claim_checks(suite: str) -> list[CertifiedCheck]:
-    """The suite's claims.CLAIMS entries, evaluated in intervals."""
-    x = Inputs(Interval.exact, eta_star_enclosure)
-    return [_certify(claim, x) for claim in suite_claims(suite)]
-
-
-def _reeds_point(lam: float) -> tuple[Interval, Interval]:
-    """(lambda, eta) enclosures at the given lambda."""
-    return Interval.exact(lam), eta_star_enclosure(lam)
-
-
-def certified_baseline_checks() -> list[CertifiedCheck]:
-    # The argmax lies within the lambda_star claim's window: the bound's
-    # derivative changes sign across it.
-    _, step = TARGETS["lambda_star"]
-    d_left = _bound_derivative(*_reeds_point(LAMBDA_STAR - step))
-    d_right = _bound_derivative(*_reeds_point(LAMBDA_STAR + step))
-    return _claim_checks("baseline") + [
-        _beyond("argmax_bracket_left", d_left, ">", 0.0,
-                f"derivative > 0 at lambda* - {_spell(step)}"),
-        _beyond("argmax_bracket_right", d_right, "<", 0.0,
-                f"derivative < 0 at lambda* + {_spell(step)}"),
-    ]
-
-
-def certified_pairing_checks() -> list[CertifiedCheck]:
-    return _claim_checks("pairing")
-
-
-def certified_chain_checks() -> list[CertifiedCheck]:
-    return _claim_checks("chain")
-
-
 def all_certified_checks() -> list[CertifiedCheck]:
-    return (certified_baseline_checks() + certified_pairing_checks()
-            + certified_chain_checks())
+    """Every claims.CLAIMS entry, evaluated in intervals, in table order."""
+    x = Inputs(Interval.exact, eta_star_enclosure, eta_argmax_enclosure)
+    return [_certify(claim, x) for claim in CLAIMS]

@@ -4,12 +4,12 @@ TARGETS and BOUNDS hold the numbers; where a value is already a named
 constant elsewhere, the entry refers to it.  CLAIMS holds, for each claim,
 the suite that reports it, its relation to the number and its formula: one
 function of the shared Inputs.  The CLI evaluates every formula in floats
-(Inputs(float, solve_eta_star)) and certify in outward-rounded intervals
-(Inputs(Interval.exact, eta_star_enclosure)), so a claim's float line and
-its certified line check one expression against one number.
+(Inputs(float, solve_eta_star, solve_eta_argmax)) and certify in
+outward-rounded intervals (Inputs(Interval.exact, eta_star_enclosure,
+eta_argmax_enclosure)), so a claim's float line and its certified line
+check one expression against one number.
 
-Outside the table: lambda_star (a search in floats, a derivative sign
-bracket in intervals), and the sampled, scanned and strip checks.
+Outside the table: the sampled, scanned and strip checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .baseline import DAVIE_REEDS_C, LAMBDA_STAR, _bound
+from .baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound, argmax_gap,
+                       reeds_lambda)
 from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, K0, L0,
                     NEAR_DROP_COEFF, STRIP_Z0, C_z0, K_strip, L0_bound,
                     final_branches, kappa_eff, kg_increment,
@@ -51,7 +52,8 @@ PAIRING = ("B", "A_max", "kappa_Q", "p", "s1", "t2", "transverse",
            "pairing_lower")
 
 # One-sided claims: name -> bound; the relation is the CLAIMS entry's.
-# kg_increment_exceeds is the paper's headline K_G >= c + 1e-26.
+# kg_increment_exceeds is the paper's headline K_G >= c + 1e-26, c the
+# bound's supremum: the increment less baseline.argmax_gap.
 BOUNDS: dict[str, float] = {
     "K0_upper": K0,
     "kappa_eff": 0.0058,
@@ -69,16 +71,23 @@ class Inputs:
 
     num turns a named constant into a number of the system (float, or
     Interval.exact); eta_of gives the threshold root at a lambda
-    (solve_eta_star, or eta_star_enclosure).  The pairing constants, the
-    final drop and the K_G increment are computed on first use, once per
-    instance.
+    (solve_eta_star, or eta_star_enclosure); eta_argmax gives the root of
+    baseline._argmax_equation (solve_eta_argmax, or eta_argmax_enclosure).
+    That root, the pairing constants, the final drop and the K_G increment
+    are computed on first use, once per instance.
     """
 
     def __init__(self, num: Callable[[float], Num],
-                 eta_of: Callable[[float], Num]):
+                 eta_of: Callable[[float], Num],
+                 eta_argmax: Callable[[], Num]):
         self.num = num
         self.eta = eta_of(LAM_LIT)
         self.eta_lambda_star = eta_of(LAMBDA_STAR)
+        self._eta_argmax = eta_argmax
+
+    @cached_property
+    def eta_argmax(self) -> Num:
+        return self._eta_argmax()
 
     @cached_property
     def pairing(self) -> PairingConstants:
@@ -128,6 +137,8 @@ CLAIMS: tuple[Claim, ...] = (
           lambda x: _bound(x.num(LAM_LIT), x.eta)),
     Claim("eta_star", "baseline", "within", lambda x: x.eta),
     Claim("alpha_star", "baseline", "within", lambda x: x.num(LAM_LIT) / x.eta),
+    Claim("lambda_star", "baseline", "within",
+          lambda x: reeds_lambda(x.eta_argmax)),
     *(Claim(name, "pairing", "within", _pairing(name)) for name in PAIRING),
     Claim("K0_upper", "pairing", "<=", _pairing("K0_upper")),
     Claim("kappa_eff", "chain", ">=", lambda x: kappa_eff(x.num(EPSILON_STAR))),
@@ -135,7 +146,8 @@ CLAIMS: tuple[Claim, ...] = (
             point=beta) for beta in (1e-10, BETA_STAR)),
     Claim("final_drop", "chain", "within", lambda x: x.drop),
     Claim("kg_increment", "chain", ">=", lambda x: x.increment),
-    Claim("kg_increment_exceeds", "chain", ">=", lambda x: x.increment),
+    Claim("kg_increment_exceeds", "chain", ">=",
+          lambda x: x.increment - argmax_gap(x.eta_lambda_star, x.eta_argmax)),
     Claim("K_strip", "chain", "<=",
           lambda x: K_strip(x.num(STRIP_Z0), x.num(ALPHA_MIN))),
     Claim("L0_bound", "chain", "<=", lambda x: L0_bound(x.num(ALPHA_MIN))),

@@ -74,8 +74,8 @@ class RunConfig:
 # -- suites -------------------------------------------------------------------
 
 def _float_inputs() -> Inputs:
-    """claims.Inputs in floats, with eta at the float root."""
-    return Inputs(float, baseline.solve_eta_star)
+    """claims.Inputs in floats, with eta at the float roots."""
+    return Inputs(float, baseline.solve_eta_star, baseline.solve_eta_argmax)
 
 
 def _claim_checks(suite: str, x: Inputs) -> list[Check]:
@@ -92,15 +92,8 @@ def _claim_checks(suite: str, x: Inputs) -> list[Check]:
     return checks
 
 
-def _baseline_constants() -> list[Check]:
-    target, tol = TARGETS["lambda_star"]
-    return _claim_checks("baseline", _float_inputs()) + [
-        approx_check("lambda_star", target, baseline.optimize_lambda(), tol)]
-
-
 def _baseline_checks(cfg: RunConfig) -> list[Check]:
-    lam_opt = baseline.optimize_lambda()
-    checks = _baseline_constants()
+    checks = _claim_checks("baseline", _float_inputs())
     alpha_lit, _ = TARGETS["alpha_star"]
     fp, _ = baseline.F_derivatives(alpha_lit, LAM_LIT)
     checks.append(approx_check("F_prime_at_alpha_star", 0.0, fp, 1e-9))
@@ -109,7 +102,8 @@ def _baseline_checks(cfg: RunConfig) -> list[Check]:
     checks.append(approx_check("F_equals_denominator", den,
                                baseline.F_value(params.alpha, LAM_LIT), 1e-12))
     # quadratic-drop scan of F over the full alpha grid
-    alpha_star = lam_opt / baseline.solve_eta_star(lam_opt)
+    lam_opt = baseline.optimize_lambda()
+    alpha_star = lam_opt / baseline.solve_eta_argmax()
     f_star = baseline.F_value(alpha_star, lam_opt)
     ok = True
     for a in np.arange(0.05, 0.99, 1e-3):
@@ -249,7 +243,7 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
 
 
 _SUITES = {
-    "constants": lambda cfg: (_baseline_constants()
+    "constants": lambda cfg: (_claim_checks("baseline", _float_inputs())
                               + _claim_checks("pairing", _float_inputs())),
     "baseline": _baseline_checks,
     "profile": _profile_checks,

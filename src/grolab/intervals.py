@@ -197,19 +197,24 @@ def _max(*xs: Interval) -> Interval:
     return Interval(max(x.lo for x in xs), max(x.hi for x in xs))
 
 
+def _hull(*xs: Interval) -> Interval:
+    return Interval(min(x.lo for x in xs), max(x.hi for x in xs))
+
+
 # The operations the shared formulas use, one set per number system.  pow
 # takes a rational exponent q (an int or a Fraction): x ** (num/den) in
 # floats, pow_frac in intervals.  exact turns an input into the system's
 # number; in intervals a float becomes a point, so pass only exactly
 # representable values through it and build the others from the set's
-# operations (-(exact(2.0) / 3.0), not -0.6666...).  Functions and methods
-# are looked up per call, so rebinding them (as the benchmark's tracer does)
+# operations (-(exact(2.0) / 3.0), not -0.6666...).  hull is the interval
+# hull of its inputs, in floats one of them.  Functions and methods are
+# looked up per call, so rebinding them (as the benchmark's tracer does)
 # takes effect here too.
 FLOATS = SimpleNamespace(
     exact=float, exp=math.exp, log=math.log, sqrt=math.sqrt,
     square=lambda x: x ** 2,
     pow=lambda x, q: x ** (q.numerator / q.denominator),
-    min=min, max=max,
+    min=min, max=max, hull=min,
     pdf=lambda z: gauss.gaussian_pdf(z),
     cdf=lambda t: gauss.gaussian_cdf(t),
     SQRT_2PI=gauss.SQRT_2PI, INV_SQRT_2PI=gauss.INV_SQRT_2PI,
@@ -219,7 +224,7 @@ INTERVALS = SimpleNamespace(
     exact=_coerce, exp=lambda x: x.exp(), log=lambda x: x.log(),
     sqrt=lambda x: x.sqrt(), square=lambda x: x.square(),
     pow=lambda x, q: x.pow_frac(q.numerator, q.denominator),
-    min=_min, max=_max,
+    min=_min, max=_max, hull=_hull,
     pdf=lambda z: gaussian_pdf_iv(z),
     cdf=lambda t: gaussian_cdf_iv(t),
     SQRT_2PI=SQRT_2PI, INV_SQRT_2PI=INV_SQRT_2PI,

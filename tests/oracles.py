@@ -1,11 +1,13 @@
-"""Closed forms, the quadrature wrapper and profile builders that only the
-tests use, as references for the kernels in grolab.gauss and grolab.profiles.
+"""Closed forms, the quadrature wrapper, profile builders and the lambda
+search that only the tests use, as references for the kernels in
+grolab.gauss and grolab.profiles and for grolab.baseline.optimize_lambda.
 """
 
 import math
 
 import numpy as np
 
+from grolab.baseline import davie_reeds_bound, solve_eta_star
 from grolab.errors import DomainError
 from grolab.gauss import (DEFAULT_SPEC, gauss_integrate_with_error,
                           gaussian_cdf, gaussian_pdf)
@@ -79,3 +81,71 @@ def odd_part(profile: Profile) -> Profile:
     return Profile(z_cut=profile.z_cut, breakpoints=edges[1:-1],
                    values=vals, tail_rule=CONST_TAILS,
                    tail_values=(-odd_right, odd_right))
+
+
+def bound_derivative(lam: float, eta: float) -> float:
+    """d/dlambda of the Davie-Reeds bound, via the implicit eta(lambda)."""
+    alpha = lam / eta
+    phi_m = gaussian_cdf(-eta)
+    pdf_eta = gaussian_pdf(eta)
+    deta = 1.0 / (2.0 * pdf_eta * (1.0 - eta * eta))
+    dalpha = (eta - lam * deta) / (eta * eta)
+    den = alpha * alpha + lam * (1.0 - 4.0 * phi_m)
+    dden = 2.0 * alpha * dalpha + (1.0 - 4.0 * phi_m) + 4.0 * lam * pdf_eta * deta
+    return (-den - (1.0 - lam) * dden) / (den * den)
+
+
+def golden_then_bisect() -> float:
+    """The lambda-parametrized search for the bound's argmax: 40
+    golden-section steps on [1e-4, 0.4], then 80 bisection steps on the
+    sign of bound_derivative around the bracket, eta solved at each step."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = 1e-4, 0.4
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = davie_reeds_bound(c), davie_reeds_bound(d)
+    for _ in range(40):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = davie_reeds_bound(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = davie_reeds_bound(d)
+
+    def slope(lam):
+        return bound_derivative(lam, solve_eta_star(lam))
+
+    lo, hi = max(a - 1e-4, 1e-6), min(b + 1e-4, 0.4)
+    assert slope(lo) > 0.0 > slope(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reeds_mp(mpmath, eta):
+    """(lambda, alpha, den, S) at eta in the eta parametrization, in
+    mpmath's working precision: alpha = 2 pdf(eta), lambda = eta alpha,
+    den = alpha^2 + lambda (1 - 4 Phi(-eta)), S = alpha^2 + 1 - 4 Phi(-eta)."""
+    alpha = 2 * mpmath.npdf(eta)
+    lam = eta * alpha
+    tail = 1 - 4 * mpmath.ncdf(-eta)
+    return lam, alpha, alpha * alpha + lam * tail, alpha * alpha + tail
+
+
+def reeds_bound_mp(mpmath, eta):
+    """The Davie-Reeds bound (1 - lambda) / den at eta, in mpmath."""
+    lam, _, den, _ = reeds_mp(mpmath, eta)
+    return (1 - lam) / den
+
+
+def argmax_mp(mpmath):
+    """(eta*, lambda*): the root of S and lambda there, in mpmath."""
+    eta = mpmath.findroot(lambda e: reeds_mp(mpmath, e)[3],
+                          mpmath.mpf("0.2557"))
+    return eta, reeds_mp(mpmath, eta)[0]

@@ -17,12 +17,7 @@ from grolab.baseline import (
     optimize_lambda,
     solve_eta_star,
 )
-from grolab.certify import (
-    all_certified_checks,
-    certified_baseline_checks,
-    certified_chain_checks,
-    certified_pairing_checks,
-)
+from grolab.certify import all_certified_checks
 from grolab.chain import (
     BETA_STAR,
     final_chain,
@@ -231,13 +226,8 @@ def test_criterion_9_explorer():
 
 def test_criterion_10_certified_intervals():
     with criterion(10, "interval certification of criteria 1-3, 6, 7"):
-        for check in certified_baseline_checks():
+        for check in all_certified_checks():
             assert check.passed, check.name
-        for check in certified_pairing_checks():
-            assert check.passed, check.name
-        for check in certified_chain_checks():
-            assert check.passed, check.name
-        assert all(c.passed for c in all_certified_checks())
 
 
 def test_claims_table_matches_paper():

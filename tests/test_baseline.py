@@ -16,11 +16,13 @@ from grolab.baseline import (
     solve_eta_star,
     solve_h,
 )
-from grolab.baseline import _eta_equation
+from grolab import baseline
+from grolab.baseline import _argmax_equation, _eta_equation
 from grolab.errors import DomainError
 from grolab.gauss import SQRT_2_OVER_PI, gaussian_pdf
 
 from conftest import LAM
+from oracles import argmax_mp, golden_then_bisect, reeds_bound_mp, reeds_mp
 
 
 def test_eta_star_reference():
@@ -109,42 +111,45 @@ def test_optimize_lambda():
     assert abs(fd) < 1e-8
 
 
-def _golden_then_bisect() -> float:
-    """The earlier optimize_lambda: 40 golden-section steps on [1e-4, 0.4],
-    then 80 bisection steps on the derivative's sign around the bracket."""
-    from grolab.baseline import _bound_derivative
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 1e-4, 0.4
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = davie_reeds_bound(c), davie_reeds_bound(d)
-    for _ in range(40):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = davie_reeds_bound(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = davie_reeds_bound(d)
-
-    def slope(lam):
-        return _bound_derivative(lam, solve_eta_star(lam))
-
-    lo, hi = max(a - 1e-4, 1e-6), min(b + 1e-4, 0.4)
-    assert slope(lo) > 0.0 > slope(hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_optimize_lambda_matches_golden_section_reference():
-    assert optimize_lambda() == _golden_then_bisect() == 0.19747909099498168
+    # The lambda-parametrized search differs by 8 ulp: its derivative is a
+    # difference of O(1) terms that cancels near the root.
+    reference = golden_then_bisect()
+    assert reference == 0.19747909099498168
+    assert abs(optimize_lambda() - reference) <= 16 * math.ulp(reference)
+
+
+def test_optimize_lambda_solves_no_eta(monkeypatch):
+    calls = []
+    monkeypatch.setattr(baseline, "solve_eta_star",
+                        lambda lam: calls.append(lam))
+    baseline.solve_eta_argmax.cache_clear()
+    assert 0.0 < optimize_lambda() < 1.0
+    assert calls == []
+
+
+def test_optimize_lambda_within_4_ulp_of_200_bit_argmax():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        _, lam = argmax_mp(mpmath)
+        assert abs(optimize_lambda() - lam) <= 4 * math.ulp(LAMBDA_STAR)
+
+
+@pytest.mark.parametrize("eta", [0.1, 0.3, 0.7])
+def test_argmax_closed_forms_match_200_bit_derivatives(eta):
+    # B' = -lambda' S / den^2 and S' = 2 alpha (1 - lambda), with
+    # lambda' = alpha (1 - eta^2), against numerical derivatives
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        e = mpmath.mpf(eta)
+        lam, alpha, den, s = reeds_mp(mpmath, e)
+        b_prime = -alpha * (1 - e * e) * s / den ** 2
+        s_prime = 2 * alpha * (1 - lam)
+        assert abs(mpmath.diff(lambda t: reeds_bound_mp(mpmath, t), e)
+                   - b_prime) < 1e-50
+        assert abs(mpmath.diff(lambda t: reeds_mp(mpmath, t)[3], e)
+                   - s_prime) < 1e-50
+        assert abs(_argmax_equation(eta) - s) < 4e-16
 
 
 def test_optimum_beats_scan():

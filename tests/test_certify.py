@@ -2,12 +2,16 @@ import math
 
 import pytest
 
-from grolab.baseline import _LAMBDA_FEASIBLE_MAX, LAMBDA_STAR, solve_eta_star
-from grolab.certify import _beyond, all_certified_checks, eta_star_enclosure
-from grolab.claims import CLAIMS, LAM_LIT, TARGETS
+from grolab.baseline import (_LAMBDA_FEASIBLE_MAX, LAMBDA_STAR, argmax_gap,
+                             solve_eta_star)
+from grolab.certify import (_beyond, all_certified_checks,
+                            eta_argmax_enclosure, eta_star_enclosure)
+from grolab.claims import BOUNDS, CLAIMS, LAM_LIT, TARGETS
 from grolab.cli import RunConfig, run
 from grolab.errors import InternalCheckError
 from grolab.intervals import Interval
+
+from oracles import argmax_mp, reeds_bound_mp
 
 # From tiny lambda, where eta ~ sqrt(pi/2) lambda, to just below the
 # feasibility maximum, where the equation's slope at the root vanishes.
@@ -63,13 +67,37 @@ def test_beyond_rejects_unknown_relation():
 
 def test_every_claim_is_in_both_reports():
     # One table entry gives one float line and one certified line under the
-    # same base name; the certified report has no other line but the two
-    # argmax brackets.
+    # same base name; the certified report has no other line.
     labels = [c.label for c in CLAIMS]
     assert len(set(labels)) == len(labels)
     floats = {c.name.split(" ")[0]
               for c in run(RunConfig(command="verify-all")).checks}
     assert set(labels) <= floats
-    certified = [c.name for c in all_certified_checks()]
-    assert sorted(certified) == sorted(
-        [*labels, "argmax_bracket_left", "argmax_bracket_right"])
+    assert [c.name for c in all_certified_checks()] == labels
+
+
+def test_argmax_enclosures_contain_200_bit_argmax():
+    mpmath = pytest.importorskip("mpmath")
+    iv = eta_argmax_enclosure()
+    assert iv.width <= 1e-14
+    line = {c.name: c for c in all_certified_checks()}["lambda_star"]
+    with mpmath.workprec(200):
+        eta, lam = argmax_mp(mpmath)
+        assert iv.lo <= eta <= iv.hi
+        assert line.lo <= lam <= line.hi
+
+
+def test_certified_argmax_gap_covers_200_bit_gap_within_budget():
+    # c - bound(LAMBDA_STAR) <= the certified gap <= the increment's margin
+    # over the headline's 1e-26
+    mpmath = pytest.importorskip("mpmath")
+    gap = argmax_gap(eta_star_enclosure(LAMBDA_STAR), eta_argmax_enclosure())
+    increment = {c.name: c for c in all_certified_checks()}["kg_increment"]
+    with mpmath.workprec(200):
+        eta, _ = argmax_mp(mpmath)
+        target = mpmath.mpf(LAMBDA_STAR)
+        eta0 = mpmath.findroot(
+            lambda e: 2 * e * mpmath.npdf(e) - target, mpmath.mpf("0.2557"))
+        exact = reeds_bound_mp(mpmath, eta) - reeds_bound_mp(mpmath, eta0)
+        assert 0 < exact <= gap.hi
+    assert gap.hi < increment.lo - BOUNDS["kg_increment_exceeds"]

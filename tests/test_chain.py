@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grolab.baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound_derivative,
-                             _denominator, solve_eta_star)
+from grolab.baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _argmax_equation,
+                             _denominator, solve_eta_argmax, solve_eta_star)
 from grolab.chain import (
     ALPHA_MIN,
     BETA_STAR,
@@ -98,22 +98,26 @@ _CASE_IDS = {**{name: f"pairing_{name}" for name in PAIRING},
              **{f"neighborhood_drop_per_beta_{beta:g}":
                 f"neighborhood_drop({beta:g})" for beta in (1e-10, BETA_STAR)}}
 # Relative width budgets of the claims' enclosures, 1e-14 where not listed:
-# the pairing constants and kappa_eff go through log, pow and differences.
+# the pairing constants and kappa_eff go through log, pow and differences;
+# kg_increment_exceeds subtracts the argmax gap, whose enclosure is [0, g]
+# with g the bound on the gap (about 1.5e-29 at point inputs).
 _CLAIM_REL = {**{name: 1e-11 for name in PAIRING}, "kappa_eff": 1e-12,
               **{f"neighborhood_drop_per_beta_{beta:g}": 1e-12
-                 for beta in (1e-10, BETA_STAR)}}
+                 for beta in (1e-10, BETA_STAR)},
+              "kg_increment_exceeds": 1e-3}
 
 
 def _claim_inputs(num):
-    """claims.Inputs with eta at the float root, as num's number."""
-    return Inputs(num, lambda lam: num(solve_eta_star(lam)))
+    """claims.Inputs with eta at the float roots, as num's number."""
+    return Inputs(num, lambda lam: num(solve_eta_star(lam)),
+                  lambda: num(solve_eta_argmax()))
 
 
 def _own_interval_cases():
     """id -> (f, rel): f(num) evaluates one shared formula with its inputs
     made by num, float or Interval.exact; rel bounds the relative width.
     Every claims.CLAIMS entry, plus C_z0 at more points, the denominator and
-    the bound's derivative."""
+    the argmax equation."""
     cases = {_CASE_IDS.get(c.label, c.label):
              (lambda num, c=c: c.formula(_claim_inputs(num)),
               _CLAIM_REL.get(c.label, 1e-14))
@@ -123,12 +127,10 @@ def _own_interval_cases():
                   for z0 in _Z0S})
     cases["denominator"] = (
         lambda num: _denominator(num(LAM_LIT), num(eta)), 1e-14)
-    for side, lam in (("-", LAMBDA_STAR - 1e-8), ("+", LAMBDA_STAR + 1e-8)):
-        # the slope is ~7.5e-8 here, a difference of O(1) terms
-        cases[f"derivative(lambda*{side}1e-8)"] = (
-            lambda num, lam=lam: _bound_derivative(num(lam),
-                                                   num(solve_eta_star(lam))),
-            1e-5)
+    for eta_s in (0.1, 0.7):
+        # S ~ 0.2-0.4 here, a sum of O(1) terms with erf's 8-ulp margin
+        cases[f"argmax_equation({eta_s})"] = (
+            lambda num, eta_s=eta_s: _argmax_equation(num(eta_s)), 1e-13)
     return cases
 
 
@@ -148,7 +150,7 @@ def test_inputs_take_kg_increment_once(monkeypatch, num):
     monkeypatch.setattr(claims, "kg_increment", counted)
     x = _claim_inputs(num)
     values = [c.formula(x) for c in CLAIMS if c.name.startswith("kg_increment")]
-    assert len(values) == 2 and values[0] is values[1]
+    assert len(values) == 2
     assert calls == [(x.drop, x.eta_lambda_star)]
 
 
