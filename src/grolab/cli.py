@@ -233,7 +233,7 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
         rows = explorer.beta_derivative_scan(member, params, betas)
         limit = explorer.richardson_limit(rows)
         m = profiles.theta_moments(member, member.z_cut)
-        a_val = float(m[3] - 3.0 * m[1])   # int theta H3 pdf over the window
+        a_val = m[3] - 3.0 * m[1]   # int theta H3 pdf over the window
         b_val, _, kq = pairing.kappa_Q(params.eta)
         expected = (b_val * b_val - a_val * a_val) / 6.0
         checks.append(approx_check(f"scan_limit_{k}", expected, limit, 1e-6))

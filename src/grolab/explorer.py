@@ -6,9 +6,15 @@ The 1-D representation treats a profile theta as the conditional bias of a
 integrals are then exact one-dimensional closed forms (cubic polynomials
 times the Gaussian density on cells), and the perturbation scan recovers the
 zonal pairing coefficient as a numerical derivative.
+
+Like the profiles module this runs on Python floats (profiles have a few
+dozen cells); numpy only draws the Philox streams of the generators.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from .profiles import (
     Profile,
     V_value,
     _cells,
+    _sign,
     check_feasible,
     repair_to_theta,
     theta_moments,
@@ -39,34 +46,70 @@ def r_lambda_norm_1d(profile: Profile, params: ReedsParams) -> float:
 def _h3_coefficient(profile: Profile) -> float:
     """Zonal third-chaos coefficient: E[theta H3] / 6."""
     m = theta_moments(profile)
-    return float(m[3] - 3.0 * m[1]) / 6.0
+    return (m[3] - 3.0 * m[1]) / 6.0
 
 
-def _cubic_roots(alpha: float, lam: float, coeff: float) -> np.ndarray:
+def _unit_cubic_roots(sigma: float, eps: float) -> list[float]:
+    """Real roots of y^3 - sigma y + sigma eps = 0 for sigma = +-1.
+
+    sigma = -1: one root, 2 r sinh(asinh(3 sqrt(3) eps / 2) / 3) with
+    r = 1/sqrt(3), which is relatively accurate for every eps.  sigma = +1
+    and |eps| < 2 / (3 sqrt 3): three roots 2 r cos(phi/3 - 2 pi k/3),
+    phi = acos(-3 sqrt(3) eps / 2); the cosine form leaves the root of
+    smallest size with an absolute error ~ 1e-16 (all digits lost as eps ->
+    0), so that root is taken from the other two by Vieta's product,
+    y0 y1 y2 = -sigma eps.  Otherwise one root, -sign(eps) 2 r cosh(acosh(
+    3 sqrt(3) |eps| / 2) / 3).
+    """
+    r = 1.0 / math.sqrt(3.0)
+    x = 1.5 * math.sqrt(3.0) * eps  # eps / (2 r^3)
+    if sigma < 0.0:
+        return [2.0 * r * math.sinh(math.asinh(x) / 3.0)]
+    if abs(x) >= 1.0:
+        return [-math.copysign(2.0 * r * math.cosh(math.acosh(abs(x)) / 3.0), x)]
+    third = math.acos(-x) / 3.0
+    ys = [2.0 * r * math.cos(third - 2.0 * math.pi * k / 3.0) for k in range(3)]
+    small = min(range(3), key=lambda k: abs(ys[k]))
+    a, b = (ys[k] for k in range(3) if k != small)
+    ys[small] = -eps / (a * b)
+    return ys
+
+
+def _cubic_roots(alpha: float, lam: float, coeff: float) -> tuple[float, ...]:
     """All real roots of g(z) = alpha z - lam - coeff H3(z), Newton-polished.
 
     g and its mirror -g(-z) switch the absolute values of the perturbed
     integrand, so these roots and their negatives are its kinks.
+
+    g(z) = -coeff z^3 + L z - lam with L = alpha + 3 coeff.  z = k y with
+    k = sqrt(|L / coeff|) turns g = 0 into y^3 - sigma y + sigma eps = 0,
+    sigma = sign(coeff L) and eps = lam / (L k): O(1) coefficients for every
+    finite coeff, so no power of a large p = -L/coeff overflows.  Each root
+    then takes 4 Newton steps on g, each kept only if it lowers |g|.
     """
-    # g(z) = -coeff z^3 + (alpha + 3 coeff) z - lam; np.roots drops a zero
-    # leading coefficient, leaving the single root lam / alpha.
     linear = alpha + 3.0 * coeff
-    roots = np.roots([-coeff, 0.0, linear, -lam])
-    real = roots.real[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))]
+    if coeff == 0.0:
+        seeds = [lam / linear] if linear != 0.0 else []
+    elif linear == 0.0:
+        cube = -lam / coeff
+        seeds = [math.copysign(abs(cube) ** (1.0 / 3.0), cube)]
+    else:
+        k = math.sqrt(abs(linear)) / math.sqrt(abs(coeff))
+        sigma = math.copysign(1.0, coeff * linear)
+        seeds = [k * y for y in _unit_cubic_roots(sigma, lam / (linear * k))]
 
     def g(z):
         return (linear - coeff * z * z) * z - lam
 
-    # At most three roots: Python floats beat numpy calls on tiny arrays.
     polished = []
-    for z in real.tolist():
+    for z in seeds:
         for _ in range(4):
             slope = linear - 3.0 * coeff * z * z
             step = g(z) / slope if slope != 0.0 else 0.0
             if abs(g(z - step)) < abs(g(z)):
                 z -= step
         polished.append(z)
-    return np.array(polished, dtype=float)
+    return tuple(polished)
 
 
 def r_lambda_beta_norm_1d(profile: Profile, params: ReedsParams,
@@ -76,24 +119,26 @@ def r_lambda_beta_norm_1d(profile: Profile, params: ReedsParams,
     Integrand: p(z) |alpha z - lam - beta c3 H3| + q(z) |alpha z + lam - beta c3 H3|
     with p = (1 + theta)/2, q = (1 - theta)/2 and c3 the zonal coefficient.
     Both cubics keep their sign between consecutive kinks, so on each cell
-    the integrand is one cubic polynomial.  Requires beta >= 0 and a profile
-    feasible for params.
+    the integrand is one cubic polynomial.  Requires a finite beta >= 0 and
+    a profile feasible for params.
     """
-    if not beta >= 0.0:
-        raise DomainError(f"beta must be nonnegative, got {beta}")
+    beta = float(beta)
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise DomainError(f"beta must be finite and nonnegative, got {beta}")
     check_feasible(profile, params)
-    lam = params.lam
+    alpha, lam = params.alpha, params.lam
     coeff = beta * _h3_coefficient(profile)
-    roots = _cubic_roots(params.alpha, lam, coeff)
-    edges, mid, theta = _cells(profile, kinks=np.concatenate((roots, -roots)))
-    core = params.alpha * mid - coeff * hermite_eval(3, mid)
-    p_sign = 0.5 * (1.0 + theta) * np.sign(core - lam)
-    q_sign = 0.5 * (1.0 - theta) * np.sign(core + lam)
-    moments = gaussian_moments(edges)
-    # int (core -+ lam) pdf per cell
-    core_int = (params.alpha + 3.0 * coeff) * moments[1] - coeff * moments[3]
-    return float(p_sign @ (core_int - lam * moments[0])
-                 + q_sign @ (core_int + lam * moments[0]))
+    linear = alpha + 3.0 * coeff
+    roots = _cubic_roots(alpha, lam, coeff)
+    edges, mid, theta = _cells(profile, kinks=(*roots, *(-r for r in roots)))
+    m0, m1, _, m3 = gaussian_moments(edges)
+    terms = []
+    for z, t, i0, i1, i3 in zip(mid, theta, m0, m1, m3):
+        core = alpha * z - coeff * hermite_eval(3, z)
+        core_int = linear * i1 - coeff * i3  # int core pdf on the cell
+        terms += (0.5 * (1.0 + t) * _sign(core - lam) * (core_int - lam * i0),
+                  0.5 * (1.0 - t) * _sign(core + lam) * (core_int + lam * i0))
+    return math.fsum(terms)
 
 
 def beta_derivative_scan(profile: Profile, params: ReedsParams,
@@ -133,7 +178,7 @@ def sample_theta_member(seed: int, lam: float = LAMBDA_STAR) -> Profile:
     """
     eta_star = solve_eta_star(lam)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    values = rng.uniform(-1.0, 1.0, 16)
+    values = rng.uniform(-1.0, 1.0, 16).tolist()
     rough = Profile.from_grid(values, z_cut=eta_star)
     member, _ = repair_to_theta(rough, lam=lam)
     return member
@@ -148,19 +193,18 @@ def sample_feasible_profile(seed: int, params: ReedsParams) -> Profile:
     """
     z_cut = 1.0
     rng = np.random.Generator(np.random.Philox(key=seed))
-    values = rng.uniform(-1.0, 1.0, 12)
-    base = Profile.from_grid(values, z_cut=z_cut)
+    values = rng.uniform(-1.0, 1.0, 12).tolist()
+    edges = Profile.from_grid(values, z_cut=z_cut).edges
     need = params.alpha - 2.0 * gaussian_pdf(z_cut)
-    edges = base.edges
-    cell_m = np.array([gaussian_pdf(a) - gaussian_pdf(b)
-                       for a, b in zip(edges[:-1], edges[1:])])
-    have = float(np.dot(values, cell_m))
-    cap = float(np.sum(np.abs(cell_m)))
+    cell_m = gaussian_moments(edges)[1]
+    have = math.fsum(map(operator.mul, values, cell_m))
+    cap = math.fsum(map(abs, cell_m))
     if not (-cap <= need <= cap):
         raise DomainError(f"moment target {need} unreachable inside |z| < {z_cut}")
-    target_pattern = np.sign(cell_m) if need >= have else -np.sign(cell_m)
-    pattern_m = float(np.dot(target_pattern, cell_m))
+    direction = 1 if need >= have else -1
+    target_pattern = [direction * _sign(m) for m in cell_m]
+    pattern_m = math.fsum(map(operator.mul, target_pattern, cell_m))
     t = (need - have) / (pattern_m - have) if pattern_m != have else 0.0
     t = min(1.0, max(0.0, t))
-    blended = (1.0 - t) * values + t * target_pattern
+    blended = [(1.0 - t) * v + t * p for v, p in zip(values, target_pattern)]
     return Profile.from_grid(blended, z_cut=z_cut)

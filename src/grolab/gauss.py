@@ -2,12 +2,23 @@
 
 Every integral the library needs is a piecewise polynomial of degree <= 3
 times the standard Gaussian density, so one exact primitive lives here:
-`gaussian_moments`, the moments int_a^b z^k pdf(z) dz (k = 0..3) of an array
-of cells.  An integral is then a dot product of per-cell polynomial
-coefficients with these moments.  Its row 0, the cell masses, is
-`cell_masses`: erfc differences, or, on a partition of narrow cells, a
-midpoint series with one exp per cell and no erfc.  A caller that needs only
-masses and first moments takes `cell_masses` and `gaussian_pdf` of the edges.
+`gaussian_moments`, the moments int_a^b z^k pdf(z) dz (k = 0..3) of a list
+of cells.  An integral is then a sum of per-cell polynomial coefficients
+times these moments.  Its row 0, the cell masses, is `cell_masses`: erfc
+differences, or, on a partition of cells at most 2**-10 wide, a midpoint
+series with one exp per cell and no erfc.
+
+Two kinds of caller, two arithmetics.  Few-cell work (profiles of a few
+dozen cells, one integral at a time) runs on Python floats with `math`:
+`gaussian_moments` returns lists of floats, from one math.exp and one
+math.erfc per edge, and `gaussian_pdf` of a float is a float.  Grid work
+(the LP's thousands of cells) runs on numpy arrays: it needs only masses
+and first moments, and takes `cell_masses` and `gaussian_pdf` of an ndarray
+of edges.  The erfc difference is written once
+(`_erfc_masses`, on floats) and both paths use it; the midpoint series is
+numpy only, and a partition narrow enough for it is the one case where
+`gaussian_moments` hands its masses to `cell_masses`, which decides the
+regime.
 
 The adaptive Gauss-Legendre panel rule is kept as an independent oracle: the
 tests check the closed forms against it, and the `closed_form_vs_quadrature`
@@ -20,6 +31,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -67,6 +80,10 @@ def _pdf(z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) * INV_SQRT_2PI
 
 
+def _pdf_float(z: float) -> float:
+    return math.exp(-0.5 * z * z) * INV_SQRT_2PI
+
+
 def gaussian_pdf(z):
     """Standard Gaussian density; accepts a float or an ndarray."""
     if isinstance(z, np.ndarray):
@@ -76,7 +93,7 @@ def gaussian_pdf(z):
     z = float(z)
     if not math.isfinite(z):
         raise DomainError(f"gaussian_pdf requires finite input, got {z}")
-    return math.exp(-0.5 * z * z) * INV_SQRT_2PI
+    return _pdf_float(z)
 
 
 def gaussian_cdf(t: float) -> float:
@@ -160,8 +177,32 @@ _EDGE_CLIP = 40.0
 _SERIES_MAX_WIDTH = 2.0 ** -10
 
 
+def _may_take_series(edges) -> bool:
+    """Cheap necessary test for cell_masses' midpoint series: the edges span
+    at most n * 2**-10 inside [-40, 40].  The bounds keep +-inf (and
+    inf - inf) out."""
+    n = len(edges) - 1
+    return bool(n > 0 and -_EDGE_CLIP <= edges[0] and edges[-1] <= _EDGE_CLIP
+                and edges[-1] - edges[0] <= n * _SERIES_MAX_WIDTH)
+
+
+def _erfc_masses(edges: list[float]) -> list[float]:
+    """Cell masses as Phi differences on floats, one math.erfc per edge.
+
+    2 Phi(e) - 1 = sign(e) (1 - erfc(|e| / sqrt 2)), with the two parts
+    differenced separately: for a cell on one side of 0 the sign parts
+    cancel exactly and only the erfc values of that tail are subtracted, so
+    far-tail cells keep their relative accuracy.
+    """
+    erfc = math.erfc
+    s = [(e > 0.0) - (e < 0.0) for e in edges]
+    s_erfc = [si * erfc(abs(e) / _SQRT2) for si, e in zip(s, edges)]
+    return [0.5 * ((s1 - s0) - (t1 - t0))
+            for s0, s1, t0, t1 in zip(s, s[1:], s_erfc, s_erfc[1:])]
+
+
 def cell_masses(edges) -> np.ndarray:
-    """Gaussian mass I_0 = Phi(e_{i+1}) - Phi(e_i) of every cell.
+    """Gaussian mass I_0 = Phi(e_{i+1}) - Phi(e_i) of every cell, as an array.
 
     edges is a nondecreasing array of n + 1 cell edges, which may start at
     -inf and end at +inf; returns the n masses.  Like mills_ratio it has two
@@ -182,19 +223,13 @@ def cell_masses(edges) -> np.ndarray:
     across such a cell loses relative accuracy as erfc / (h pdf): up to
     2.4e-12 at grid 16384.
 
-    Any other partition takes each mass as the Phi difference written as
-    2 Phi(e) - 1 = sign(e) (1 - erfc(|e| / sqrt 2)) with the two parts
-    differenced separately: for a cell on one side of 0 the sign parts
-    cancel exactly and only the erfc values of that tail are subtracted, so
-    far-tail cells keep their relative accuracy.  erfc is math.erfc, the
-    function the scalar gaussian_cdf calls, once per edge.  A single wide
-    cell sends the whole call here, which is cheaper than choosing per cell.
+    Any other partition takes each mass as the erfc difference of
+    _erfc_masses, on Python floats: math.erfc, the function the scalar
+    gaussian_cdf calls, once per edge.  A single wide cell sends the whole
+    call there, which is cheaper than choosing per cell.
     """
     edges = np.asarray(edges, dtype=float)
-    n = edges.size - 1
-    # Cheap necessary test first; the bounds keep +-inf (and inf - inf) out.
-    if (n > 0 and -_EDGE_CLIP <= edges[0] and edges[-1] <= _EDGE_CLIP
-            and edges[-1] - edges[0] <= n * _SERIES_MAX_WIDTH):
+    if _may_take_series(edges):
         h = edges[1:] - edges[:-1]
         if (h <= _SERIES_MAX_WIDTH).all():
             mm = edges[:-1] + edges[1:]
@@ -209,34 +244,36 @@ def cell_masses(edges) -> np.ndarray:
             s *= t
             s += 1.0
             return h * (np.exp(-0.5 * mm) * INV_SQRT_2PI) * s
-    s = np.sign(edges)
-    s_erfc = s * np.fromiter(map(math.erfc, (np.abs(edges) / _SQRT2).tolist()),
-                             float, edges.size)
-    return 0.5 * ((s[1:] - s[:-1]) - (s_erfc[1:] - s_erfc[:-1]))
+    return np.array(_erfc_masses(edges.tolist()), dtype=float)
 
 
-def gaussian_moments(edges) -> np.ndarray:
+def gaussian_moments(edges) -> tuple[list[float], list[float], list[float],
+                                     list[float]]:
     """Exact moments I_k = int_{e_i}^{e_{i+1}} z^k pdf(z) dz, k = 0..3.
 
     edges is a nondecreasing sequence of n + 1 cell edges, which may start at
-    -inf and end at +inf.  Returns an array of shape (4, n) whose row k holds
-    I_k of every cell.
+    -inf and end at +inf.  Returns four lists of n Python floats: list k
+    holds I_k of every cell.
 
-    I_0 is cell_masses, I_1 = pdf(a) - pdf(b) on each cell [a, b], and the
+    I_0 is the cell mass, I_1 = pdf(a) - pdf(b) on each cell [a, b], and the
     higher moments follow from I_k = (k - 1) I_{k-2} + a^{k-1} pdf(a) -
-    b^{k-1} pdf(b).
+    b^{k-1} pdf(b).  One math.exp per edge for pdf and, unless the
+    partition may take cell_masses' midpoint series, one math.erfc per edge
+    for the masses (_erfc_masses).
     """
-    e = np.minimum(np.maximum(np.asarray(edges, dtype=float), -_EDGE_CLIP),
-                   _EDGE_CLIP)
-    pdf = _pdf(e)
-    z_pdf = e * pdf
-    zz_pdf = e * z_pdf
-    out = np.empty((4, e.size - 1))
-    out[0] = cell_masses(e)
-    out[1] = pdf[:-1] - pdf[1:]
-    out[2] = out[0] + (z_pdf[:-1] - z_pdf[1:])
-    out[3] = 2.0 * out[1] + (zz_pdf[:-1] - zz_pdf[1:])
-    return out
+    e = list(map(float, edges))
+    # The edges are sorted, so those beyond +-40 are a prefix and a suffix.
+    lo, hi = bisect_left(e, -_EDGE_CLIP), bisect_right(e, _EDGE_CLIP)
+    e[:lo] = [-_EDGE_CLIP] * lo
+    e[hi:] = [_EDGE_CLIP] * (len(e) - hi)
+    pdf = list(map(_pdf_float, e))
+    z_pdf = list(map(operator.mul, e, pdf))
+    zz_pdf = list(map(operator.mul, e, z_pdf))
+    m0 = cell_masses(e).tolist() if _may_take_series(e) else _erfc_masses(e)
+    m1 = list(map(operator.sub, pdf, pdf[1:]))
+    m2 = [i0 + (a - b) for i0, a, b in zip(m0, z_pdf, z_pdf[1:])]
+    m3 = [2.0 * i1 + (a - b) for i1, a, b in zip(m1, zz_pdf, zz_pdf[1:])]
+    return m0, m1, m2, m3
 
 
 # Fixed-order Gauss-Legendre nodes for the panel rule (7 vs 15 points gives

@@ -115,13 +115,13 @@ def A_bound_check(profile: Profile, eta: float) -> tuple[float, float]:
     if eta <= 0.0:
         raise DomainError(f"A_bound_check requires eta > 0, got {eta}")
     m = theta_moments(profile, eta)
-    inner_m = float(m[1])
+    inner_m = m[1]
     if abs(inner_m) > _INNER_MOMENT_TOL:
         raise FeasibilityError(
             f"inner moment {inner_m:.3g} must vanish on (-{eta}, {eta})",
             residual=inner_m,
         )
-    a_val = float(m[3] - 3.0 * m[1])
+    a_val = m[3] - 3.0 * m[1]
     return abs(a_val), kappa_Q(eta)[1]
 
 

@@ -8,15 +8,25 @@ bathtub maximizer, and the repair projection onto the maximizer set.
 
 Every integral here is a piecewise polynomial of degree <= 3 times the
 Gaussian density: the line is cut into cells on which theta is constant and
-the other factors are polynomials, and the integral is a dot product of the
-per-cell coefficients with gauss.gaussian_moments.  The dual functional's
-kinks are fixed points rather than profile breakpoints, so dual_value is a
-closed form on Python floats instead.
+the other factors are polynomials, and the integral is the sum over cells of
+the per-cell coefficients times gauss.gaussian_moments.  The dual
+functional's kinks are fixed points rather than profile breakpoints, so
+dual_value is a closed form instead.
+
+A profile has a few dozen cells at most in every check except a loaded LP
+file, so profiles and their integrals are on Python floats: a Profile keeps
+tuples, cell lookup is bisect, and every per-cell sum is math.fsum, whose
+result is the correctly rounded sum of the terms (independent of order and
+of any BLAS kernel, and exact enough for a 16384-cell profile).  Only the
+grid LP (_lp_cells, lp_maximize) runs on numpy arrays, on its thousands of
+cells; Profile.evaluate also takes an ndarray, for the quadrature oracle.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,7 +54,7 @@ class Profile:
     the window); values has one entry per cell, len(breakpoints) + 1 total.
     Both are stored as tuples of Python floats, whatever sequence or array
     was passed; the cell edges and the values padded with both tails are
-    also kept once as read-only float64 arrays for evaluate and edges.
+    also kept once as tuples, for evaluate and edges.
     """
 
     z_cut: float
@@ -52,28 +62,28 @@ class Profile:
     values: tuple[float, ...]
     tail_rule: str = SIGN_TAILS
     tail_values: tuple[float, float] = (-1.0, 1.0)
-    _edges: np.ndarray = field(init=False, repr=False, compare=False)
-    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    _edges: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _table: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z_cut = self.z_cut
+        z_cut = float(self.z_cut)
         if not (math.isfinite(z_cut) and z_cut > 0.0):
             raise DomainError(f"z_cut must be positive, got {z_cut}")
-        bp = np.array(self.breakpoints, dtype=float)
-        vals = np.array(self.values, dtype=float)
+        bp = tuple(map(float, self.breakpoints))
+        vals = tuple(map(float, self.values))
         if len(vals) != len(bp) + 1:
             raise DomainError(
                 f"need len(values) == len(breakpoints) + 1, got {len(vals)} vs {len(bp)}"
             )
-        edges = np.concatenate(([-z_cut], bp, [z_cut]))
+        edges = (-z_cut, *bp, z_cut)
         # Strictly increasing edges <=> breakpoints inside the window and
         # strictly increasing (NaN fails every comparison); the slow branch
         # only picks the message.
-        if not (edges[1:] > edges[:-1]).all():
-            if not ((-z_cut < bp) & (bp < z_cut)).all():
+        if not all(map(operator.lt, edges, edges[1:])):
+            if not all(-z_cut < b < z_cut for b in bp):
                 raise DomainError("breakpoints must lie strictly inside (-z_cut, z_cut)")
             raise DomainError("breakpoints must be strictly increasing")
-        if not np.abs(vals).max() <= 1.0 + 1e-15:  # "not <=" rejects NaN
+        if not all(abs(v) <= 1.0 + 1e-15 for v in vals):  # NaN fails too
             raise DomainError("profile values must lie in [-1, 1]")
         if self.tail_rule not in (SIGN_TAILS, CONST_TAILS):
             raise DomainError(f"unknown tail rule {self.tail_rule!r}")
@@ -83,32 +93,32 @@ class Profile:
             tv = (float(self.tail_values[0]), float(self.tail_values[1]))
             if not all(abs(v) <= 1.0 for v in tv):
                 raise DomainError("tail constants must lie in [-1, 1]")
-        # theta on (-inf, edges[0]), the cells, [edges[-1], inf): entry k
-        # holds for the z with k edges <= z.
-        table = np.concatenate(([tv[0]], vals, [tv[1]]))
-        edges.flags.writeable = False
-        table.flags.writeable = False
-        object.__setattr__(self, "breakpoints", tuple(bp.tolist()))
-        object.__setattr__(self, "values", tuple(vals.tolist()))
+        object.__setattr__(self, "z_cut", z_cut)
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "tail_values", tv)
         object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_table", table)
+        # theta on (-inf, edges[0]), the cells, [edges[-1], inf): entry k
+        # holds for the z with k edges <= z.
+        object.__setattr__(self, "_table", (tv[0], *vals, tv[1]))
 
     @property
-    def edges(self) -> np.ndarray:
-        """All cell boundaries including +-z_cut (read-only)."""
+    def edges(self) -> tuple[float, ...]:
+        """All cell boundaries including +-z_cut."""
         return self._edges
 
-    def evaluate(self, z) -> np.ndarray:
-        """Vectorized theta(z) for any real z (tails included)."""
-        return self._table[np.searchsorted(self._edges, z, side="right")]
+    def evaluate(self, z):
+        """theta(z) for any real z (tails included): a float for a float z,
+        an ndarray for an array."""
+        if isinstance(z, (float, int)):
+            return self._table[bisect_right(self._edges, z)]
+        return np.array(self._table)[np.searchsorted(self._edges, z,
+                                                     side="right")]
 
     @cached_property
-    def _moments(self) -> np.ndarray:
-        """theta_moments over the whole line, computed on first use (read-only)."""
-        m = _window_moments(self, math.inf)
-        m.flags.writeable = False
-        return m
+    def _moments(self) -> tuple[float, float, float, float]:
+        """theta_moments over the whole line, computed on first use."""
+        return _window_moments(self, math.inf)
 
     @classmethod
     def constant(cls, value: float, z_cut: float, tail_rule: str = SIGN_TAILS,
@@ -127,10 +137,15 @@ class Profile:
                    tail_rule=tail_rule, tail_values=tail_values)
 
 
+def _sign(x: float) -> int:
+    """sign(x) in {-1, 0, 1}, like np.sign on a float."""
+    return (x > 0.0) - (x < 0.0)
+
+
 def _dedupe_edges(points, lo: float, hi: float) -> list[float]:
     """Sorted interior points of (lo, hi), duplicates within 1e-15 merged."""
     out: list[float] = []
-    for p in sorted(float(p) for p in points):
+    for p in sorted(map(float, points)):
         if lo < p < hi and (not out or p - out[-1] > 1e-15):
             out.append(p)
     return out
@@ -140,10 +155,10 @@ def _partition(points, window: float = math.inf):
     """Cells of (-window, window) cut at the points inside it.
 
     Returns (edges, mid): the n + 1 cell edges, infinite at both ends when
-    the window is, and a point inside each cell.
+    the window is, and a point inside each cell, as lists of floats.
     """
-    edges = np.array([-window, *_dedupe_edges(points, -window, window), window])
-    mid = 0.5 * (edges[:-1] + edges[1:])
+    edges = [-window, *_dedupe_edges(points, -window, window), window]
+    mid = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
     if math.isinf(window):
         mid[0], mid[-1] = edges[1] - 1.0, edges[-2] + 1.0
     return edges, mid
@@ -156,20 +171,23 @@ def _cells(profile: Profile, kinks=(), window: float = math.inf):
     """
     edges, mid = _partition(
         [*profile.breakpoints, -profile.z_cut, profile.z_cut, *kinks], window)
-    return edges, mid, profile.evaluate(mid)
+    table, cuts = profile._table, profile._edges  # Profile.evaluate's lookup
+    return edges, mid, [table[bisect_right(cuts, z)] for z in mid]
 
 
-def _window_moments(profile: Profile, window: float) -> np.ndarray:
+def _window_moments(profile: Profile, window: float) -> tuple[float, ...]:
     edges, _, theta = _cells(profile, window=window)
-    return gaussian_moments(edges) @ theta
+    return tuple(math.fsum(map(operator.mul, row, theta))
+                 for row in gaussian_moments(edges))
 
 
-def theta_moments(profile: Profile, window: float = math.inf) -> np.ndarray:
+def theta_moments(profile: Profile,
+                  window: float = math.inf) -> tuple[float, float, float, float]:
     """(int theta(z) z^k pdf(z) dz over |z| < window)_{k=0..3}, exactly.
 
     With the default infinite window the symbolic tails are included, and
-    the profile's own read-only copy is returned: a Profile is immutable, so
-    its full-line moments are computed once.
+    the profile's own copy is returned: a Profile is immutable, so its
+    full-line moments are computed once.
     """
     if window == math.inf:
         return profile._moments
@@ -186,10 +204,10 @@ def _rebuild(profile: Profile, window: float, extra_edges=(),
     """
     edges, mids, vals = _cells(profile, kinks=extra_edges, window=window)
     if override is not None:
-        vals = np.array([v if (o := override(m)) is None else o
-                         for m, v in zip(mids, vals)])
-    vals = np.clip(vals, -1.0, 1.0)
-    return Profile(z_cut=window, breakpoints=edges[1:-1], values=vals)
+        vals = [v if (o := override(m)) is None else o
+                for m, v in zip(mids, vals)]
+    return Profile(z_cut=window, breakpoints=edges[1:-1],
+                   values=[min(1.0, max(-1.0, v)) for v in vals])
 
 
 # -- pointwise kernels -------------------------------------------------------
@@ -220,7 +238,7 @@ def _int_A_full(params: ReedsParams, pdf_eta: float) -> float:
 
 def moment(profile: Profile) -> float:
     """First Gaussian moment int z theta(z) pdf(z) dz, tails included."""
-    return float(theta_moments(profile)[1])
+    return theta_moments(profile)[1]
 
 
 def check_feasible(profile: Profile, params: ReedsParams) -> None:
@@ -241,16 +259,24 @@ def V_value(profile: Profile, params: ReedsParams) -> float:
     Evaluated whether or not theta meets the moment constraint; feasibility
     is the caller's concern (see gap_certificate).
     """
-    eta = params.eta
+    lam, alpha, eta = params.lam, params.alpha, params.eta
     edges, mid, theta = _cells(profile, kinks=(-eta, eta))
-    moments = gaussian_moments(edges)
-    inner = np.abs(mid) < eta
-    sign = np.sign(mid)
+    m0, m1, _, _ = gaussian_moments(edges)
     # A = lambda, B = -alpha z inside (-eta, eta); A = alpha |z|, B = -lambda
     # sign(z) outside.
-    c0 = np.where(inner, params.lam, -params.lam * sign * theta)
-    c1 = np.where(inner, -params.alpha * theta, params.alpha * sign)
-    return float(c0 @ moments[0] + c1 @ moments[1])
+    terms = []
+    for z, t, i0, i1 in zip(mid, theta, m0, m1):
+        if abs(z) < eta:
+            terms += (lam * i0, -alpha * t * i1)
+        else:
+            s = _sign(z)
+            terms += (-lam * s * t * i0, alpha * s * i1)
+    return math.fsum(terms)
+
+
+# 1/sqrt(2 pi) - INV_SQRT_2PI, the rounding error of the float pdf(0)
+# (300-bit mpmath; tests/test_profiles.py recomputes it).
+_INV_SQRT_2PI_LO = -2.49232720227773e-17
 
 
 def dual_value(mu: float, params: ReedsParams) -> float:
@@ -265,24 +291,37 @@ def dual_value(mu: float, params: ReedsParams) -> float:
     where outer(mu) = int_eta^inf |lambda + mu z| pdf.  lambda + mu z keeps
     one sign on (eta, inf) unless -alpha < mu < 0, when it changes sign at
     w = lambda / |mu| > eta.  A w that overflows (mu within ~1e-309 of 0)
-    leaves no mass beyond it.  A non-finite mu raises DomainError.
+    leaves no mass beyond it, as for mu >= 0.  A non-finite mu raises
+    DomainError.
+
+    Where lambda + mu z keeps one sign, D is linear in mu, and it is summed
+    in that form, so no terms of size |mu| cancel (they would lose ~|mu|
+    ulp):
+
+        mu >= 0:      D = lambda + 2 alpha pdf(0) + mu (alpha + 2 pdf(0)),
+        mu <= -alpha: D = lambda (1 - 4 Phi(-eta)) + 4 alpha pdf(eta)
+                          - 2 alpha pdf(0) + mu (alpha - 2 pdf(0)),
+
+    with pdf(0) = INV_SQRT_2PI; the first needs no erfc at all.  Near the
+    Reeds point alpha = 2 pdf(eta), so the second slope cancels to about
+    -pdf(0) eta^2; it is taken with the rounding error of INV_SQRT_2PI
+    added back, or that error (0.45 ulp) would come back |mu| / eta^2 times.
     """
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"dual_value requires finite mu, got {mu}")
     lam, alpha, eta = params.lam, params.alpha, params.eta
+    if mu >= 0.0 or math.isinf(w := lam / -mu):
+        return lam + 2.0 * alpha * INV_SQRT_2PI + mu * (alpha + 2.0 * INV_SQRT_2PI)
     tail_eta, pdf_eta = gaussian_cdf(-eta), gaussian_pdf(eta)
-    if mu >= 0.0:
-        outer = lam * tail_eta + mu * pdf_eta
-    elif mu <= -alpha:
-        outer = -(lam * tail_eta + mu * pdf_eta)
-    else:
-        w = lam / -mu
-        tail_w, pdf_w = ((0.0, 0.0) if math.isinf(w)
-                         else (gaussian_cdf(-w), gaussian_pdf(w)))
-        outer = (lam * (tail_eta - tail_w) + mu * (pdf_eta - pdf_w)
-                 - (lam * tail_w + mu * pdf_w))
-    inner = abs(alpha + mu) * (INV_SQRT_2PI - pdf_eta)  # pdf(0) = INV_SQRT_2PI
+    if mu <= -alpha:
+        slope = (alpha - 2.0 * INV_SQRT_2PI) - 2.0 * _INV_SQRT_2PI_LO
+        return (lam * (1.0 - 4.0 * tail_eta) + 4.0 * alpha * pdf_eta
+                - 2.0 * alpha * INV_SQRT_2PI + mu * slope)
+    tail_w, pdf_w = gaussian_cdf(-w), gaussian_pdf(w)
+    outer = (lam * (tail_eta - tail_w) + mu * (pdf_eta - pdf_w)
+             - (lam * tail_w + mu * pdf_w))
+    inner = (alpha + mu) * (INV_SQRT_2PI - pdf_eta)
     return _int_A_full(params, pdf_eta) + mu * alpha + 2.0 * (inner + outer)
 
 
@@ -344,13 +383,16 @@ class GapCertificate:
 
 def gap_tail_integral(profile: Profile, params: ReedsParams) -> float:
     """int_{|z|>eta} (alpha |z| - lambda)(1 - theta(z) sign(z)) pdf(z) dz."""
-    eta = params.eta
+    lam, alpha, eta = params.lam, params.alpha, params.eta
     edges, mid, theta = _cells(profile, kinks=(-eta, eta))
-    moments = gaussian_moments(edges)
-    sign = np.sign(mid)
-    defect = np.where(np.abs(mid) > eta, 1.0 - theta * sign, 0.0)
-    return float(-params.lam * defect @ moments[0]
-                 + params.alpha * (defect * sign) @ moments[1])
+    m0, m1, _, _ = gaussian_moments(edges)
+    terms = []
+    for z, t, i0, i1 in zip(mid, theta, m0, m1):
+        if abs(z) > eta:
+            s = _sign(z)
+            defect = 1.0 - t * s
+            terms += (-lam * defect * i0, alpha * defect * s * i1)
+    return math.fsum(terms)
 
 
 def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
@@ -500,28 +542,30 @@ def _repair_threshold(profile: Profile, s: float, eta_star: float,
              = int_{half}^{t} u [(1 + s theta(u)) + (1 - s theta(-u))] pdf(u) du,
 
     the negative side folded onto u = -z.  The weight w is constant on each
-    folded cell, so G is tabulated cumulatively at the cell edges and
-    inverted exactly inside the crossing cell [c, d]:
+    folded cell, so G is tabulated cumulatively at the cell edges (each
+    entry an fsum of the cells below) and inverted exactly inside the
+    crossing cell [c, d]:
         pdf(t) = pdf(c) - r / w  <=>  t^2 = c^2 - 2 log1p(-r / (w pdf(c))),
     with r the part of delta left after the cells below c.
     """
     half = eta_star / 2.0
-    cuts = np.array([half, *_dedupe_edges(np.abs(profile.breakpoints),
-                                          half, eta_star), eta_star])
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    weight = (1.0 + s * profile.evaluate(mid)) + (1.0 - s * profile.evaluate(-mid))
-    capacity = np.cumsum(weight * gaussian_moments(cuts)[1])
+    cuts = [half, *_dedupe_edges(map(abs, profile.breakpoints), half, eta_star),
+            eta_star]
+    weight = [(1.0 + s * profile.evaluate(m)) + (1.0 - s * profile.evaluate(-m))
+              for m in (0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))]
+    pieces = list(map(operator.mul, weight, gaussian_moments(cuts)[1]))
+    capacity = [math.fsum(pieces[:k]) for k in range(1, len(pieces) + 1)]
     if capacity[-1] < delta - 1e-13:
         raise InternalCheckError(
             f"repair capacity {capacity[-1]} below defect {delta}"
         )
-    j = int(np.searchsorted(capacity, delta))
+    j = bisect_left(capacity, delta)
     if j == len(capacity):
         return eta_star
     rest = delta - (capacity[j - 1] if j else 0.0)
-    c = float(cuts[j])
+    c = cuts[j]
     t_sq = c * c - 2.0 * math.log1p(-rest / (weight[j] * gaussian_pdf(c)))
-    return min(math.sqrt(t_sq), float(cuts[j + 1]))
+    return min(math.sqrt(t_sq), cuts[j + 1])
 
 
 def repair_to_theta(profile: Profile,
@@ -539,13 +583,14 @@ def repair_to_theta(profile: Profile,
     # Step 1: tail cost int_{|z|>eta*} |sign(z) - theta| pdf and the
     # tail-fixed profile on (-eta*, eta*).
     edges, mid, theta = _cells(profile, kinks=(-eta_star, eta_star))
-    sign = np.sign(mid)
-    defect = np.where(np.abs(mid) > eta_star, 1.0 - theta * sign, 0.0)
-    tail_cost = float(defect @ gaussian_moments(edges)[0])
+    tail_cost = math.fsum(
+        (1.0 - t * _sign(z)) * i0
+        for z, t, i0 in zip(mid, theta, gaussian_moments(edges)[0])
+        if abs(z) > eta_star)
 
     fixed = _rebuild(profile, eta_star)
 
-    inner = float(theta_moments(fixed, eta_star)[1])
+    inner = theta_moments(fixed, eta_star)[1]
     delta = abs(inner)
     if delta <= 1e-15:
         return fixed, tail_cost
@@ -564,9 +609,10 @@ def repair_to_theta(profile: Profile,
 
     edges, mid, theta = _cells(repaired, kinks=fixed.breakpoints,
                                window=eta_star)
-    moved = np.abs(theta - fixed.evaluate(mid))
-    inner_cost = float(moved @ gaussian_moments(edges)[0])
-    residual = float(theta_moments(repaired, eta_star)[1])
+    inner_cost = math.fsum(
+        abs(t - fixed.evaluate(z)) * i0
+        for z, t, i0 in zip(mid, theta, gaussian_moments(edges)[0]))
+    residual = theta_moments(repaired, eta_star)[1]
     if abs(residual) > 1e-13:
         raise InternalCheckError(
             f"repair left inner moment {residual}; expected 0"
@@ -606,12 +652,10 @@ def profile_from_text(text: str) -> Profile:
             raise DomainError(f"malformed tail token {tail_token!r}")
     else:
         raise DomainError(f"unknown tail token {tail_token!r}")
-    # fromiter drops each parsed float at once: no list of 16k float objects
-    # sits beside the arrays Profile builds (peak memory of large profiles).
     try:
         z_cut = float(tokens[0])
-        bp = np.fromiter(map(float, tokens[1:ncells]), float, ncells - 1)
-        vals = np.fromiter(map(float, tokens[ncells:-1]), float, ncells)
+        bp = tuple(map(float, tokens[1:ncells]))
+        vals = tuple(map(float, tokens[ncells:-1]))
         tail_values = tuple(map(float, tail_values))
     except ValueError as exc:
         raise DomainError(f"unparsable profile token: {exc}") from exc

@@ -9,8 +9,9 @@ import numpy as np
 
 from grolab.baseline import davie_reeds_bound, solve_eta_star
 from grolab.errors import DomainError
-from grolab.gauss import (DEFAULT_SPEC, gauss_integrate_with_error,
-                          gaussian_cdf, gaussian_pdf)
+from grolab.gauss import (DEFAULT_SPEC, INV_SQRT_2PI, cell_masses,
+                          gauss_integrate_with_error, gaussian_cdf,
+                          gaussian_pdf)
 from grolab.profiles import CONST_TAILS, SIGN_TAILS, Profile, _cells
 
 
@@ -32,6 +33,23 @@ def erfc_cell_masses(edges) -> np.ndarray:
     s_erfc = s * np.array([math.erfc(abs(e) / math.sqrt(2.0))
                            for e in edges.tolist()])
     return 0.5 * ((s[1:] - s[:-1]) - (s_erfc[1:] - s_erfc[:-1]))
+
+
+def gaussian_moments_array(edges) -> np.ndarray:
+    """grolab.gauss.gaussian_moments on numpy arrays: shape (4, n), row k
+    holding I_k of every cell, with np.exp for pdf and cell_masses for row
+    0.  The same recurrences, one ufunc per row; the reference for the
+    float kernel."""
+    e = np.minimum(np.maximum(np.asarray(edges, dtype=float), -40.0), 40.0)
+    pdf = np.exp(-0.5 * e * e) * INV_SQRT_2PI
+    z_pdf = e * pdf
+    zz_pdf = e * z_pdf
+    out = np.empty((4, e.size - 1))
+    out[0] = cell_masses(e)
+    out[1] = pdf[:-1] - pdf[1:]
+    out[2] = out[0] + (z_pdf[:-1] - z_pdf[1:])
+    out[3] = 2.0 * out[1] + (zz_pdf[:-1] - zz_pdf[1:])
+    return out
 
 
 def tail_first_moment(eta: float) -> float:
@@ -72,7 +90,7 @@ def odd_part(profile: Profile) -> Profile:
     """(theta(z) - theta(-z)) / 2, on the symmetrized cell structure."""
     edges, mids, theta = _cells(profile, kinks=[-b for b in profile.breakpoints],
                                 window=profile.z_cut)
-    vals = 0.5 * (theta - profile.evaluate(-mids))
+    vals = [0.5 * (t - profile.evaluate(-m)) for m, t in zip(mids, theta)]
     if profile.tail_rule == SIGN_TAILS:
         return Profile(z_cut=profile.z_cut, breakpoints=edges[1:-1],
                        values=vals)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def test_norm_feasibility_and_beta_guards(params):
     with pytest.raises(FeasibilityError):
         r_lambda_beta_norm_1d(zeros, params, 1e-3)
     member = sample_theta_member(2, lam=LAM)
-    for beta in (-1e-3, float("nan")):
+    for beta in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(DomainError):
             r_lambda_beta_norm_1d(member, params, beta)
 
@@ -109,7 +111,8 @@ def test_perturbed_norm_matches_quadrature(params, spec):
 
 
 def _cubic_roots_reference(alpha, lam, coeff):
-    """_cubic_roots with the Newton polish vectorized over the roots."""
+    """np.roots seeds, imaginary parts up to 1e-8 (1 + |root|) taken as
+    real, then _cubic_roots' Newton polish vectorized over the roots."""
     roots = np.roots([-coeff, 0.0, alpha + 3.0 * coeff, -lam])
     real = roots.real[np.abs(roots.imag) <= 1e-8 * (1.0 + np.abs(roots))]
 
@@ -125,6 +128,12 @@ def _cubic_roots_reference(alpha, lam, coeff):
     return real
 
 
+# Both signs, 0 and |coeff| from 1e-300 to 1e3: tiny positive coefficients
+# put two roots near +-sqrt(alpha / coeff), up to ~1e150.
+_COEFFS = [0.0, *np.geomspace(1e-300, 1e3, 150).tolist(),
+           *(-np.geomspace(1e-300, 1e3, 150)).tolist()]
+
+
 def test_cubic_kinks_all_real_roots(params):
     # tiny positive coefficients put two roots far outside any quadrature
     # window (near +-sqrt(alpha / coeff)); all of them are kept and polished
@@ -133,18 +142,71 @@ def test_cubic_kinks_all_real_roots(params):
     alpha = params.alpha
     for coeff, count in ((0.0, 1), (1e-11, 3), (1e-4, 3), (-0.05, 1)):
         assert len(_cubic_roots(alpha, LAM, coeff)) == count
-    assert np.max(np.abs(_cubic_roots(alpha, LAM, 1e-11))) > 1e5
+    assert max(map(abs, _cubic_roots(alpha, LAM, 1e-11))) > 1e5
+    # the closed-form seeds against np.roots seeds, both polished: the same
+    # roots to 2 ulp (no coefficient here is near a double root)
+    swept = [0.0, *np.geomspace(1e-17, 0.1, 60).tolist(),
+             *(-np.geomspace(1e-17, 0.25, 60)).tolist()]
+    for coeff in _COEFFS + swept:
+        roots = _cubic_roots(alpha, LAM, coeff)
+        assert all(type(r) is float for r in roots)
+        ref = sorted(_cubic_roots_reference(alpha, LAM, coeff).tolist())
+        assert len(roots) == len(ref), coeff
+        for r, want in zip(sorted(roots), ref):
+            assert abs(r - want) <= 2 * math.ulp(want), (coeff, r, want)
     # polished to about one rounding of the largest term (np.roots alone
     # leaves residuals up to ~5e-16 of it, e.g. at coeff = 1e-8)
-    for coeff in [0.0, *np.geomspace(1e-17, 0.1, 60), *-np.geomspace(1e-17, 0.25, 60)]:
-        roots = _cubic_roots(alpha, LAM, float(coeff))
-        # the scalar polish makes the vectorized one's operations in its order
-        ref = _cubic_roots_reference(alpha, LAM, float(coeff))
-        assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes(), coeff
-        for r in roots:
+    for coeff in swept:
+        for r in _cubic_roots(alpha, LAM, coeff):
             g = (alpha + 3.0 * coeff - coeff * r * r) * r - LAM
             scale = LAM + abs(alpha * r) + abs(coeff * hermite_eval(3, r))
             assert abs(g) <= 2e-16 * scale, (coeff, r)
+
+
+def test_unit_cubic_roots_match_mpmath():
+    # The seeds before any Newton step: every real root of
+    # y^3 - sigma y + sigma eps = 0 within 8 ulp of mpmath (a few ulp per
+    # cosine, and Vieta's quotient of two of them; 6 measured), the root of
+    # smallest size included (the cosine form alone leaves it an absolute
+    # error of ~1e-16, every digit once eps is below that).
+    mpmath = pytest.importorskip("mpmath")
+    from grolab.explorer import _unit_cubic_roots
+
+    eps_values = [0.0, *np.geomspace(1e-200, 10.0, 40).tolist(), 0.38, 0.39]
+    with mpmath.workprec(200):
+        for sigma in (1.0, -1.0):
+            for eps in [*eps_values, *(-e for e in eps_values)]:
+                got = sorted(_unit_cubic_roots(sigma, eps))
+                # polyroots, each real root refined by Newton (polyroots'
+                # tolerance is absolute, far above a root of size 1e-200)
+                want = sorted(float(mpmath.findroot(
+                    lambda y: y ** 3 - sigma * y + sigma * eps, r.real))
+                    for r in mpmath.polyroots([1, 0, -sigma, sigma * eps],
+                                              maxsteps=200, extraprec=400)
+                    if abs(r.imag) <= 1e-30)
+                assert len(got) == len(want), (sigma, eps, got, want)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 8 * math.ulp(w), (sigma, eps, g, w)
+
+
+def test_cubic_roots_bracket_every_sign_change(params):
+    # g sampled from -1e152 to 1e152 (geometric on each side, plus 0): each
+    # sign change between neighbouring samples has a returned root between
+    # them, so no kink of the perturbed integrand is missed.
+    from grolab.explorer import _cubic_roots
+
+    alpha = params.alpha
+    side = np.geomspace(1e-6, 1e152, 4000).tolist()
+    zs = [-z for z in reversed(side)] + [0.0] + side
+    for coeff in _COEFFS:
+        roots = _cubic_roots(alpha, LAM, coeff)
+        signs = [(g > 0.0) - (g < 0.0) for g in
+                 ((alpha + 3.0 * coeff - coeff * z * z) * z - LAM for z in zs)]
+        changes = [(a, b) for a, b, sa, sb in zip(zs, zs[1:], signs, signs[1:])
+                   if sa != sb]
+        assert len(changes) == len(roots), coeff
+        for a, b in changes:
+            assert any(a <= r <= b for r in roots), (coeff, a, b, roots)
 
 
 def test_scan_limits_random_members(params):
@@ -175,6 +237,10 @@ def test_scan_validation(params):
         beta_derivative_scan(member, params, [1e-4, 1e-3])
     with pytest.raises(DomainError):
         beta_derivative_scan(member, params, [])
+    # a non-finite beta fails loudly (it once raised numpy's LinAlgError)
+    for betas in ([math.inf, 1.0], [1e-3, math.nan]):
+        with pytest.raises(DomainError, match="finite"):
+            beta_derivative_scan(member, params, betas)
     with pytest.raises(DomainError):
         richardson_limit([(1e-3, 0.0)])
 

@@ -17,8 +17,9 @@ from grolab.gauss import (
     mills_ratio,
 )
 
-from oracles import (erfc_cell_masses, gauss_integrate, h3_tail_integral,
-                     interval_mass, interval_z_moment, tail_first_moment)
+from oracles import (erfc_cell_masses, gauss_integrate, gaussian_moments_array,
+                     h3_tail_integral, interval_mass, interval_z_moment,
+                     tail_first_moment)
 
 from conftest import LAM
 
@@ -148,13 +149,18 @@ def test_closed_forms_match_quadrature(rng, spec):
         assert abs(h3_quad - h3_tail_integral(eta)) < 1e-12
 
 
+def _one_cell(a, b) -> np.ndarray:
+    """gaussian_moments of the single cell [a, b], as an array of 4."""
+    return np.array(gaussian_moments([a, b]))[:, 0]
+
+
 def test_closed_forms_match_kernel(rng):
     for a, b in np.sort(rng.uniform(-4.0, 4.0, (50, 2)), axis=1):
-        m = gaussian_moments([a, b])[:, 0]
+        m = _one_cell(a, b)
         assert m[0] == pytest.approx(interval_mass(a, b), abs=1e-15)
         assert m[1] == pytest.approx(interval_z_moment(a, b), abs=1e-15)
     for eta in rng.uniform(0.0, 3.0, 50):
-        m = gaussian_moments([eta, math.inf])[:, 0]
+        m = _one_cell(eta, math.inf)
         assert m[1] == pytest.approx(tail_first_moment(eta), abs=1e-15)
         assert 2.0 * (m[3] - 3.0 * m[1]) == pytest.approx(
             h3_tail_integral(eta), abs=1e-15)
@@ -176,7 +182,7 @@ def _oracle_moments(a, b):
 
 def _assert_kernel_matches_oracle(cells):
     for a, b in cells:
-        kernel = gaussian_moments([a, b])[:, 0]
+        kernel = _one_cell(a, b)
         oracle = _oracle_moments(a, b)
         assert np.max(np.abs(kernel - oracle)) <= 1e-14, (a, b, kernel, oracle)
 
@@ -200,8 +206,8 @@ def test_moments_far_tail_cells(rng):
     exact = 0.5 * (math.erfc(12.0 / math.sqrt(2.0))
                    - math.erfc(13.0 / math.sqrt(2.0)))
     m = gaussian_moments([-13.0, -12.0, 12.0, 13.0])
-    assert m[0, 0] == pytest.approx(exact, rel=1e-14)
-    assert m[0, 2] == pytest.approx(exact, rel=1e-14)
+    assert m[0][0] == pytest.approx(exact, rel=1e-14)
+    assert m[0][2] == pytest.approx(exact, rel=1e-14)
 
 
 def test_moments_infinite_edges(rng):
@@ -210,7 +216,7 @@ def test_moments_infinite_edges(rng):
     cells += [(-inf, float(x)) for x in rng.uniform(-5.0, 5.0, 10)]
     cells += [(float(x), inf) for x in rng.uniform(-5.0, 5.0, 10)]
     _assert_kernel_matches_oracle(cells)
-    whole = gaussian_moments([-inf, inf])[:, 0]
+    whole = _one_cell(-inf, inf)
     assert np.array_equal(whole, [1.0, 0.0, 1.0, 0.0])
 
 
@@ -219,7 +225,7 @@ def test_moments_lp_grid():
     # cell plus the cells at 0 against the oracle, the totals against the
     # full-window moments
     edges = np.linspace(-2.2, 2.2, 16385)
-    m = gaussian_moments(edges)
+    m = np.array(gaussian_moments(edges))
     assert m.shape == (4, 16384)
     picks = sorted({*range(0, 16384, 16), 8191, 8192, 16383})
     for i in picks:
@@ -231,6 +237,46 @@ def test_moments_lp_grid():
     mid = 0.5 * (edges[:-1] + edges[1:])
     h = edges[1] - edges[0]
     assert np.max(np.abs(m[1] - mid * gaussian_pdf(mid) * h)) <= h ** 3
+
+
+def _random_partitions(rng):
+    """Partitions for the float kernel: +-inf ends, cells straddling 0,
+    edges beyond +-8 and +-40, single cells and one narrow partition."""
+    inf = math.inf
+    cases = [[-inf, inf], [-inf, 0.0], [0.0, inf], [-45.0, 45.0],
+             [39.0, 41.0, inf], [-inf, -41.0, -39.5], [-1e-9, 1e-9],
+             np.linspace(-0.5, 0.5, 1025).tolist()]  # 2**-10 wide: the series
+    for _ in range(60):
+        span = float(rng.choice([1.0, 6.0, 12.0, 50.0]))
+        n = int(rng.integers(1, 25))
+        edges = np.sort(rng.uniform(-span, span, n + 1)).tolist()
+        if rng.uniform() < 0.3:
+            edges[0] = -inf
+        if rng.uniform() < 0.3:
+            edges[-1] = inf
+        cases.append(edges)
+    return cases
+
+
+def test_moments_match_array_reference(rng):
+    # The float kernel against the numpy one it replaced (tests/oracles.py):
+    # the masses are the same erfc difference or midpoint series, bit for
+    # bit; rows 1-3 differ only by math.exp against np.exp (an ulp or so
+    # per pdf), so each is within 4 ulp of the size of its terms.
+    for edges in _random_partitions(rng):
+        got = gaussian_moments(edges)
+        ref = gaussian_moments_array(edges)
+        assert all(type(x) is float for row in got for x in row)
+        assert got[0] == ref[0].tolist(), edges
+        e = np.clip(edges, -40.0, 40.0)
+        pdf = np.exp(-0.5 * e * e) / math.sqrt(2.0 * math.pi)
+        zz_pdf = e * e * pdf
+        scales = (pdf[:-1] + pdf[1:],
+                  np.abs(ref[0]) + np.abs(e * pdf)[:-1] + np.abs(e * pdf)[1:],
+                  2.0 * (pdf[:-1] + pdf[1:]) + zz_pdf[:-1] + zz_pdf[1:])
+        for k, scale in zip((1, 2, 3), scales):
+            for x, y, s in zip(got[k], ref[k].tolist(), scale.tolist()):
+                assert abs(x - y) <= 4 * math.ulp(s), (k, edges, x, y)
 
 
 def test_quadrature_spec_validation():

@@ -32,7 +32,8 @@ from grolab.profiles import (
 
 from conftest import LAM
 from oracles import (bathtub, erfc_cell_masses, gauss_integrate,
-                     interval_mass, interval_z_moment, odd_part)
+                     gaussian_moments_array, interval_mass, interval_z_moment,
+                     odd_part)
 
 
 # -- Profile type -------------------------------------------------------------
@@ -65,6 +66,23 @@ def test_profile_validation():
                         tail_rule=rule, tail_values=tails)
 
 
+@pytest.mark.parametrize("where", [0, 2, -1])
+def test_profile_rejects_nan_anywhere(where):
+    # a NaN in the first, a middle or the last place of either sequence
+    # (a max over the sequence would only see a leading NaN)
+    bp = [-0.6, -0.3, 0.0, 0.3, 0.6]
+    vals = [0.5, -0.5, 0.25, -0.25, 1.0, -1.0]
+    for wrap in (tuple, np.array):
+        bad_bp = list(bp)
+        bad_bp[where] = math.nan
+        with pytest.raises(DomainError, match="strictly inside"):
+            Profile(z_cut=1.0, breakpoints=wrap(bad_bp), values=wrap(vals))
+        bad_vals = list(vals)
+        bad_vals[where] = math.nan
+        with pytest.raises(DomainError, match="values must lie"):
+            Profile(z_cut=1.0, breakpoints=wrap(bp), values=wrap(bad_vals))
+
+
 def test_profile_fields_are_python_floats():
     from_tuple = Profile(z_cut=1.0, breakpoints=(0.0,), values=(-0.5, 0.5))
     from_array = Profile(z_cut=1.0, breakpoints=np.array([0.0]),
@@ -73,7 +91,9 @@ def test_profile_fields_are_python_floats():
     assert hash(from_array) == hash(from_tuple)
     assert repr(from_array) == repr(from_tuple)
     assert all(type(v) is float for v in from_array.breakpoints + from_array.values)
-    with pytest.raises(ValueError):
+    assert from_array.edges == (-1.0, 0.0, 1.0)
+    assert all(type(v) is float for v in from_array.edges)
+    with pytest.raises(TypeError):
         from_array.edges[0] = 0.0  # the cached edges are read-only
 
 
@@ -105,14 +125,15 @@ def test_profile_evaluate():
                         tail_values=(-0.0, 0.5)),
                 Profile.from_grid(np.linspace(-1.0, 1.0, 12), z_cut=1.0)]
     for p in profiles:
-        e = p.edges
+        e = np.array(p.edges)
         z = np.concatenate((e, -e, np.nextafter(e, -np.inf),
                             np.nextafter(e, np.inf), 0.5 * (e[1:] + e[:-1]),
                             (-np.inf, np.inf, 0.0, -0.0, -1e300, 1e300)))
         assert p.evaluate(z).tobytes() == _evaluate_reference(p, z).tobytes()
         for x in z.tolist():
-            got = np.asarray(p.evaluate(x), dtype=float)
-            assert got.tobytes() == _evaluate_reference(p, x).tobytes(), (p, x)
+            got = p.evaluate(x)
+            assert type(got) is float
+            assert np.asarray(got).tobytes() == _evaluate_reference(p, x).tobytes(), (p, x)
 
 
 # -- kernels ------------------------------------------------------------------
@@ -156,21 +177,22 @@ def test_moment_full_sign_profile():
 
 def test_theta_moments_memo(params, rng):
     # a Profile's full-line moments are computed once, equal to the direct
-    # cell sum bit for bit, and shared read-only
+    # cell sum (fsum) bit for bit, and shared read-only
     profiles = [bathtub(solve_h(params.alpha), z_cut=params.eta),
                 Profile(z_cut=1.5, breakpoints=(-0.2, 0.4), values=(0.3, -0.6, 0.9),
                         tail_rule="const", tail_values=(0.25, -0.5)),
                 sample_feasible_profile(int(rng.integers(1 << 30)), params),
                 sample_theta_member(int(rng.integers(1 << 30)), lam=LAM)]
     for prof in profiles:
-        edges = np.array([-np.inf, *prof.edges, np.inf])
-        theta = np.array([prof.tail_values[0], *prof.values, prof.tail_values[1]])
-        direct = gaussian_moments(edges) @ theta
+        edges = [-math.inf, *prof.edges, math.inf]
+        theta = [prof.tail_values[0], *prof.values, prof.tail_values[1]]
+        direct = [math.fsum(m * t for m, t in zip(row, theta))
+                  for row in gaussian_moments(edges)]
         memo = theta_moments(prof)
-        assert memo.tobytes() == direct.tobytes()
+        assert [x.hex() for x in memo] == [x.hex() for x in direct]
         assert theta_moments(prof) is memo
-        assert moment(prof) == float(direct[1])
-        with pytest.raises(ValueError):
+        assert moment(prof) == direct[1]
+        with pytest.raises(TypeError):
             memo[1] = 0.0
 
 
@@ -249,6 +271,46 @@ def test_dual_value_matches_cell_sum():
         for mu in (-1e8, -1e300):
             ref = _dual_value_cell_sum(mu, params)
             assert abs(dual_value(mu, params) - ref) <= 2e-15 * abs(mu), (lam, mu)
+
+
+def _dual_value_mp(mpmath, mu, params):
+    """D(mu) from its definition, int A pdf + mu alpha + int |B - mu z| pdf,
+    cell by cell in mpmath's working precision (even integrand: twice the
+    half line, cut at eta and at the sign change w of lambda + mu z)."""
+    lam, alpha = mpmath.mpf(params.lam), mpmath.mpf(params.alpha)
+    eta, mu = mpmath.mpf(params.eta), mpmath.mpf(mu)
+
+    def cell(a, b, c0, c1):  # int_a^b (c0 + c1 z) pdf
+        return (c0 * (mpmath.ncdf(b) - mpmath.ncdf(a))
+                + c1 * (mpmath.npdf(a) - mpmath.npdf(b)))
+
+    int_a = 2 * (cell(0, eta, lam, 0) + cell(eta, mpmath.inf, 0, alpha))
+    cuts = [eta, mpmath.inf]
+    if -alpha < mu < 0:
+        cuts.insert(1, lam / -mu)
+    outer = sum(abs(cell(a, b, lam, mu)) for a, b in zip(cuts, cuts[1:]))
+    return int_a + mu * alpha + 2 * (abs(cell(0, eta, 0, alpha + mu)) + outer)
+
+
+def test_dual_value_matches_mpmath():
+    # The linear branches are summed without terms of size |mu|, so they
+    # stay relatively accurate at |mu| = 1e8 (at lambda = 0.05 the slope
+    # alpha - 2 pdf(0) cancels to -2.6e-3); the middle branch and the
+    # callers' range |mu| <= 1.5 are checked too.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(300):
+        lo = 1 / mpmath.sqrt(2 * mpmath.pi) - mpmath.mpf(profiles.INV_SQRT_2PI)
+        assert profiles._INV_SQRT_2PI_LO == float(lo)
+        for lam in (0.05, LAM):
+            params = ReedsParams.at_reeds_point(lam)
+            alpha = params.alpha
+            for mu in (-1e8, 1e8):
+                ref = float(_dual_value_mp(mpmath, mu, params))
+                assert abs(dual_value(mu, params) - ref) <= math.ulp(ref), (lam, mu)
+            for mu in [-alpha, -alpha / 2.0, 0.0,
+                       *np.linspace(-1.5, 1.5, 61).tolist()]:
+                ref = float(_dual_value_mp(mpmath, mu, params))
+                assert abs(dual_value(mu, params) - ref) <= 4 * math.ulp(ref), (lam, mu)
 
 
 def test_dual_value_tiny_negative_mu(params):
@@ -437,7 +499,7 @@ def _lp_cells_reference(edges, eta, alpha, lam):
     pieces = np.union1d(edges, (-eta, eta))
     mid = 0.5 * (pieces[:-1] + pieces[1:])
     cell = np.searchsorted(edges, mid) - 1
-    moments = gaussian_moments(pieces)
+    moments = gaussian_moments_array(pieces)
     b_int = np.where(np.abs(mid) < eta, -alpha * moments[1],
                      -lam * np.sign(mid) * moments[0])
     grid_size = len(edges) - 1
@@ -550,7 +612,7 @@ def test_lp_walk_matches_reference():
             prof, value = lp_maximize(params, grid)
             ref_prof, ref_value = _lp_maximize_reference(params, grid)
             assert value == ref_value, (grid, lam)
-            edges = ref_prof.edges
+            edges = np.array(ref_prof.edges)
             z = np.concatenate((
                 edges, np.nextafter(edges, -np.inf),
                 np.nextafter(edges, np.inf), 0.5 * (edges[:-1] + edges[1:]),
