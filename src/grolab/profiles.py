@@ -253,25 +253,36 @@ def check_feasible(profile: Profile, params: ReedsParams) -> None:
         )
 
 
-def V_value(profile: Profile, params: ReedsParams) -> float:
-    """Primal objective V(theta) = int (A + theta B) pdf.
-
-    Evaluated whether or not theta meets the moment constraint; feasibility
-    is the caller's concern (see gap_certificate).
-    """
-    lam, alpha, eta = params.lam, params.alpha, params.eta
+def _eta_cells(profile: Profile, eta: float):
+    """(mid, theta, mass, first moment) of each cell of the profile cut at
+    +-eta, where A and B change form: the partition V_value and
+    gap_tail_integral sum over."""
     edges, mid, theta = _cells(profile, kinks=(-eta, eta))
     m0, m1, _, _ = gaussian_moments(edges)
+    return list(zip(mid, theta, m0, m1))
+
+
+def _V_sum(cells, params: ReedsParams) -> float:
+    lam, alpha, eta = params.lam, params.alpha, params.eta
     # A = lambda, B = -alpha z inside (-eta, eta); A = alpha |z|, B = -lambda
     # sign(z) outside.
     terms = []
-    for z, t, i0, i1 in zip(mid, theta, m0, m1):
+    for z, t, i0, i1 in cells:
         if abs(z) < eta:
             terms += (lam * i0, -alpha * t * i1)
         else:
             s = _sign(z)
             terms += (-lam * s * t * i0, alpha * s * i1)
     return math.fsum(terms)
+
+
+def V_value(profile: Profile, params: ReedsParams) -> float:
+    """Primal objective V(theta) = int (A + theta B) pdf.
+
+    Evaluated whether or not theta meets the moment constraint; feasibility
+    is the caller's concern (see gap_certificate).
+    """
+    return _V_sum(_eta_cells(profile, params.eta), params)
 
 
 # 1/sqrt(2 pi) - INV_SQRT_2PI, the rounding error of the float pdf(0)
@@ -381,13 +392,10 @@ class GapCertificate:
             )
 
 
-def gap_tail_integral(profile: Profile, params: ReedsParams) -> float:
-    """int_{|z|>eta} (alpha |z| - lambda)(1 - theta(z) sign(z)) pdf(z) dz."""
+def _gap_tail_sum(cells, params: ReedsParams) -> float:
     lam, alpha, eta = params.lam, params.alpha, params.eta
-    edges, mid, theta = _cells(profile, kinks=(-eta, eta))
-    m0, m1, _, _ = gaussian_moments(edges)
     terms = []
-    for z, t, i0, i1 in zip(mid, theta, m0, m1):
+    for z, t, i0, i1 in cells:
         if abs(z) > eta:
             s = _sign(z)
             defect = 1.0 - t * s
@@ -395,16 +403,23 @@ def gap_tail_integral(profile: Profile, params: ReedsParams) -> float:
     return math.fsum(terms)
 
 
+def gap_tail_integral(profile: Profile, params: ReedsParams) -> float:
+    """int_{|z|>eta} (alpha |z| - lambda)(1 - theta(z) sign(z)) pdf(z) dz."""
+    return _gap_tail_sum(_eta_cells(profile, params.eta), params)
+
+
 def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
     """Optimality certificate for a feasible profile.
 
     Feasibility means the first moment matches params.alpha within tolerance;
     the returned gap F - V is cross-checked against the closed tail integral.
+    V_value and gap_tail_integral are summed over one shared partition.
     """
     check_feasible(profile, params)
     F = _dual_attained_value(params)
-    V = V_value(profile, params)
-    tail = gap_tail_integral(profile, params)
+    cells = _eta_cells(profile, params.eta)
+    V = _V_sum(cells, params)
+    tail = _gap_tail_sum(cells, params)
     return GapCertificate(primal_V=V, dual_D=F, gap=F - V, tail_integral=tail,
                           mu=-params.alpha)
 
@@ -451,6 +466,72 @@ def _lp_cells(edges: np.ndarray, eta: float, alpha: float,
     return a, c
 
 
+def _lp_walk(ratio: np.ndarray, weight: np.ndarray, total: float,
+             target: float) -> tuple[np.ndarray, int, int, float]:
+    """The bathtub walk: flip cells in ascending ratio order, ties grouped,
+    until the moment would cross the target.
+
+    Flipping cell i moves the moment down by 2 weight[i] from total.  Cells
+    whose ratios differ by at most 1e-12 (1 + |r|) from their neighbour in
+    the stable order form one group (mirror cells share their ratio exactly);
+    the group that would cross target gets the common fraction t instead.
+    Returns (order, lo, hi, t): order[:lo] flip fully and order[lo:hi], the
+    crossing group, are multiplied by t in [-1, 1].  With no crossing every
+    cell flips: lo = hi = len(ratio).
+
+    Only the crossing group and those before it are read, and on the LP
+    grids the crossing is the first group (the inner cells, ratio -alpha).
+    So the cells within one tie tolerance of the smallest ratio are walked
+    first, with the smallest ratio beyond them as a sentinel that closes
+    their last group exactly as a sort of every cell would.  Their stable
+    order is a prefix of the full stable order, so everything the walk
+    returns is the same to the bit.  Only when the crossing is not found in
+    that window, or falls in its last group and the sentinel does not close
+    it, are all cells sorted and walked.
+    """
+    r_min = float(ratio.min())
+    inside = ratio <= r_min + 1e-12 * (1.0 + abs(r_min))
+    if not inside.all():
+        window = np.flatnonzero(inside)
+        found = _walk_groups(ratio[window], weight[window], total, target,
+                             float(ratio[~inside].min()))
+        if found is not None:
+            order, lo, hi, t = found
+            return window[order], lo, hi, t
+    return _walk_groups(ratio, weight, total, target, None)
+
+
+def _walk_groups(ratio, weight, total, target, sentinel):
+    """_lp_walk on the given cells; None if they cannot settle the crossing.
+
+    sentinel is the smallest ratio among the cells left out, or None when
+    none are.
+    """
+    order = np.argsort(ratio, kind="stable")
+    sorted_ratio = ratio[order]
+    if sentinel is not None:
+        sorted_ratio = np.append(sorted_ratio, sentinel)
+    new_group = (np.abs(np.diff(sorted_ratio))
+                 > 1e-12 * (1.0 + np.abs(sorted_ratio[:-1])))
+    n = len(order)
+    starts = np.flatnonzero(np.concatenate(([True], new_group[:n - 1])))
+    group_drop = np.add.reduceat(2.0 * weight[order], starts)
+    # running[k] is the moment before group k flips, subtracted in walk order.
+    running = np.subtract.accumulate(np.concatenate(([total], group_drop)))
+    crossing = np.flatnonzero(running[1:] < target - 1e-15)
+    if crossing.size == 0:
+        return None if sentinel is not None else (order, n, n, -1.0)
+    k = int(crossing[0])
+    last = k + 1 == len(starts)
+    if last and sentinel is not None and not new_group[-1]:
+        return None  # the group may go on beyond the cells given
+    lo = starts[k]
+    hi = n if last else starts[k + 1]
+    denom = float(np.sum(weight[order[lo:hi]]))
+    t = (target - (running[k] - denom)) / denom
+    return order, lo, hi, min(1.0, max(-1.0, t))
+
+
 def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     """Exact solution of the grid-discretized moment-constrained LP.
 
@@ -461,6 +542,12 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     grid cells themselves (_lp_cells): the first moment pdf(a) - pdf(b) on
     every cell, and the mass (cell_masses: a midpoint series on a fine grid,
     erfc differences on a coarse one) only on cells beyond +-eta.
+
+    Only the crossing group is sorted (_lp_walk): the cells within one tie
+    tolerance of the smallest ratio, which at and near the Reeds point are
+    the inner cells (ratio -alpha) and hold the crossing.  When the crossing
+    lies beyond them (alpha far from alpha*, e.g. 0.3), all cells are sorted,
+    and the result is the same either way.
 
     The LP is solved on all grid_size cells, and the returned value is
     c . theta over all of them.  The returned profile is the same function
@@ -490,37 +577,16 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     # Without one (every even grid) the walk is every cell: no gather.
     nonzero = abs_a > 0.0
     if nonzero.all():
-        ratio = c / a
-        rank = order = np.argsort(ratio, kind="stable")
+        order, lo, hi, t = _lp_walk(c / a, abs_a, total, target)
     else:
         walk = np.flatnonzero(nonzero)
-        ratio = c[walk] / a[walk]
-        rank = np.argsort(ratio, kind="stable")
-        order = walk[rank]
-    sorted_ratio = ratio[rank]
-    # Flips go in ascending ratio order, ties grouped (mirror cells share their
-    # ratio exactly); the group that would cross the target gets a common
-    # fractional value instead.
-    starts = np.flatnonzero(np.concatenate(([True], np.abs(np.diff(sorted_ratio))
-                                            > 1e-12 * (1.0 + np.abs(sorted_ratio[:-1])))))
-    group_drop = np.add.reduceat(2.0 * abs_a[order], starts)
-    # running[k] is the moment before group k flips, subtracted in walk order.
-    running = np.subtract.accumulate(np.concatenate(([total], group_drop)))
-    crossing = np.flatnonzero(running[1:] < target - 1e-15)
+        order, lo, hi, t = _lp_walk(c[walk] / a[walk], abs_a[walk], total,
+                                    target)
+        order = walk[order]
 
     theta = np.sign(a)  # state before any flip; zero-moment cells stay 0
-    if crossing.size == 0:
-        theta[order] *= -1.0
-    else:
-        k = int(crossing[0])
-        lo = starts[k]
-        hi = starts[k + 1] if k + 1 < len(starts) else len(order)
-        group = order[lo:hi]
-        theta[order[:lo]] *= -1.0
-        denom = float(np.sum(abs_a[group]))
-        t = (target - (running[k] - denom)) / denom
-        theta[group] *= min(1.0, max(-1.0, t))
-
+    theta[order[:lo]] *= -1.0
+    theta[order[lo:hi]] *= t
     value = (_int_A_full(params, gaussian_pdf(eta)) + float(np.dot(c, theta))
              - 2.0 * params.lam * gaussian_cdf(-z_cut))
     # Canonical form: keep only the grid edges where theta changes.  Bit

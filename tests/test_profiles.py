@@ -508,8 +508,36 @@ def _lp_cells_reference(edges, eta, alpha, lam):
     return a, c
 
 
+def _walk_reference(ratio, weight, total, target):
+    """_lp_walk by a stable sort of every cell and a loop over the tie
+    groups, one at a time: a cell joins its predecessor's group when their
+    ratios differ by at most 1e-12 (1 + |predecessor|).  A group's drop is
+    summed by np.add.reduceat, as in the array walk: from 8 cells on it
+    rounds differently from np.sum."""
+    order = np.argsort(ratio, kind="stable")
+    sorted_ratio = ratio[order]
+    drop = 2.0 * weight[order]
+    n = len(order)
+    running = total
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and abs(sorted_ratio[j] - sorted_ratio[j - 1]) <= 1e-12 * (
+                1.0 + abs(sorted_ratio[j - 1])):
+            j += 1
+        group_drop = float(np.add.reduceat(drop[i:j], [0])[0])
+        if running - group_drop >= target - 1e-15:
+            running -= group_drop
+            i = j
+            continue
+        denom = float(np.sum(weight[order[i:j]]))
+        t = (target - (running - denom)) / denom
+        return order, i, j, min(1.0, max(-1.0, t))
+    return order, n, n, -1.0
+
+
 def _lp_maximize_reference(params, grid_size):
-    """lp_maximize with the tie groups walked one at a time."""
+    """lp_maximize with the tie groups of every cell walked one at a time."""
     alpha = params.alpha
     eta = params.eta
     z_cut = max(eta, solve_h(alpha)) + 1.0
@@ -517,36 +545,18 @@ def _lp_maximize_reference(params, grid_size):
     a, c = _lp_cells_reference(edges, eta, alpha, params.lam)
     target = alpha - 2.0 * gaussian_pdf(z_cut)
     abs_a = np.abs(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(abs_a > 0.0, c / a, -np.inf)
-    order = np.argsort(ratio, kind="stable")
-    sorted_ratio = ratio[order]
-    drop = 2.0 * abs_a[order]
-    theta = np.where(a >= 0.0, 1.0, -1.0)
-    i = 0
-    n = len(order)
-    running = abs_a.sum()
-    while i < n:
-        j = i
-        while j + 1 < n and abs(sorted_ratio[j + 1] - sorted_ratio[i]) <= 1e-12 * (
-                1.0 + abs(sorted_ratio[i])):
-            j += 1
-        group = order[i:j + 1]
-        group_drop = float(np.sum(drop[i:j + 1]))
-        if running - group_drop >= target - 1e-15:
-            theta[group] = -np.sign(a[group])
-            running -= group_drop
-            i = j + 1
-            continue
-        rest = running - float(np.sum(abs_a[group]))
-        denom = float(np.sum(abs_a[group]))
-        t = (target - rest) / denom if denom > 0.0 else 0.0
-        theta[group] = min(1.0, max(-1.0, t)) * np.sign(a[group])
-        break
+    # A zero-moment cell (the middle cell of an odd grid) has no ratio and
+    # stays out of the walk at sign(0) = 0.
+    walk = np.flatnonzero(abs_a > 0.0)
+    order, lo, hi, t = _walk_reference(c[walk] / a[walk], abs_a[walk],
+                                       abs_a.sum(), target)
+    theta = np.sign(a)
+    theta[walk[order[:lo]]] *= -1.0
+    theta[walk[order[lo:hi]]] *= t
     value = (_int_A_full(params, gaussian_pdf(eta)) + float(np.dot(c, theta))
              - 2.0 * params.lam * gaussian_cdf(-z_cut))
     prof = Profile(z_cut=z_cut, breakpoints=tuple(edges[1:-1]),
-                   values=tuple(np.clip(theta, -1.0, 1.0)))
+                   values=tuple(theta))
     return prof, value
 
 
@@ -602,25 +612,122 @@ def test_lp_cells_kinks_on_edges_or_in_one_cell():
         _assert_lp_cells_match(edges, 1e-3, 0.5, 5e-4)
 
 
+def _lp_walk_cases():
+    cases = [ReedsParams.at_reeds_point(float(lam))
+             for lam in np.linspace(0.18, 0.215, 8)]
+    for lam in (0.18, 0.215):
+        alpha_star = ReedsParams.at_reeds_point(lam).alpha
+        cases += [ReedsParams(lam, alpha) for alpha in
+                  (0.3, alpha_star - 0.005, alpha_star + 0.005)]
+    return cases
+
+
 def test_lp_walk_matches_reference():
-    # The array walk reproduces the per-group loop bit for bit on even grids,
-    # and lp_maximize returns that per-cell function in canonical form: the
-    # same theta everywhere, one cell per run of equal values.
-    for grid in (64, 1024, 16384):
-        for lam in np.linspace(0.18, 0.215, 8):
-            params = ReedsParams.at_reeds_point(float(lam))
+    # The array walk reproduces the per-group loop over every cell bit for
+    # bit on even and odd grids, at the Reeds point (crossing in the first
+    # group) and off it (alpha = 0.3 crosses in a later group), and
+    # lp_maximize returns that per-cell function in canonical form: the same
+    # theta everywhere, one cell per run of equal values.
+    for grid in (64, 65, 1024, 1025, 16384, 16385):
+        for params in _lp_walk_cases():
+            case = (grid, params.lam, params.alpha)
             prof, value = lp_maximize(params, grid)
             ref_prof, ref_value = _lp_maximize_reference(params, grid)
-            assert value == ref_value, (grid, lam)
+            assert value == ref_value, case
             edges = np.array(ref_prof.edges)
             z = np.concatenate((
                 edges, np.nextafter(edges, -np.inf),
                 np.nextafter(edges, np.inf), 0.5 * (edges[:-1] + edges[1:]),
                 (-np.inf, np.inf)))
             assert np.array_equal(_bits(prof.evaluate(z)),
-                                  _bits(ref_prof.evaluate(z))), (grid, lam)
+                                  _bits(ref_prof.evaluate(z))), case
             bits = _bits(prof.values)
-            assert (bits[1:] != bits[:-1]).all(), (grid, lam)
+            assert (bits[1:] != bits[:-1]).all(), case
+
+
+def _record_walk_passes(monkeypatch):
+    """List that gets True for each windowed pass of the walk and False for
+    each pass over every cell."""
+    passes = []
+    walk_groups = profiles._walk_groups
+
+    def recorded(ratio, weight, total, target, sentinel):
+        passes.append(sentinel is not None)
+        return walk_groups(ratio, weight, total, target, sentinel)
+
+    monkeypatch.setattr(profiles, "_walk_groups", recorded)
+    return passes
+
+
+def test_lp_walk_sorts_all_cells_only_when_needed(monkeypatch):
+    # At the Reeds point the window of the smallest ratio settles the walk;
+    # at alpha = 0.3 the crossing lies beyond it and every cell is sorted
+    # (test_lp_walk_matches_reference checks both results bit for bit).
+    passes = _record_walk_passes(monkeypatch)
+    for lam in (0.18, 0.215):
+        lp_maximize(ReedsParams.at_reeds_point(lam), 16384)
+        assert passes == [True], lam
+        passes.clear()
+        lp_maximize(ReedsParams(lam, 0.3), 16384)
+        assert passes == [True, False], lam
+        passes.clear()
+
+
+def _assert_walk_matches(ratio, weight, target):
+    total = float(weight.sum())
+    order, lo, hi, t = profiles._lp_walk(ratio, weight, total, target)
+    ref_order, ref_lo, ref_hi, ref_t = _walk_reference(ratio, weight, total,
+                                                       target)
+    assert (lo, hi) == (ref_lo, ref_hi)
+    assert np.array_equal(order[:hi], ref_order[:hi])
+    assert _bits(t) == _bits(ref_t)
+    return lo, hi
+
+
+def test_lp_walk_synthetic_ratios(monkeypatch, rng):
+    passes = _record_walk_passes(monkeypatch)
+    weight = rng.uniform(0.1, 1.0, 12)
+    total = weight.sum()
+    # A tie chain: each ratio within the tolerance (1.2e-12 here) of the one
+    # before, six of them spanning more than one tolerance, so the first
+    # window (three cells) cuts the chain.  The target is crossed by those
+    # three alone, but the sentinel does not close their group, so every
+    # cell is sorted and the whole chain takes the fraction.
+    chain = -0.2 + 0.45e-12 * np.arange(6)
+    ratio = np.concatenate((chain, [0.1, 0.3, 0.3, 0.5, 0.7, 0.9]))
+    perm = rng.permutation(12)
+    ratio, w = ratio[perm], weight[perm]
+    in_chain = perm < 6
+    target = total - w[perm < 3].sum()
+    assert _assert_walk_matches(ratio, w, target) == (0, 6)
+    assert passes == [True, False]
+    # The same chain crossed after it, in the tie group of 0.3.
+    passes.clear()
+    before = total - 2.0 * w[in_chain].sum() - 2.0 * w[perm == 6].sum()
+    assert _assert_walk_matches(ratio, w, before - 0.1) == (7, 9)
+    assert passes == [True, False]
+    # All ratios equal: one group, and the window is every cell.
+    passes.clear()
+    assert _assert_walk_matches(np.full(12, 0.3), weight, 0.0) == (0, 12)
+    assert passes == [False]
+    # No crossing: the target takes every flip.
+    passes.clear()
+    assert _assert_walk_matches(ratio, w, -total) == (12, 12)
+    assert passes == [True, False]
+    # A closed first group: the window settles it.
+    passes.clear()
+    ratio = np.array([-0.5, 0.2, -0.5, 0.4, 0.2, -0.5])
+    w = weight[:6]
+    target = w.sum() - w[ratio < 0].sum()
+    assert _assert_walk_matches(ratio, w, target) == (0, 3)
+    assert passes == [True]
+    # Random ratios with ties and near-ties, random targets.
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        ratio = rng.integers(-3, 4, n) * 0.25 + rng.choice(
+            [0.0, 0.4e-12, 5e-12], n)
+        w = rng.uniform(0.0, 1.0, n) + 1e-3
+        _assert_walk_matches(ratio, w, rng.uniform(-1.0, 1.0) * w.sum())
 
 
 def test_lp_fine_grid_masses_match_erfc(monkeypatch):
