@@ -87,7 +87,10 @@ def _bisect(equation) -> float:
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=4096)
+# Repeat callers ask for a handful of lambdas (verify-all 2, a bulk op 1, a
+# sweep each of its steps in turn); the grid LP's traffic brings a new lambda
+# every call, which a large cache would only hoard.
+@lru_cache(maxsize=16)
 def solve_eta_star(lam: float) -> float:
     """Unique root eta in (0, 1) of sqrt(2/pi) eta exp(-eta^2/2) = lambda.
 

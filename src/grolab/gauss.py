@@ -20,6 +20,15 @@ numpy only, and a partition narrow enough for it is the one case where
 `gaussian_moments` hands its masses to `cell_masses`, which decides the
 regime.
 
+Both grid kernels also write into arrays the caller gives:
+`gaussian_pdf(z, out=...)` and `cell_masses_into(edges, out, work)`, whose
+series keeps every intermediate in out and four rows of work.  The grid LP
+passes rows of the work block it keeps per thread for its last grid size
+(7 rows of n + 1 floats, 0.92 MB at 16384 cells): new arrays on every call
+cost it 153 minor page faults per call, as glibc gave the freed heap back
+to the OS and the next call faulted it in again, and the block brings that
+to 0.1.  `cell_masses` returns a new array, through the same code.
+
 The adaptive Gauss-Legendre panel rule is kept as an independent oracle: the
 tests check the closed forms against it, and the `closed_form_vs_quadrature`
 verification check does the same at run time.  Integrands are piecewise
@@ -76,20 +85,25 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
-def _pdf(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z) * INV_SQRT_2PI
-
-
 def _pdf_float(z: float) -> float:
     return math.exp(-0.5 * z * z) * INV_SQRT_2PI
 
 
-def gaussian_pdf(z):
-    """Standard Gaussian density; accepts a float or an ndarray."""
+def gaussian_pdf(z, out: np.ndarray | None = None):
+    """Standard Gaussian density; accepts a float or an ndarray.
+
+    For an ndarray z the density is written into out (an array of z's shape)
+    when one is given, else into a new array, by the same operations in the
+    same order as _pdf_float: ((-0.5 z) z), exp, times 1/sqrt(2 pi).
+    """
     if isinstance(z, np.ndarray):
         if not np.all(np.isfinite(z)):
             raise DomainError("gaussian_pdf requires finite input")
-        return _pdf(z)
+        out = np.multiply(z, -0.5, out=out)
+        out *= z
+        np.exp(out, out=out)
+        out *= INV_SQRT_2PI
+        return out
     z = float(z)
     if not math.isfinite(z):
         raise DomainError(f"gaussian_pdf requires finite input, got {z}")
@@ -205,8 +219,22 @@ def cell_masses(edges) -> np.ndarray:
     """Gaussian mass I_0 = Phi(e_{i+1}) - Phi(e_i) of every cell, as an array.
 
     edges is a nondecreasing array of n + 1 cell edges, which may start at
-    -inf and end at +inf; returns the n masses.  Like mills_ratio it has two
-    regimes, chosen once per call.
+    -inf and end at +inf; returns the n masses in a new array, from
+    cell_masses_into (regimes and accuracy are described there).  The grid
+    LP calls cell_masses_into itself, with rows of the work block it keeps
+    per thread for the last grid size (0.92 MB at 16384 cells), since new
+    intermediates on every call cost it 153 minor page faults per call.
+    """
+    edges = np.asarray(edges, dtype=float)
+    return cell_masses_into(edges, np.empty(max(len(edges) - 1, 0)))
+
+
+def cell_masses_into(edges: np.ndarray, out: np.ndarray,
+                     work: np.ndarray | None = None) -> np.ndarray:
+    """cell_masses(edges) written into out, an array of the n cells' length;
+    returns out.
+
+    Like mills_ratio it has two regimes, chosen once per call.
 
     A partition of [-40, 40] whose every cell is at most W = 2**-10 wide (a
     grid of a few thousand cells or more) takes the midpoint series
@@ -221,30 +249,58 @@ def cell_masses(edges) -> np.ndarray:
     accounted for, which is pdf's own conditioning (relative error up to
     m^2/2 times 2^-53, as if m moved by half an ulp).  An erfc difference
     across such a cell loses relative accuracy as erfc / (h pdf): up to
-    2.4e-12 at grid 16384.
+    2.4e-12 at grid 16384.  The series runs in place: out and four rows of
+    work (a float array of at least 4 rows of n, allocated here when None)
+    hold every intermediate, so a caller that passes its own work, as the
+    grid LP does, allocates nothing.
 
     Any other partition takes each mass as the erfc difference of
     _erfc_masses, on Python floats: math.erfc, the function the scalar
     gaussian_cdf calls, once per edge.  A single wide cell sends the whole
     call there, which is cheaper than choosing per cell.
     """
-    edges = np.asarray(edges, dtype=float)
+    n = len(out)
     if _may_take_series(edges):
-        h = edges[1:] - edges[:-1]
+        if work is None:
+            work = np.empty((4, n))
+        h, mm, t, u = (row[:n] for row in work[:4])
+        np.subtract(edges[1:], edges[:-1], out=h)
         if (h <= _SERIES_MAX_WIDTH).all():
-            mm = edges[:-1] + edges[1:]
+            np.add(edges[:-1], edges[1:], out=mm)
             mm *= 0.5
             mm *= mm  # m^2 of the correctly rounded midpoint m
-            t = 0.25 * h * h
-            # Horner in t; He_2, He_4, He_6 as polynomials in m^2.
-            s = t * ((((mm - 15.0) * mm + 45.0) * mm - 15.0) * (1.0 / 5040.0))
-            s += ((mm - 6.0) * mm + 3.0) * (1.0 / 120.0)
+            np.multiply(h, 0.25, out=t)
+            t *= h
+            # Horner in t; He_2, He_4, He_6 as polynomials in m^2.  s, the
+            # sum, is out; u holds each coefficient.
+            s = out
+            np.subtract(mm, 15.0, out=u)
+            u *= mm
+            u += 45.0
+            u *= mm
+            u -= 15.0
+            u *= 1.0 / 5040.0
+            np.multiply(t, u, out=s)
+            np.subtract(mm, 6.0, out=u)
+            u *= mm
+            u += 3.0
+            u *= 1.0 / 120.0
+            s += u
             s *= t
-            s += (mm - 1.0) * (1.0 / 6.0)
+            np.subtract(mm, 1.0, out=u)
+            u *= 1.0 / 6.0
+            s += u
             s *= t
             s += 1.0
-            return h * (np.exp(-0.5 * mm) * INV_SQRT_2PI) * s
-    return np.array(_erfc_masses(edges.tolist()), dtype=float)
+            # h pdf(m) s, with pdf(m) = exp(-m^2 / 2) / sqrt(2 pi).
+            np.multiply(mm, -0.5, out=u)
+            np.exp(u, out=u)
+            u *= INV_SQRT_2PI
+            u *= h
+            s *= u
+            return out
+    out[:] = _erfc_masses(edges.tolist())
+    return out
 
 
 def gaussian_moments(edges) -> tuple[list[float], list[float], list[float],

@@ -7,8 +7,10 @@ import pytest
 from grolab.baseline import ReedsParams, solve_h
 from grolab.errors import AccuracyError, DomainError
 from grolab.gauss import (
+    INV_SQRT_2PI,
     QuadratureSpec,
     cell_masses,
+    cell_masses_into,
     gaussian_cdf,
     gaussian_isf,
     gaussian_moments,
@@ -379,6 +381,44 @@ def test_cell_masses_regime_boundary():
                   np.linspace(-2.0, 2.0, 1025)):
         assert np.array_equal(_bits(cell_masses(edges)),
                               _bits(erfc_cell_masses(edges))), edges
+
+
+def _series_reference(edges):
+    """cell_masses' midpoint series as one numpy expression per step, with
+    new arrays for every intermediate."""
+    h = edges[1:] - edges[:-1]
+    mm = 0.5 * (edges[:-1] + edges[1:])
+    mm = mm * mm
+    t = 0.25 * h * h
+    s = t * ((((mm - 15.0) * mm + 45.0) * mm - 15.0) * (1.0 / 5040.0))
+    s = (s + ((mm - 6.0) * mm + 3.0) * (1.0 / 120.0)) * t
+    s = (s + (mm - 1.0) * (1.0 / 6.0)) * t + 1.0
+    return h * (np.exp(-0.5 * mm) * INV_SQRT_2PI) * s
+
+
+def test_cell_masses_into_caller_buffers():
+    # cell_masses_into fills a slice of a larger array, with a dirty work
+    # block, bit for bit as cell_masses returns a new array, in both
+    # regimes; the series is the same operations as the reference above.
+    # gaussian_pdf into a given array is gaussian_pdf.
+    rng = np.random.default_rng(25)
+    fine = np.linspace(-4.6, 4.6, 16385)
+    for edges in (fine, fine[:3000], fine[9000:], np.linspace(-2.0, 2.0, 1025),
+                  [-np.inf, -1.0, 0.5, np.inf], [0.0]):
+        edges = np.asarray(edges, dtype=float)
+        n = len(edges) - 1
+        want = cell_masses(edges)
+        if n > 2000:
+            assert np.array_equal(_bits(want), _bits(_series_reference(edges)))
+        big = rng.uniform(-1.0, 1.0, n + 7)
+        work = rng.uniform(-1.0, 1.0, (4, n + 3))
+        got = cell_masses_into(edges, big[5:5 + n], work)
+        assert got.base is big
+        assert np.array_equal(_bits(got), _bits(want)), n
+        pdf = gaussian_pdf(edges[np.isfinite(edges)])
+        out = big[:len(pdf)]
+        assert gaussian_pdf(edges[np.isfinite(edges)], out=out) is out
+        assert np.array_equal(_bits(out), _bits(pdf))
 
 
 def test_cell_masses_infinite_and_degenerate_cells():

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -630,19 +632,99 @@ def test_lp_walk_matches_reference():
     # theta everywhere, one cell per run of equal values.
     for grid in (64, 65, 1024, 1025, 16384, 16385):
         for params in _lp_walk_cases():
-            case = (grid, params.lam, params.alpha)
-            prof, value = lp_maximize(params, grid)
-            ref_prof, ref_value = _lp_maximize_reference(params, grid)
-            assert value == ref_value, case
-            edges = np.array(ref_prof.edges)
-            z = np.concatenate((
-                edges, np.nextafter(edges, -np.inf),
-                np.nextafter(edges, np.inf), 0.5 * (edges[:-1] + edges[1:]),
-                (-np.inf, np.inf)))
-            assert np.array_equal(_bits(prof.evaluate(z)),
-                                  _bits(ref_prof.evaluate(z))), case
-            bits = _bits(prof.values)
-            assert (bits[1:] != bits[:-1]).all(), case
+            _assert_lp_matches_reference(params, grid,
+                                         *lp_maximize(params, grid))
+
+
+def _assert_lp_matches_reference(params, grid, prof, value):
+    """prof, value = lp_maximize(params, grid) is _lp_maximize_reference's
+    per-cell function in canonical form, bit for bit."""
+    case = (grid, params.lam, params.alpha)
+    ref_prof, ref_value = _lp_maximize_reference(params, grid)
+    assert value == ref_value, case
+    edges = np.array(ref_prof.edges)
+    z = np.concatenate((
+        edges, np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf), 0.5 * (edges[:-1] + edges[1:]),
+        (-np.inf, np.inf)))
+    assert np.array_equal(_bits(prof.evaluate(z)),
+                          _bits(ref_prof.evaluate(z))), case
+    bits = _bits(prof.values)
+    assert (bits[1:] != bits[:-1]).all(), case
+
+
+def _lp_result(params, grid):
+    prof, value = lp_maximize(params, grid)
+    return value.hex(), profile_to_text(prof)
+
+
+def _in_new_threads(fn, count=1):
+    """fn() run in count new threads at once; their results in a list."""
+    results = [None] * count
+
+    def run(k):
+        results[k] = fn()
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(count)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+        assert not t.is_alive()
+    return results
+
+
+def test_lp_edges_are_linspace():
+    # lp_maximize builds its grid edges in its work block, bit for bit as
+    # np.linspace builds them.
+    rng = np.random.default_rng(25)
+    for grid in (1, 2, 3, 64, 65, 100, 1024, 1025, 3000, 16384, 16385):
+        for z_cut in (*rng.uniform(1.0, 4.0, 5), 2.2, math.pi):
+            out = rng.uniform(-1.0, 1.0, grid + 1)
+            profiles._linspace(out, -z_cut, z_cut)
+            want = np.linspace(-z_cut, z_cut, grid + 1)
+            assert np.array_equal(_bits(out), _bits(want)), (grid, z_cut)
+
+
+def test_lp_work_block_reuse_is_invisible():
+    # lp_maximize runs in one work block per thread, kept for the last grid
+    # size.  Calls interleaved across grid sizes, lambdas and the alpha = 0.3
+    # path (every cell sorted) each return what the same call returns first,
+    # in a thread of its own with no block yet, and match the reference.
+    # They leave earlier results, and _lp_cells' own arrays, alone.
+    cases = [(params, grid) for grid in (16384, 1025, 64, 16384)
+             for params in (ReedsParams.at_reeds_point(0.18),
+                            ReedsParams.at_reeds_point(LAM),
+                            ReedsParams(0.2, 0.3))]
+    first = {case: _in_new_threads(lambda: _lp_result(*case))[0]
+             for case in dict.fromkeys(cases)}
+    params = ReedsParams.at_reeds_point(LAM)
+    z_cut = max(params.eta, solve_h(params.alpha)) + 1.0
+    edges = np.linspace(-z_cut, z_cut, 16385)
+    a, c = _lp_cells(edges, params.eta, params.alpha, params.lam)
+    a_bits, c_bits = _bits(a).copy(), _bits(c).copy()
+    earlier = []
+    for params, grid in cases:
+        prof, value = lp_maximize(params, grid)
+        assert (value.hex(), profile_to_text(prof)) == first[params, grid]
+        _assert_lp_matches_reference(params, grid, prof, value)
+        earlier.append((prof, profile_to_text(prof)))
+        _lp_cells(edges, 0.2, 0.5, 0.1)
+    assert all(profile_to_text(p) == text for p, text in earlier)
+    assert np.array_equal(_bits(a), a_bits)
+    assert np.array_equal(_bits(c), c_bits)
+    # One block per thread, for the last grid size only.
+    assert profiles._lp_local.work.shape == (7, 16385)
+    # More threads than cores at once, switching often, each in its own
+    # block and interleaving the sizes.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = _in_new_threads(
+            lambda: [_lp_result(*case) for case in cases], count=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[first[case] for case in cases]] * 4
 
 
 def _record_walk_passes(monkeypatch):
@@ -741,14 +823,22 @@ def test_lp_fine_grid_masses_match_erfc(monkeypatch):
         return [_lp_cells(np.linspace(-z_cut, z_cut, grid + 1), params.eta,
                           params.alpha, params.lam)[1] for grid in (16384, 1024)]
 
+    def erfc_cell_masses_into(edges, out, work=None):
+        out[:] = erfc_cell_masses(edges)
+        return out
+
     cases = [ReedsParams.at_reeds_point(float(lam))
              for lam in np.linspace(0.18, 0.215, 8)]
     series = [(grid_c(params), lp_maximize(params, 16384))
               for params in cases]
+    # The grid's outer cells take cell_masses_into, the cells cut at +-eta
+    # cell_masses.
     monkeypatch.setattr(profiles, "cell_masses", erfc_cell_masses)
+    monkeypatch.setattr(profiles, "cell_masses_into", erfc_cell_masses_into)
     for params, ((fine, coarse), (prof, value)) in zip(cases, series):
         erfc_fine, erfc_coarse = grid_c(params)
-        assert not np.array_equal(erfc_fine, fine)
+        # Most outer cells move, not only the two cut ones.
+        assert np.count_nonzero(erfc_fine != fine) > 1000
         assert np.allclose(erfc_fine, fine, rtol=5e-12, atol=0.0)
         assert np.array_equal(_bits(erfc_coarse), _bits(coarse))
         ref_prof, ref_value = lp_maximize(params, 16384)
