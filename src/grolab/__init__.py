@@ -3,8 +3,10 @@
 Modules:
     gauss     -- Gaussian density/CDF, Hermite polynomials, exact cell
                  moments, and the panel quadrature kept as an oracle
-    baseline  -- Davie-Reeds bound: eta/lambda solvers, F(alpha), optimizer
-    profiles  -- 1-D profiles, primal/dual values, gap certificates, LP fill
+    baseline  -- Davie-Reeds bound: eta/lambda solvers, F's derivatives,
+                 optimizer
+    profiles  -- 1-D profiles, primal/dual values, F(alpha) = D(-alpha), gap
+                 certificates, LP fill
     pairing   -- third-chaos pairing constants and inequalities
     chain     -- stability constants and the final inequality chain
     intervals -- outward-rounded interval kernel; arith() picks float or

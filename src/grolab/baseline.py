@@ -2,7 +2,9 @@
 
 Solves the transcendental equation tying lambda to the threshold eta, builds
 the closed-form denominator of the operator-norm ratio, finds the optimal
-lambda as a root in eta, and exposes the objective F(alpha) with derivatives.
+lambda as a root in eta, and gives the first two derivatives of the objective
+F(alpha).  F itself, the dual functional D(-alpha), is profiles.F_value: the
+one formula for that value lives with the dual.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DomainError
-from .gauss import SQRT_2_OVER_PI, gaussian_cdf, gaussian_pdf
+from .gauss import SQRT_2_OVER_PI, gaussian_pdf
 from .intervals import Num, arith
 
 # Optimal lambda and the resulting lower bound, to double precision.
@@ -163,26 +165,9 @@ def optimize_lambda() -> float:
     return reeds_lambda(solve_eta_argmax())
 
 
-def F_value(alpha: float, lam: float) -> float:
-    """The one-dimensional objective driving the denominator optimization.
-
-    F(alpha) = 4 lambda * Phi([0, lambda/alpha]) - alpha^2
-               + 4 alpha * pdf(lambda/alpha) - lambda.
-    """
-    alpha, lam = float(alpha), float(lam)
-    if alpha <= 0.0 or lam <= 0.0:
-        raise DomainError(f"F_value requires positive inputs, got ({alpha}, {lam})")
-    eta = lam / alpha
-    return (
-        4.0 * lam * (gaussian_cdf(eta) - 0.5)
-        - alpha * alpha
-        + 4.0 * alpha * gaussian_pdf(eta)
-        - lam
-    )
-
-
 def F_derivatives(alpha: float, lam: float) -> tuple[float, float]:
-    """Closed forms F'(alpha) = 4 pdf(lambda/alpha) - 2 alpha and F''."""
+    """Closed forms F'(alpha) = 4 pdf(lambda/alpha) - 2 alpha and F'' of
+    F = profiles.F_value."""
     alpha, lam = float(alpha), float(lam)
     if alpha <= 0.0 or lam <= 0.0:
         raise DomainError(f"F_derivatives requires positive inputs, got ({alpha}, {lam})")

@@ -332,6 +332,15 @@ def gaussian_moments(edges) -> tuple[list[float], list[float], list[float],
     return m0, m1, m2, m3
 
 
+def dedupe_edges(points, lo: float, hi: float) -> list[float]:
+    """Sorted interior points of (lo, hi), duplicates within 1e-15 merged."""
+    out: list[float] = []
+    for p in sorted(map(float, points)):
+        if lo < p < hi and (not out or p - out[-1] > 1e-15):
+            out.append(p)
+    return out
+
+
 # Fixed-order Gauss-Legendre nodes for the panel rule (7 vs 15 points gives
 # the per-panel error estimate).
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
@@ -372,11 +381,7 @@ def gauss_integrate_with_error(
     if not a < b:
         return 0.0, 0.0
 
-    edges = [a]
-    for k in sorted(set(float(k) for k in kinks)):
-        if a < k < b and k - edges[-1] > 1e-15:
-            edges.append(k)
-    edges.append(b)
+    edges = [a, *dedupe_edges(kinks, a, b), b]
 
     # Cap panel width so the Gaussian weight is well resolved per panel.
     refined = []

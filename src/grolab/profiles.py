@@ -6,6 +6,10 @@ per-side constants).  The operations here evaluate the primal objective V,
 its dual certificate, the exact optimality-gap tail integral, the discretized
 bathtub maximizer, and the repair projection onto the maximizer set.
 
+The objective F(alpha) = D(-alpha) (F_value) is dual_value's closed form.
+It is the LP optimum where |_dual_anchor| <= 1, the one attainment test
+(F_value_dual, gap_certificate), and only an upper bound elsewhere.
+
 Every integral here is a piecewise polynomial of degree <= 3 times the
 Gaussian density: the line is cut into cells on which theta is constant and
 the other factors are polynomials, and the integral is the sum over cells of
@@ -43,7 +47,7 @@ import numpy as np
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star, solve_h
 from .errors import DomainError, FeasibilityError, InternalCheckError
 from .gauss import (INV_SQRT_2PI, cell_masses, cell_masses_into,
-                    gaussian_cdf, gaussian_moments, gaussian_pdf)
+                    dedupe_edges, gaussian_cdf, gaussian_moments, gaussian_pdf)
 
 SIGN_TAILS = "sign"
 CONST_TAILS = "const"
@@ -150,22 +154,13 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def _dedupe_edges(points, lo: float, hi: float) -> list[float]:
-    """Sorted interior points of (lo, hi), duplicates within 1e-15 merged."""
-    out: list[float] = []
-    for p in sorted(map(float, points)):
-        if lo < p < hi and (not out or p - out[-1] > 1e-15):
-            out.append(p)
-    return out
-
-
 def _partition(points, window: float = math.inf):
     """Cells of (-window, window) cut at the points inside it.
 
     Returns (edges, mid): the n + 1 cell edges, infinite at both ends when
     the window is, and a point inside each cell, as lists of floats.
     """
-    edges = [-window, *_dedupe_edges(points, -window, window), window]
+    edges = [-window, *dedupe_edges(points, -window, window), window]
     mid = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
     if math.isinf(window):
         mid[0], mid[-1] = edges[1] - 1.0, edges[-2] + 1.0
@@ -236,10 +231,10 @@ def A_B_eval(z, params: ReedsParams):
     return a, b
 
 
-def _int_A_full(params: ReedsParams, pdf_eta: float) -> float:
-    """int_R A(z) pdf(z) dz in closed form, given pdf_eta = pdf(params.eta)."""
-    return (params.lam * (2.0 * gaussian_cdf(params.eta) - 1.0)
-            + 2.0 * params.alpha * pdf_eta)
+def _int_A_full(params: ReedsParams, tail_eta: float, pdf_eta: float) -> float:
+    """int_R A(z) pdf(z) dz in closed form, given tail_eta = Phi(-eta) and
+    pdf_eta = pdf(eta) at eta = params.eta."""
+    return params.lam * (1.0 - 2.0 * tail_eta) + 2.0 * params.alpha * pdf_eta
 
 
 # -- moments and objective ---------------------------------------------------
@@ -341,7 +336,15 @@ def dual_value(mu: float, params: ReedsParams) -> float:
     outer = (lam * (tail_eta - tail_w) + mu * (pdf_eta - pdf_w)
              - (lam * tail_w + mu * pdf_w))
     inner = (alpha + mu) * (INV_SQRT_2PI - pdf_eta)
-    return _int_A_full(params, pdf_eta) + mu * alpha + 2.0 * (inner + outer)
+    return (_int_A_full(params, tail_eta, pdf_eta) + mu * alpha
+            + 2.0 * (inner + outer))
+
+
+def F_value(alpha: float, lam: float) -> float:
+    """F(alpha) = D(-alpha) at (lambda, alpha): the LP optimum where the dual
+    is attained at mu = -alpha (F_value_dual), an upper bound on it
+    elsewhere.  At the Reeds point it is reeds_denominator(lambda)."""
+    return dual_value(-alpha, ReedsParams(lam, alpha))
 
 
 def _dual_anchor(params: ReedsParams) -> float:
@@ -355,28 +358,19 @@ def _dual_anchor(params: ReedsParams) -> float:
     return (params.alpha - 2.0 * pdf_eta) / (2.0 * (INV_SQRT_2PI - pdf_eta))
 
 
-def _dual_attained_value(params: ReedsParams) -> float:
-    if abs(_dual_anchor(params)) > 1.0:
+def F_value_dual(params: ReedsParams) -> float:
+    """Optimal value of the moment-constrained maximization, D(-alpha).
+
+    Offered exactly where a feasible profile attains it (|_dual_anchor| <= 1);
+    elsewhere D(-alpha) is only an upper bound, and this raises DomainError.
+    """
+    a = _dual_anchor(params)
+    if abs(a) > 1.0:
         raise DomainError(
-            "dual certificate is not attained at mu = -alpha for these params"
+            f"dual certificate is not attained at mu = -alpha for these "
+            f"params (anchor {a:.6g}, need |anchor| <= 1)"
         )
     return dual_value(-params.alpha, params)
-
-
-def F_value_dual(params: ReedsParams) -> float:
-    """Optimal value of the moment-constrained maximization, via the dual.
-
-    Only offered inside the window |alpha - alpha*(lambda)| < 1/100 where the
-    attaining primal point is proven to exist; outside, the dual value is
-    merely an upper bound and this operation refuses.
-    """
-    alpha_star = params.lam / solve_eta_star(params.lam)
-    if abs(params.alpha - alpha_star) >= 0.01:
-        raise DomainError(
-            f"F_value_dual requires |alpha - {alpha_star:.6f}| < 0.01, "
-            f"got alpha={params.alpha}"
-        )
-    return _dual_attained_value(params)
 
 
 @dataclass(frozen=True)
@@ -424,7 +418,7 @@ def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
     V_value and gap_tail_integral are summed over one shared partition.
     """
     check_feasible(profile, params)
-    F = _dual_attained_value(params)
+    F = F_value_dual(params)
     cells = _eta_cells(profile, params.eta)
     V = _V_sum(cells, params)
     tail = _gap_tail_sum(cells, params)
@@ -656,7 +650,8 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     np.sign(a, out=theta)  # state before any flip; zero-moment cells stay 0
     theta[order[:lo]] *= -1.0
     theta[order[lo:hi]] *= t
-    value = (_int_A_full(params, gaussian_pdf(eta)) + float(np.dot(c, theta))
+    value = (_int_A_full(params, gaussian_cdf(-eta), gaussian_pdf(eta))
+             + float(np.dot(c, theta))
              - 2.0 * params.lam * gaussian_cdf(-z_cut))
     # Canonical form: keep only the grid edges where theta changes.  Bit
     # patterns are compared, so -0.0 and 0.0 stay apart.
@@ -684,7 +679,7 @@ def _repair_threshold(profile: Profile, s: float, eta_star: float,
     with r the part of delta left after the cells below c.
     """
     half = eta_star / 2.0
-    cuts = [half, *_dedupe_edges(map(abs, profile.breakpoints), half, eta_star),
+    cuts = [half, *dedupe_edges(map(abs, profile.breakpoints), half, eta_star),
             eta_star]
     weight = [(1.0 + s * profile.evaluate(m)) + (1.0 - s * profile.evaluate(-m))
               for m in (0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))]

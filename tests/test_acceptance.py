@@ -11,7 +11,6 @@ import pytest
 from grolab import claims
 from grolab.baseline import (
     DAVIE_REEDS_C,
-    F_value,
     ReedsParams,
     davie_reeds_bound,
     optimize_lambda,
@@ -34,6 +33,7 @@ from grolab.explorer import (
 from grolab.gauss import hermite_eval
 from grolab.pairing import PairingConstants, kappa_Q, signflip_check
 from grolab.profiles import (
+    F_value,
     F_value_dual,
     V_value,
     dual_value,

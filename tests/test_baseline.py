@@ -8,7 +8,6 @@ from grolab.baseline import (
     DAVIE_REEDS_C,
     LAMBDA_STAR,
     F_derivatives,
-    F_value,
     ReedsParams,
     davie_reeds_bound,
     optimize_lambda,
@@ -20,6 +19,7 @@ from grolab import baseline
 from grolab.baseline import _argmax_equation, _eta_equation
 from grolab.errors import DomainError
 from grolab.gauss import SQRT_2_OVER_PI, gaussian_pdf
+from grolab.profiles import F_value
 
 from conftest import LAM
 from oracles import argmax_mp, golden_then_bisect, reeds_bound_mp, reeds_mp

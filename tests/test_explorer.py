@@ -15,8 +15,7 @@ from grolab.explorer import (
 )
 from grolab.gauss import hermite_eval
 from grolab.pairing import kappa_Q
-from grolab.profiles import F_value_dual, Profile, V_value, moment
-from grolab.baseline import F_value
+from grolab.profiles import F_value, F_value_dual, Profile, V_value, moment
 
 from conftest import LAM
 from oracles import bathtub, gauss_integrate

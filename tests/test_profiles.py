@@ -253,7 +253,7 @@ def _dual_value_cell_sum(mu, params):
     flip = np.sign(c0 + c1 * mid)
     moments = gaussian_moments(edges)
     term = float((flip * c0) @ moments[0] + (flip * c1) @ moments[1])
-    int_a = _int_A_full(params, gaussian_pdf(eta))
+    int_a = _int_A_full(params, gaussian_cdf(-eta), gaussian_pdf(eta))
     return int_a + mu * params.alpha + term
 
 
@@ -344,16 +344,25 @@ def test_dual_value_matches_quadrature(params, spec):
             oracle + mu * params.alpha, abs=1e-13)
 
 
-def test_F_value_dual_window(params):
+def test_F_value_dual_attainment_boundary(params):
     assert F_value_dual(params) == pytest.approx(
         (1.0 - LAM) / 1.676956674215576, abs=1e-10)
-    with pytest.raises(DomainError):
-        F_value_dual(ReedsParams(lam=LAM, alpha=params.alpha + 0.02))
-    # inside the window the dual matches the exact discrete maximization
-    for shift in (+0.005, -0.005):
+    # |anchor| <= 1 is the exact condition: the dual matches the LP optimum
+    # up to the boundary (anchor 0.77 at +0.02, 0.97 at +0.025) ...
+    for shift in (+0.005, -0.005, +0.02, +0.025):
         shifted = ReedsParams(lam=LAM, alpha=params.alpha + shift)
+        assert abs(profiles._dual_anchor(shifted)) <= 1.0, shift
         _, lp_val = lp_maximize(shifted, 4096)
-        assert F_value_dual(shifted) == pytest.approx(lp_val, abs=1e-10)
+        assert F_value_dual(shifted) == pytest.approx(lp_val, abs=1e-10), shift
+    # ... and beyond it (anchor -1.58) D(-alpha) is only an upper bound.
+    beyond = ReedsParams(lam=LAM, alpha=params.alpha - 0.05)
+    assert profiles._dual_anchor(beyond) < -1.0
+    lp_prof, lp_val = lp_maximize(beyond, 4096)
+    assert dual_value(-beyond.alpha, beyond) > lp_val + 1e-4
+    with pytest.raises(DomainError):
+        F_value_dual(beyond)
+    with pytest.raises(DomainError):
+        gap_certificate(lp_prof, beyond)
 
 
 # -- certificates -------------------------------------------------------------
@@ -555,7 +564,8 @@ def _lp_maximize_reference(params, grid_size):
     theta = np.sign(a)
     theta[walk[order[:lo]]] *= -1.0
     theta[walk[order[lo:hi]]] *= t
-    value = (_int_A_full(params, gaussian_pdf(eta)) + float(np.dot(c, theta))
+    value = (_int_A_full(params, gaussian_cdf(-eta), gaussian_pdf(eta))
+             + float(np.dot(c, theta))
              - 2.0 * params.lam * gaussian_cdf(-z_cut))
     prof = Profile(z_cut=z_cut, breakpoints=tuple(edges[1:-1]),
                    values=tuple(theta))
