@@ -1,8 +1,8 @@
 """grolab: rigorous numerics for the improved Grothendieck lower bound.
 
 Modules:
-    gauss     -- Gaussian density/CDF, Hermite polynomials, exact cell
-                 moments, and the panel quadrature kept as an oracle
+    gauss     -- Gaussian density/CDF, exact cell moments, and the panel
+                 quadrature kept as an oracle
     baseline  -- Davie-Reeds bound: eta/lambda solvers, F's derivatives,
                  optimizer
     profiles  -- 1-D profiles, primal/dual values, F(alpha) = D(-alpha), gap

@@ -229,8 +229,8 @@ def _explore_checks(cfg: RunConfig) -> list[Check]:
         member = explorer.sample_theta_member(cfg.seed + 2000 + k, lam=LAM_LIT)
         rows = explorer.beta_derivative_scan(member, params, betas)
         limit = explorer.richardson_limit(rows)
-        # |int theta H3 pdf| over the window; only its square enters
-        a_val, _ = pairing.A_bound_check(member, member.z_cut)
+        # int theta H3 pdf over the window (|z| < eta*); only its square enters
+        a_val = profiles.h3_moment(profiles.theta_moments(member, member.z_cut))
         expected = (b_val * b_val - a_val * a_val) / 6.0
         checks.append(approx_check(f"scan_limit_{k}", expected, limit, 1e-6))
         checks.append(bound_check(f"scan_limit_vs_kappa_Q_{k}", kq - 1e-9,

@@ -20,13 +20,15 @@ import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star
 from .errors import DomainError
-from .gauss import gaussian_moments, gaussian_pdf, hermite_eval
+from .gauss import gaussian_moments, gaussian_pdf
 from .profiles import (
     Profile,
     V_value,
     _cells,
+    _grid_edges,
     _sign,
     check_feasible,
+    h3_moment,
     repair_to_theta,
     theta_moments,
 )
@@ -45,8 +47,7 @@ def r_lambda_norm_1d(profile: Profile, params: ReedsParams) -> float:
 
 def _h3_coefficient(profile: Profile) -> float:
     """Zonal third-chaos coefficient: E[theta H3] / 6."""
-    m = theta_moments(profile)
-    return (m[3] - 3.0 * m[1]) / 6.0
+    return h3_moment(theta_moments(profile)) / 6.0
 
 
 def _unit_cubic_roots(sigma: float, eps: float) -> list[float]:
@@ -132,12 +133,17 @@ def r_lambda_beta_norm_1d(profile: Profile, params: ReedsParams,
     roots = _cubic_roots(alpha, lam, coeff)
     edges, mid, theta = _cells(profile, kinks=(*roots, *(-r for r in roots)))
     m0, m1, _, m3 = gaussian_moments(edges)
+    # core = alpha z - coeff H3(z) at the cell's midpoint fixes the sign of
+    # each absolute value; H3 and the signs are written out, not called.
     terms = []
     for z, t, i0, i1, i3 in zip(mid, theta, m0, m1, m3):
-        core = alpha * z - coeff * hermite_eval(3, z)
+        core = alpha * z - coeff * (z * (z * z - 3.0))
         core_int = linear * i1 - coeff * i3  # int core pdf on the cell
-        terms += (0.5 * (1.0 + t) * _sign(core - lam) * (core_int - lam * i0),
-                  0.5 * (1.0 - t) * _sign(core + lam) * (core_int + lam * i0))
+        below, above = core - lam, core + lam
+        s_below = (below > 0.0) - (below < 0.0)
+        s_above = (above > 0.0) - (above < 0.0)
+        terms += (0.5 * (1.0 + t) * s_below * (core_int - lam * i0),
+                  0.5 * (1.0 - t) * s_above * (core_int + lam * i0))
     return math.fsum(terms)
 
 
@@ -194,7 +200,7 @@ def sample_feasible_profile(seed: int, params: ReedsParams) -> Profile:
     z_cut = 1.0
     rng = np.random.Generator(np.random.Philox(key=seed))
     values = rng.uniform(-1.0, 1.0, 12).tolist()
-    edges = Profile.from_grid(values, z_cut=z_cut).edges
+    edges = _grid_edges(len(values), z_cut)
     need = params.alpha - 2.0 * gaussian_pdf(z_cut)
     cell_m = gaussian_moments(edges)[1]
     have = math.fsum(map(operator.mul, values, cell_m))

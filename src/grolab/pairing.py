@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, FeasibilityError, InternalCheckError
 from .intervals import Num, arith, endpoints
-from .profiles import Profile, theta_moments
+from .profiles import Profile, h3_moment, theta_moments
 
 # Inner moments must vanish this tightly for the |A| bound hypothesis.
 _INNER_MOMENT_TOL = 1e-9
@@ -121,8 +121,7 @@ def A_bound_check(profile: Profile, eta: float) -> tuple[float, float]:
             f"inner moment {inner_m:.3g} must vanish on (-{eta}, {eta})",
             residual=inner_m,
         )
-    a_val = m[3] - 3.0 * m[1]
-    return abs(a_val), kappa_Q(eta)[1]
+    return abs(h3_moment(m)), kappa_Q(eta)[1]
 
 
 def signflip_check(a, b, beta):

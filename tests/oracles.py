@@ -4,15 +4,33 @@ grolab.gauss and grolab.profiles and for grolab.baseline.optimize_lambda.
 """
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from grolab.baseline import davie_reeds_bound, solve_eta_star
-from grolab.errors import DomainError
-from grolab.gauss import (DEFAULT_SPEC, INV_SQRT_2PI, cell_masses,
+from grolab.baseline import LAMBDA_STAR, davie_reeds_bound, solve_eta_star
+from grolab.errors import DomainError, InternalCheckError
+from grolab.gauss import (DEFAULT_SPEC, INV_SQRT_2PI, _erfc_masses,
+                          _may_take_series, cell_masses,
                           gauss_integrate_with_error, gaussian_cdf,
-                          gaussian_pdf)
-from grolab.profiles import CONST_TAILS, SIGN_TAILS, Profile, _cells
+                          gaussian_moments, gaussian_pdf)
+from grolab.profiles import (CONST_TAILS, SIGN_TAILS, Profile, _cells,
+                             _rebuild, _repair_threshold, _sign,
+                             theta_moments)
+
+
+def hermite_eval(k: int, z):
+    """Probabilists' Hermite polynomial H_k for k in {0, 1, 2, 3}."""
+    if k == 0:
+        return np.ones_like(z, dtype=float) if isinstance(z, np.ndarray) else 1.0
+    if k == 1:
+        return np.asarray(z, dtype=float) if isinstance(z, np.ndarray) else float(z)
+    if k == 2:
+        return z * z - 1.0
+    if k == 3:
+        return z * (z * z - 3.0)
+    raise DomainError(f"hermite_eval supports k in 0..3, got {k}")
 
 
 def interval_mass(a: float, b: float) -> float:
@@ -50,6 +68,25 @@ def gaussian_moments_array(edges) -> np.ndarray:
     out[2] = out[0] + (z_pdf[:-1] - z_pdf[1:])
     out[3] = 2.0 * out[1] + (zz_pdf[:-1] - zz_pdf[1:])
     return out
+
+
+def gaussian_moments_lists(edges):
+    """grolab.gauss.gaussian_moments as nine list passes over the edges: the
+    pdf, z pdf and z^2 pdf lists, the masses (_erfc_masses, or cell_masses
+    where the midpoint series may apply), then one list per moment.  The
+    one-loop kernel must equal it bit for bit."""
+    e = list(map(float, edges))
+    lo, hi = bisect_left(e, -40.0), bisect_right(e, 40.0)
+    e[:lo] = [-40.0] * lo
+    e[hi:] = [40.0] * (len(e) - hi)
+    pdf = [math.exp(-0.5 * z * z) * INV_SQRT_2PI for z in e]
+    z_pdf = list(map(operator.mul, e, pdf))
+    zz_pdf = list(map(operator.mul, e, z_pdf))
+    m0 = cell_masses(e).tolist() if _may_take_series(e) else _erfc_masses(e)
+    m1 = list(map(operator.sub, pdf, pdf[1:]))
+    m2 = [i0 + (a - b) for i0, a, b in zip(m0, z_pdf, z_pdf[1:])]
+    m3 = [2.0 * i1 + (a - b) for i1, a, b in zip(m1, zz_pdf, zz_pdf[1:])]
+    return m0, m1, m2, m3
 
 
 def tail_first_moment(eta: float) -> float:
@@ -167,3 +204,43 @@ def argmax_mp(mpmath):
     eta = mpmath.findroot(lambda e: reeds_mp(mpmath, e)[3],
                           mpmath.mpf("0.2557"))
     return eta, reeds_mp(mpmath, eta)[0]
+
+
+def repair_to_theta_five_partitions(profile: Profile, lam: float = LAMBDA_STAR):
+    """grolab.profiles.repair_to_theta with its last step on two partitions:
+    the inner cost on the repaired profile's cells also cut at the
+    tail-fixed profile's breakpoints, and the residual from a second
+    theta_moments of the repaired profile.  grolab's one-partition last step
+    must equal it bit for bit."""
+    eta_star = solve_eta_star(lam)
+    edges, mid, theta = _cells(profile, kinks=(-eta_star, eta_star))
+    tail_cost = math.fsum(
+        (1.0 - t * _sign(z)) * i0
+        for z, t, i0 in zip(mid, theta, gaussian_moments(edges)[0])
+        if abs(z) > eta_star)
+    fixed = _rebuild(profile, eta_star)
+    inner = theta_moments(fixed, eta_star)[1]
+    delta = abs(inner)
+    if delta <= 1e-15:
+        return fixed, tail_cost
+    s = 1.0 if inner >= 0.0 else -1.0
+    t0 = _repair_threshold(fixed, s, eta_star, delta)
+    half = eta_star / 2.0
+
+    def override(mid):
+        if half < abs(mid) < t0:
+            return -s * math.copysign(1.0, mid)
+        return None
+
+    repaired = _rebuild(fixed, eta_star, extra_edges=(-t0, -half, half, t0),
+                        override=override)
+    edges, mid, theta = _cells(repaired, kinks=fixed.breakpoints,
+                               window=eta_star)
+    inner_cost = math.fsum(
+        abs(t - fixed.evaluate(z)) * i0
+        for z, t, i0 in zip(mid, theta, gaussian_moments(edges)[0]))
+    residual = theta_moments(repaired, eta_star)[1]
+    if abs(residual) > 1e-13:
+        raise InternalCheckError(
+            f"repair left inner moment {residual}; expected 0")
+    return repaired, tail_cost + inner_cost

@@ -30,7 +30,6 @@ from grolab.explorer import (
     sample_feasible_profile,
     sample_theta_member,
 )
-from grolab.gauss import hermite_eval
 from grolab.pairing import PairingConstants, kappa_Q, signflip_check
 from grolab.profiles import (
     F_value,
@@ -41,7 +40,7 @@ from grolab.profiles import (
     lp_maximize,
 )
 
-from oracles import gauss_integrate, odd_part
+from oracles import gauss_integrate, hermite_eval, odd_part
 
 LAM_LIT = 0.197479091
 

@@ -426,6 +426,19 @@ def test_cli_import_skips_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_skips_numpy_polynomial():
+    # The quadrature rule's nodes and weights are literals in grolab.gauss;
+    # building them with leggauss imported numpy.polynomial (2.6-7.3 ms).
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(grolab.__file__).resolve().parents[1])}
+    code = ("import sys, grolab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['numpy', 'polynomial']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_certified_verify_all_without_scipy_special_or_numpy_ma(tmp_path):
     # None in sys.modules makes any import of scipy.special or numpy.ma raise.
     env = {**os.environ,

@@ -13,12 +13,11 @@ from grolab.explorer import (
     sample_feasible_profile,
     sample_theta_member,
 )
-from grolab.gauss import hermite_eval
 from grolab.pairing import kappa_Q
 from grolab.profiles import F_value, F_value_dual, Profile, V_value, moment
 
 from conftest import LAM
-from oracles import bathtub, gauss_integrate
+from oracles import bathtub, gauss_integrate, hermite_eval
 
 BETAS = [1e-3 / 2 ** k for k in range(4)]
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from grolab.baseline import ReedsParams, solve_h
+from grolab import gauss
 from grolab.errors import AccuracyError, DomainError
 from grolab.gauss import (
     INV_SQRT_2PI,
@@ -15,13 +16,12 @@ from grolab.gauss import (
     gaussian_isf,
     gaussian_moments,
     gaussian_pdf,
-    hermite_eval,
     mills_ratio,
 )
 
 from oracles import (erfc_cell_masses, gauss_integrate, gaussian_moments_array,
-                     h3_tail_integral, interval_mass, interval_z_moment,
-                     tail_first_moment)
+                     gaussian_moments_lists, h3_tail_integral, hermite_eval,
+                     interval_mass, interval_z_moment, tail_first_moment)
 
 from conftest import LAM
 
@@ -281,6 +281,52 @@ def test_moments_match_array_reference(rng):
                 assert abs(x - y) <= 4 * math.ulp(s), (k, edges, x, y)
 
 
+def _series_partitions(rng):
+    """Partitions that may take the midpoint series: uniform grids with
+    cells of at most 2**-10, and random ones spanning at most n 2**-10,
+    whose wider cells send cell_masses back to erfc differences."""
+    w = _SERIES_MAX_WIDTH
+    cases = [np.linspace(-0.5, 0.5, 1025).tolist(),
+             np.linspace(3.0, 3.5, 600).tolist(),
+             np.linspace(-40.0, -40.0 + 64 * w, 65).tolist(),
+             np.linspace(39.0, 40.0, 2000).tolist()]
+    for k in range(20):
+        n = int(rng.integers(1, 300))
+        start = float(rng.uniform(-39.0, 38.0))
+        if k % 2:
+            edges = rng.uniform(start, start + 0.9 * n * w, n + 1)
+        else:  # a jittered grid: every cell narrow, so the series applies
+            edges = start + 0.9 * w * (np.arange(n + 1.0)
+                                       + rng.uniform(-0.05, 0.05, n + 1))
+        cases.append(np.sort(edges).tolist())
+    return cases
+
+
+def _hex_rows(rows):
+    """Each float as its hex string: exact, and -0.0 differs from 0.0."""
+    return [[x.hex() for x in row] for row in rows]
+
+
+def test_one_pass_moments_equal_list_kernel(rng):
+    # The one-loop kernel against the nine-pass list kernel it replaced
+    # (tests/oracles.py): every row bit for bit, zero signs included.
+    inf = math.inf
+    edge_cases = [
+        [-inf, inf], [-inf, -50.0, 50.0, inf], [-inf, -45.0, -41.0, -40.0],
+        [40.0, 41.0, 1e300, inf], [-1e300, -38.7, 38.7, 1e300],
+        [-0.0, 1.0], [-1.0, -0.0], [-0.0, 0.0], [0.0, -0.0, 0.0],
+        [-1.0, -0.0, 0.0, 1.0], [-0.0, inf], [-inf, -0.0],
+        [0.5, 0.5], [0.3, 0.7], [-2.0, 2.0], [7.0, 7.0 + 2 ** -12],
+        [0.0], [],
+    ]
+    for edges in (_random_partitions(rng) + _series_partitions(rng)
+                  + edge_cases):
+        got = gaussian_moments(edges)
+        assert all(type(x) is float for row in got for x in row)
+        assert _hex_rows(got) == _hex_rows(gaussian_moments_lists(edges)), \
+            edges
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(truncation=4.0)
@@ -290,6 +336,48 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
+
+
+def _legendre_rule_mp(mpmath, n):
+    """n-point Gauss-Legendre (nodes, weights), ascending, at mpmath's
+    working precision: Newton on P_n from x = cos(pi (i - 1/4) / (n + 1/2))
+    for the positive roots, 0 for odd n, mirrored."""
+    def legendre(x):  # (P_n(x), P_n'(x)) by the three-term recurrence
+        p0, p1 = mpmath.mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    roots = []
+    for i in range(1, n // 2 + 1):
+        x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(0.25)) / (n + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            x -= p / dp
+            if abs(p / dp) < mpmath.mpf(2) ** (-mpmath.mp.prec + 4):
+                break
+        roots.append(x)
+    half = [(x, 2 / ((1 - x * x) * legendre(x)[1] ** 2)) for x in roots]
+    middle = [(mpmath.mpf(0), 2 / legendre(mpmath.mpf(0))[1] ** 2)] \
+        if n % 2 else []
+    rule = [(-x, w) for x, w in half] + middle + half[::-1]
+    return [x for x, _ in rule], [w for _, w in rule]
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_panel_rule_matches_200_bit_gauss_legendre(n):
+    # The panel rule's literals (numpy's leggauss output, whose weights
+    # are up to 38 ulp off) against Newton's method at 200 bits.
+    mpmath = pytest.importorskip("mpmath")
+    nodes, weights = getattr(gauss, f"_X{n}"), getattr(gauss, f"_W{n}")
+    assert nodes.dtype == weights.dtype == np.float64
+    assert len(nodes) == len(weights) == n
+    assert (nodes == -nodes[::-1]).all() and (weights == weights[::-1]).all()
+    with mpmath.workprec(200):
+        ref_x, ref_w = _legendre_rule_mp(mpmath, n)
+        for got, want in zip([*nodes.tolist(), *weights.tolist()],
+                             [*ref_x, *ref_w]):
+            assert abs(got - want) <= 64 * math.ulp(float(want)), (got, want)
 
 
 def test_far_tail_mass_matches_mpmath():

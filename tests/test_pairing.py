@@ -7,7 +7,7 @@ from grolab.baseline import solve_h
 from grolab import intervals
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import sample_theta_member
-from grolab.gauss import gaussian_pdf, hermite_eval
+from grolab.gauss import gaussian_pdf
 from grolab.pairing import (
     A_bound_check,
     K0_upper,
@@ -20,7 +20,7 @@ from grolab.pairing import (
 from grolab.profiles import Profile
 
 from conftest import LAM
-from oracles import bathtub, gauss_integrate
+from oracles import bathtub, gauss_integrate, hermite_eval
 
 
 def test_inner_constants_reference(eta_star):

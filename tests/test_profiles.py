@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 from grolab import profiles
-from grolab.baseline import LAMBDA_STAR, ReedsParams, solve_h
+from grolab.baseline import LAMBDA_STAR, ReedsParams, solve_eta_star, solve_h
 from grolab.chain import gap_lower_large_delta
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import sample_feasible_profile, sample_theta_member
@@ -35,7 +35,7 @@ from grolab.profiles import (
 from conftest import LAM
 from oracles import (bathtub, erfc_cell_masses, gauss_integrate,
                      gaussian_moments_array, interval_mass, interval_z_moment,
-                     odd_part)
+                     odd_part, repair_to_theta_five_partitions)
 
 
 # -- Profile type -------------------------------------------------------------
@@ -993,6 +993,47 @@ def test_repair_random_profiles(rng, eta_star, spec):
         delta = abs(theta_moments(rough, eta_star)[1])
         upper = _tail_sign_defect(rough, eta_star, spec) + 2.0 * delta / eta_star
         assert cost <= upper + 1e-10
+
+
+def _repair_stress_profiles(rng, eta_star):
+    """300 profiles for the repair: z_cut in {0.8, 1, 1.7} eta* and 1.0,
+    values of +-(1 + 1e-15) among random ones, and breakpoints at or within
+    1e-15 of +-eta* and +-eta*/2 where the window leaves room."""
+    out = []
+    for k in range(300):
+        z_cut = (0.8 * eta_star, eta_star, 1.7 * eta_star, 1.0)[k % 4]
+        points = set(rng.uniform(-z_cut, z_cut, int(rng.integers(0, 14))))
+        for anchor in (-eta_star, eta_star, -eta_star / 2.0, eta_star / 2.0):
+            if rng.uniform() < 0.6:
+                points.add(anchor + float(rng.choice(
+                    [0.0, -1e-15, 1e-15, float(rng.uniform(-1e-15, 1e-15))])))
+        bp = sorted(p for p in points if -z_cut < p < z_cut)
+        values = rng.uniform(-1.0, 1.0, len(bp) + 1)
+        edge = rng.uniform(size=values.size) < 0.3
+        values[edge] = np.where(values[edge] < 0.0, -1.0, 1.0) * (1.0 + 1e-15)
+        out.append(Profile(z_cut=z_cut, breakpoints=bp, values=values))
+    return out
+
+
+def _repair_bits(result):
+    profile, cost = result
+    return ([x.hex() for x in profile.breakpoints],
+            [x.hex() for x in profile.values], profile.z_cut.hex(), cost.hex())
+
+
+def test_repair_matches_five_partition_repair(rng, eta_star):
+    # The last step's one shared partition against the parent's two
+    # (tests/oracles.py): the repaired profile and the cost bit for bit.
+    cases = [(prof, LAM) for prof in _repair_stress_profiles(rng, eta_star)]
+    # sample_theta_member's rough profiles, seeds 0-99
+    cases += [(Profile.from_grid(
+        np.random.Generator(np.random.Philox(key=seed)).uniform(
+            -1.0, 1.0, 16).tolist(), z_cut=solve_eta_star(LAMBDA_STAR)),
+        LAMBDA_STAR) for seed in range(100)]
+    for prof, lam in cases:
+        assert (_repair_bits(repair_to_theta(prof, lam=lam))
+                == _repair_bits(repair_to_theta_five_partitions(prof, lam=lam))
+                ), profile_to_text(prof)
 
 
 def _capacity_reference(profile, s, eta_star, t):
