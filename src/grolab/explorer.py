@@ -24,7 +24,7 @@ from .gauss import gaussian_moments, gaussian_pdf
 from .profiles import (
     Profile,
     V_value,
-    _cells,
+    _cut_cells,
     _grid_edges,
     _sign,
     check_feasible,
@@ -120,8 +120,10 @@ def r_lambda_beta_norm_1d(profile: Profile, params: ReedsParams,
     Integrand: p(z) |alpha z - lam - beta c3 H3| + q(z) |alpha z + lam - beta c3 H3|
     with p = (1 + theta)/2, q = (1 - theta)/2 and c3 the zonal coefficient.
     Both cubics keep their sign between consecutive kinks, so on each cell
-    the integrand is one cubic polynomial.  Requires a finite beta >= 0 and
-    a profile feasible for params.
+    the integrand is one cubic polynomial.  The cells are the profile's cell
+    table cut at the +-cubic roots (_cut_cells): only the cells a root
+    splits are integrated afresh.  Requires a finite beta >= 0 and a profile
+    feasible for params.
     """
     beta = float(beta)
     if not (math.isfinite(beta) and beta >= 0.0):
@@ -131,12 +133,11 @@ def r_lambda_beta_norm_1d(profile: Profile, params: ReedsParams,
     coeff = beta * _h3_coefficient(profile)
     linear = alpha + 3.0 * coeff
     roots = _cubic_roots(alpha, lam, coeff)
-    edges, mid, theta = _cells(profile, kinks=(*roots, *(-r for r in roots)))
-    m0, m1, _, m3 = gaussian_moments(edges)
+    cells = _cut_cells(profile, (*roots, *(-r for r in roots)))
     # core = alpha z - coeff H3(z) at the cell's midpoint fixes the sign of
     # each absolute value; H3 and the signs are written out, not called.
     terms = []
-    for z, t, i0, i1, i3 in zip(mid, theta, m0, m1, m3):
+    for z, t, i0, i1, _, i3 in cells.rows:
         core = alpha * z - coeff * (z * (z * z - 3.0))
         core_int = linear * i1 - coeff * i3  # int core pdf on the cell
         below, above = core - lam, core + lam

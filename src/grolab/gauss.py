@@ -19,7 +19,10 @@ arrays: it needs only masses and first moments, and takes `cell_masses` and
 `gaussian_moments` inlines the same expression; the midpoint series is
 numpy only, and a partition narrow enough for it is the one case where
 `gaussian_moments` hands its masses to `cell_masses`, which decides the
-regime.
+regime.  Outside it each cell's moments depend on its two edges alone, so
+a caller may integrate a few cells of a partition in a call of their own
+and get the bits of one call on the whole of it; `erfc_only` tells it, from
+a call's cell count and end edges, that the call will take erfc.
 
 Both grid kernels also write into arrays the caller gives:
 `gaussian_pdf(z, out=...)` and `cell_masses_into(edges, out, work)`, whose
@@ -188,6 +191,16 @@ def _may_take_series(edges) -> bool:
                 and edges[-1] - edges[0] <= n * _SERIES_MAX_WIDTH)
 
 
+def erfc_only(n: int, lo: float, hi: float) -> bool:
+    """Whether gaussian_moments of n cells from edge lo to edge hi takes
+    every mass from erfc, whatever the widths of the cells between: clipped
+    to +-40, as gaussian_moments clips them, the edges span more than
+    n * 2**-10, so some cell is wider than the midpoint series allows.  A
+    False only means the series may apply.  (Where the difference below is
+    positive it is the clipped span: lo < 40 and hi > -40 there.)"""
+    return min(hi, _EDGE_CLIP) - max(lo, -_EDGE_CLIP) > n * _SERIES_MAX_WIDTH
+
+
 def _erfc_masses(edges: list[float]) -> list[float]:
     """Cell masses as Phi differences on floats, one math.erfc per edge.
 
@@ -351,8 +364,15 @@ def gaussian_moments(edges) -> tuple[list[float], list[float], list[float],
 
 def dedupe_edges(points, lo: float, hi: float) -> list[float]:
     """Sorted interior points of (lo, hi), duplicates within 1e-15 merged."""
+    return merge_sorted_edges(sorted(map(float, points)), lo, hi)
+
+
+def merge_sorted_edges(points, lo: float, hi: float) -> list[float]:
+    """dedupe_edges of points that are already sorted floats, with no sort:
+    the interior points of (lo, hi), each kept when it lies more than 1e-15
+    above the last one kept."""
     out: list[float] = []
-    for p in sorted(map(float, points)):
+    for p in points:
         if lo < p < hi and (not out or p - out[-1] > 1e-15):
             out.append(p)
     return out

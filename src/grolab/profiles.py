@@ -17,6 +17,17 @@ the per-cell coefficients times gauss.gaussian_moments.  The dual
 functional's kinks are fixed points rather than profile breakpoints, so
 dual_value is a closed form instead.
 
+A Profile is cut and integrated once: its cell table (Profile._cell_table,
+built on first use) holds the cells of the whole line, each with its
+midpoint, theta and four moments.  The full-line moments are fsums over it,
+a window's moments a slice of it (_window_cells), and an integral with
+kinks of its own (+-eta for V_value and the gap certificate, the cubic
+roots of the perturbed norm) the table cut at them (_splice): only the
+cells a kink splits are integrated afresh.  Each gives the bits that
+cutting the whole line and integrating every cell (_reference_cells) would
+give; where that is not certain (a kink within 1e-15 of an edge, a
+partition that may take gauss' midpoint series) it takes that path.
+
 A profile has a few dozen cells at most in every check except a loaded LP
 file, so profiles and their integrals are on Python floats: a Profile keeps
 tuples, cell lookup is bisect, and every per-cell sum is math.fsum, whose
@@ -41,13 +52,15 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star, solve_h
 from .errors import DomainError, FeasibilityError, InternalCheckError
 from .gauss import (INV_SQRT_2PI, cell_masses, cell_masses_into,
-                    dedupe_edges, gaussian_cdf, gaussian_moments, gaussian_pdf)
+                    dedupe_edges, erfc_only, gaussian_cdf, gaussian_moments,
+                    gaussian_pdf, merge_sorted_edges)
 
 SIGN_TAILS = "sign"
 CONST_TAILS = "const"
@@ -66,7 +79,8 @@ class Profile:
     the window); values has one entry per cell, len(breakpoints) + 1 total.
     Both are stored as tuples of Python floats, whatever sequence or array
     was passed; the cell edges and the values padded with both tails are
-    also kept once as tuples, for evaluate and edges.
+    also kept once as tuples, for evaluate and edges.  The cell table and
+    the full-line moments are computed on first use and kept too.
     """
 
     z_cut: float
@@ -128,9 +142,19 @@ class Profile:
                                                      side="right")]
 
     @cached_property
+    def _cell_table(self) -> "Cells":
+        """The profile's cells over the whole line with their midpoints,
+        theta and moments, computed on first use and read-only: what
+        _reference_cells(self) gives, but cut at the edges as they are, with
+        the 1e-15 merge and no sort (the edges are strictly increasing)."""
+        edges, mid = _partition_sorted(self._edges, math.inf)
+        return Cells(tuple(edges), tuple(zip(mid, _theta_at(self, mid),
+                                             *gaussian_moments(edges))))
+
+    @cached_property
     def _moments(self) -> tuple[float, float, float, float]:
-        """theta_moments over the whole line, computed on first use."""
-        return _window_moments(self, math.inf)
+        """theta_moments over the whole line: fsums over the cell table."""
+        return _fsum_moments(self._cell_table.rows)
 
     @classmethod
     def constant(cls, value: float, z_cut: float, tail_rule: str = SIGN_TAILS,
@@ -167,11 +191,22 @@ def _partition(points, window: float = math.inf):
     Returns (edges, mid): the n + 1 cell edges, infinite at both ends when
     the window is, and a point inside each cell, as lists of floats.
     """
-    edges = [-window, *dedupe_edges(points, -window, window), window]
+    return _partition_sorted(sorted(map(float, points)), window)
+
+
+def _partition_sorted(points, window: float):
+    """_partition of points that are already sorted floats: no sort."""
+    edges = [-window, *merge_sorted_edges(points, -window, window), window]
     mid = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
     if math.isinf(window):
         mid[0], mid[-1] = edges[1] - 1.0, edges[-2] + 1.0
     return edges, mid
+
+
+def _theta_at(profile: Profile, zs) -> list[float]:
+    """theta at each of the floats zs: Profile.evaluate's lookup."""
+    table, cuts = profile._table, profile._edges
+    return [table[bisect_right(cuts, z)] for z in zs]
 
 
 def _cells(profile: Profile, kinks=(), window: float = math.inf):
@@ -181,27 +216,160 @@ def _cells(profile: Profile, kinks=(), window: float = math.inf):
     """
     edges, mid = _partition(
         [*profile.breakpoints, -profile.z_cut, profile.z_cut, *kinks], window)
-    table, cuts = profile._table, profile._edges  # Profile.evaluate's lookup
-    return edges, mid, [table[bisect_right(cuts, z)] for z in mid]
+    return edges, mid, _theta_at(profile, mid)
+
+
+class Cells(NamedTuple):
+    """Cells on which theta is constant: the n + 1 edges, and one row per
+    cell, (mid, theta, m0, m1, m2, m3): a point inside it (the midpoint, or
+    an edge -+ 1 for an infinite cell), theta there and the moments
+    m_k = int z^k pdf over it (gaussian_moments' rows).  Rows, not columns,
+    so that a splice copies one sequence, not six."""
+
+    edges: Sequence[float]
+    rows: Sequence[tuple[float, float, float, float, float, float]]
+
+
+def _fsum_moments(rows) -> tuple[float, float, float, float]:
+    """(fsum of theta m_k over the rows)_{k=0..3}."""
+    _, theta, *moments = zip(*rows)
+    return tuple(math.fsum(map(operator.mul, m, theta)) for m in moments)
+
+
+def _reference_cells(profile: Profile, kinks=(),
+                     window: float = math.inf) -> Cells:
+    """_cells and one gaussian_moments call on them: the reference path that
+    _splice and _window_cells reproduce bit for bit, and their fallback."""
+    edges, mid, theta = _cells(profile, kinks, window)
+    return Cells(edges, list(zip(mid, theta, *gaussian_moments(edges))))
+
+
+def _splice(profile: Profile, kinks) -> Cells | None:
+    """The profile's cell table cut at kinks too: _reference_cells(profile,
+    kinks) to the bit, with only the cells a kink splits integrated afresh.
+
+    A cell's moments are a function of its two edges alone, unless
+    gaussian_moments takes the midpoint series, which it decides for the
+    whole call; so the split cells' pieces are taken in one call on their
+    edges, and every other cell keeps the table's row.  The kinks are merged
+    among themselves as the reference merges them (dedupe_edges), and one
+    equal to a table edge cuts nothing.  Returns None, for the reference to
+    be taken instead, where the bits could differ:
+    - a kink within 1e-15 of a table edge: the reference's 1e-15 merge may
+      then keep the kink and drop the edge, or a profile breakpoint that
+      the table merged away;
+    - a partition (the whole cut line, or the pieces' call) on which
+      gaussian_moments may take the series: 81920 cells or more on the
+      line, or split cells spanning at most 2**-10 per piece.
+    """
+    table = profile._cell_table
+    edges = table.edges
+    if not erfc_only(len(edges) - 1 + len(kinks), -math.inf, math.inf):
+        return None
+    cuts: list[float] = []  # each split cell's edges and kinks, in turn
+    split: list[tuple[int, int]] = []  # (table cell, number of pieces)
+    last = -math.inf  # dedupe_edges' merge of the kinks, inline
+    for k in sorted(map(float, kinks)):
+        if not (-math.inf < k < math.inf and k - last > 1e-15):
+            continue
+        last = k
+        j = bisect_right(edges, k) - 1  # edges[j] <= k < edges[j + 1]
+        a, b = edges[j], edges[j + 1]
+        if a == k:
+            continue
+        if k - a <= 1e-15 or b - k <= 1e-15:
+            return None
+        if split and split[-1][0] == j:
+            cuts.insert(-1, k)
+            split[-1] = (j, split[-1][1] + 1)
+        else:
+            cuts += (a, k, b)
+            split.append((j, 2))
+    if not split:
+        return table
+    if not erfc_only(len(cuts) - 1, cuts[0], cuts[-1]):
+        return None
+    # One call for every piece; the gap between two split cells is a cell
+    # of the call too, and is skipped.
+    mid = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
+    if cuts[0] == -math.inf:
+        mid[0] = cuts[1] - 1.0
+    if cuts[-1] == math.inf:
+        mid[-1] = cuts[-2] + 1.0
+    pieces = list(zip(mid, _theta_at(profile, mid), *gaussian_moments(cuts)))
+    rows = table.rows
+    out = Cells([], [])
+    start = pos = 0  # next table cell to copy; next cell of the call
+    for j, n in split:
+        out.edges.extend(edges[start:j + 1])
+        out.edges.extend(cuts[pos + 1:pos + n])
+        out.rows.extend(rows[start:j])
+        out.rows.extend(pieces[pos:pos + n])
+        start, pos = j + 1, pos + n + 1
+    out.edges.extend(edges[start:])
+    out.rows.extend(rows[start:])
+    return out
+
+
+def _cut_cells(profile: Profile, kinks) -> Cells:
+    """The profile's cells over the whole line, also cut at kinks."""
+    return _splice(profile, kinks) or _reference_cells(profile, kinks)
+
+
+def _window_cells(profile: Profile, window: float) -> Cells | None:
+    """_reference_cells(profile, window=window) to the bit, as the slice of
+    the table cut at +-window (_splice) between them; None where the bits
+    could differ.
+
+    The window's own partition restarts the 1e-15 merge at -window: its
+    first point inside is kept however close to -window, where the line's
+    merge drops it.  So a profile edge within 1e-15 above -window, a window
+    the splice cannot cut, and a window partition on which gaussian_moments
+    may take the series (a 16384-cell grid profile's own window, or any
+    window no wider than 2**-10 a cell, such as one whose kinks +-window
+    merge) all return None.
+    """
+    if not 0.0 < window < math.inf:
+        return None
+    cells = _splice(profile, (-window, window))
+    if cells is None:
+        return None
+    edges = cells.edges
+    lo, hi = bisect_left(edges, -window), bisect_left(edges, window)
+    cuts = profile._edges
+    first = bisect_right(cuts, -window)  # the first profile edge inside
+    if first < len(cuts) and cuts[first] < window \
+            and cuts[first] - (-window) <= 1e-15:
+        return None
+    if not erfc_only(hi - lo, -window, window):
+        return None
+    return Cells(edges[lo:hi + 1], cells.rows[lo:hi])
 
 
 def _window_moments(profile: Profile, window: float) -> tuple[float, ...]:
-    edges, _, theta = _cells(profile, window=window)
-    return tuple(math.fsum(map(operator.mul, row, theta))
-                 for row in gaussian_moments(edges))
+    """theta_moments over (-window, window) on the window's own partition:
+    the reference for theta_moments' slice of the cell table."""
+    return _fsum_moments(_reference_cells(profile, window=window).rows)
 
 
 def theta_moments(profile: Profile,
                   window: float = math.inf) -> tuple[float, float, float, float]:
     """(int theta(z) z^k pdf(z) dz over |z| < window)_{k=0..3}, exactly.
 
-    With the default infinite window the symbolic tails are included, and
-    the profile's own copy is returned: a Profile is immutable, so its
-    full-line moments are computed once.
+    Sums over the profile's cell table.  With the default infinite window
+    the symbolic tails are included and the profile's own copy is returned:
+    a Profile is immutable, so its full-line moments are computed once.  A
+    finite window is the table's slice between +-window, cut there when they
+    are not profile edges (_window_cells), or, where that slice could differ
+    from the window's own partition in the last bit, that partition
+    (_window_moments).
     """
     if window == math.inf:
         return profile._moments
-    return _window_moments(profile, window)
+    cells = _window_cells(profile, window)
+    if cells is None:
+        return _window_moments(profile, window)
+    return _fsum_moments(cells.rows)
 
 
 def h3_moment(m) -> float:
@@ -244,10 +412,11 @@ def A_B_eval(z, params: ReedsParams):
     return a, b
 
 
-def _int_A_full(params: ReedsParams, tail_eta: float, pdf_eta: float) -> float:
-    """int_R A(z) pdf(z) dz in closed form, given tail_eta = Phi(-eta) and
-    pdf_eta = pdf(eta) at eta = params.eta."""
-    return params.lam * (1.0 - 2.0 * tail_eta) + 2.0 * params.alpha * pdf_eta
+def _int_A_full(lam: float, alpha: float, tail_eta: float,
+                pdf_eta: float) -> float:
+    """int_R A(z) pdf(z) dz in closed form at (lambda, alpha), given tail_eta
+    = Phi(-eta) and pdf_eta = pdf(eta) at eta = lambda / alpha."""
+    return lam * (1.0 - 2.0 * tail_eta) + 2.0 * alpha * pdf_eta
 
 
 # -- moments and objective ---------------------------------------------------
@@ -270,20 +439,20 @@ def check_feasible(profile: Profile, params: ReedsParams) -> None:
 
 
 def _eta_cells(profile: Profile, eta: float):
-    """(mid, theta, mass, first moment) of each cell of the profile cut at
-    +-eta, where A and B change form: the partition V_value and
-    gap_tail_integral sum over."""
-    edges, mid, theta = _cells(profile, kinks=(-eta, eta))
-    m0, m1, _, _ = gaussian_moments(edges)
-    return list(zip(mid, theta, m0, m1))
+    """The rows (mid, theta, m0..m3) of the profile's cells cut at +-eta,
+    where A and B change form: the partition V_value and gap_tail_integral
+    sum over.  It is the cell table with the one or two cells that +-eta
+    split integrated afresh (_cut_cells), and the table itself when +-eta
+    are profile edges, as at a member's z_cut = eta*."""
+    return _cut_cells(profile, (-eta, eta)).rows
 
 
-def _V_sum(cells, params: ReedsParams) -> float:
+def _V_sum(rows, params: ReedsParams) -> float:
     lam, alpha, eta = params.lam, params.alpha, params.eta
     # A = lambda, B = -alpha z inside (-eta, eta); A = alpha |z|, B = -lambda
     # sign(z) outside.
     terms = []
-    for z, t, i0, i1 in cells:
+    for z, t, i0, i1, _, _ in rows:
         if abs(z) < eta:
             terms += (lam * i0, -alpha * t * i1)
         else:
@@ -337,7 +506,13 @@ def dual_value(mu: float, params: ReedsParams) -> float:
     mu = float(mu)
     if not math.isfinite(mu):
         raise DomainError(f"dual_value requires finite mu, got {mu}")
-    lam, alpha, eta = params.lam, params.alpha, params.eta
+    return _dual(mu, params.lam, params.alpha)
+
+
+def _dual(mu: float, lam: float, alpha: float) -> float:
+    """dual_value's closed form at (lambda, alpha), for a finite float mu: no
+    ReedsParams is built or checked, so F_value's scans pay for neither."""
+    eta = lam / alpha  # ReedsParams.eta
     if mu >= 0.0 or math.isinf(w := lam / -mu):
         return lam + 2.0 * alpha * INV_SQRT_2PI + mu * (alpha + 2.0 * INV_SQRT_2PI)
     tail_eta, pdf_eta = gaussian_cdf(-eta), gaussian_pdf(eta)
@@ -349,15 +524,23 @@ def dual_value(mu: float, params: ReedsParams) -> float:
     outer = (lam * (tail_eta - tail_w) + mu * (pdf_eta - pdf_w)
              - (lam * tail_w + mu * pdf_w))
     inner = (alpha + mu) * (INV_SQRT_2PI - pdf_eta)
-    return (_int_A_full(params, tail_eta, pdf_eta) + mu * alpha
+    return (_int_A_full(lam, alpha, tail_eta, pdf_eta) + mu * alpha
             + 2.0 * (inner + outer))
 
 
 def F_value(alpha: float, lam: float) -> float:
     """F(alpha) = D(-alpha) at (lambda, alpha): the LP optimum where the dual
     is attained at mu = -alpha (F_value_dual), an upper bound on it
-    elsewhere.  At the Reeds point it is reeds_denominator(lambda)."""
-    return dual_value(-alpha, ReedsParams(lam, alpha))
+    elsewhere.  At the Reeds point it is reeds_denominator(lambda).
+
+    lambda and alpha must lie in (0, 1), as in ReedsParams; the value is
+    _dual's, the closed form dual_value takes, with no ReedsParams built.
+    """
+    alpha, lam = float(alpha), float(lam)
+    if not (0.0 < lam < 1.0 and 0.0 < alpha < 1.0):
+        raise DomainError(
+            f"F_value requires lambda and alpha in (0, 1), got {lam}, {alpha}")
+    return _dual(-alpha, lam, alpha)
 
 
 def _dual_anchor(params: ReedsParams) -> float:
@@ -407,10 +590,10 @@ class GapCertificate:
             )
 
 
-def _gap_tail_sum(cells, params: ReedsParams) -> float:
+def _gap_tail_sum(rows, params: ReedsParams) -> float:
     lam, alpha, eta = params.lam, params.alpha, params.eta
     terms = []
-    for z, t, i0, i1 in cells:
+    for z, t, i0, i1, _, _ in rows:
         if abs(z) > eta:
             s = _sign(z)
             defect = 1.0 - t * s
@@ -432,9 +615,9 @@ def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
     """
     check_feasible(profile, params)
     F = F_value_dual(params)
-    cells = _eta_cells(profile, params.eta)
-    V = _V_sum(cells, params)
-    tail = _gap_tail_sum(cells, params)
+    rows = _eta_cells(profile, params.eta)
+    V = _V_sum(rows, params)
+    tail = _gap_tail_sum(rows, params)
     return GapCertificate(primal_V=V, dual_D=F, gap=F - V, tail_integral=tail,
                           mu=-params.alpha)
 
@@ -663,7 +846,8 @@ def lp_maximize(params: ReedsParams, grid_size: int) -> tuple[Profile, float]:
     np.sign(a, out=theta)  # state before any flip; zero-moment cells stay 0
     theta[order[:lo]] *= -1.0
     theta[order[lo:hi]] *= t
-    value = (_int_A_full(params, gaussian_cdf(-eta), gaussian_pdf(eta))
+    value = (_int_A_full(params.lam, alpha, gaussian_cdf(-eta),
+                         gaussian_pdf(eta))
              + float(np.dot(c, theta))
              - 2.0 * params.lam * gaussian_cdf(-z_cut))
     # Canonical form: keep only the grid edges where theta changes.  Bit
@@ -711,6 +895,18 @@ def _repair_threshold(profile: Profile, s: float, eta_star: float,
     return min(math.sqrt(t_sq), cuts[j + 1])
 
 
+def _tails_fixed(profile: Profile, eta_star: float) -> bool:
+    """Whether repair_to_theta's step 1 is a no-op on the profile: sign tails
+    at z_cut = eta* make the tail cost a sum of 0.0 * mass = 0.0; and with
+    values in [-1, 1] (no clipping) and edges more than 1e-15 apart (no
+    merge, and each midpoint strictly inside its cell) _rebuild(profile,
+    eta*) returns the same breakpoints and values, bit for bit."""
+    edges = profile._edges
+    return (profile.tail_rule == SIGN_TAILS and profile.z_cut == eta_star
+            and all(-1.0 <= v <= 1.0 for v in profile.values)
+            and all(b - a > 1e-15 for a, b in zip(edges, edges[1:])))
+
+
 def repair_to_theta(profile: Profile,
                     lam: float = LAMBDA_STAR) -> tuple[Profile, float]:
     """Project a profile onto the maximizer set: sign tails at eta*, zero
@@ -721,28 +917,34 @@ def repair_to_theta(profile: Profile,
     inner-moment defect; t0 solves the capacity equation exactly.
     eta* is tied to the supplied lambda so callers stay on one Reeds point.
 
-    The last step takes the inner cost and the residual inner moment from
-    one gaussian_moments call on the repaired profile's cells in
-    (-eta*, eta*).  Those cells already carry every breakpoint of the
-    tail-fixed profile (the repaired one was cut from its cells), so a
-    second partition cut at them as well is the same list of edges.  Step 1
-    does not share a partition with the tail-fixed profile's inner moment:
-    the tail cost is taken on the input's cells cut at +-eta* over the whole
-    line, and the two partitions merge a breakpoint within 1e-15 of +-eta*
-    differently (dedupe_edges), so sharing one moved the repair's bits on
-    97 of the 300 stress profiles of tests/test_profiles.py.
+    Step 1 is skipped where it is a no-op (_tails_fixed): an input with
+    sign tails at exactly eta*, values in [-1, 1] and edges more than 1e-15
+    apart, as every sample_theta_member input is, has tail cost 0.0 and is
+    its own tail-fixed profile.  Else the tail cost is taken on the input's
+    cells cut at +-eta* over the whole line (_cut_cells).
+
+    The tail-fixed profile's inner moment and the last step's inner cost
+    and residual inner moment are slices of cell tables (_window_cells):
+    the tail-fixed profile's and the repaired profile's, on (-eta*, eta*),
+    or the window's own partition where a slice could differ from it in
+    the last bit.  The repaired profile's cells already carry every
+    breakpoint of the tail-fixed one (it was cut from its cells), so the
+    tail-fixed profile is constant on each of them.  The member returned
+    carries its table on to the checks that integrate it next
+    (A_bound_check, the beta scan).
     """
     eta_star = solve_eta_star(lam)
 
     # Step 1: tail cost int_{|z|>eta*} |sign(z) - theta| pdf and the
     # tail-fixed profile on (-eta*, eta*).
-    edges, mid, theta = _cells(profile, kinks=(-eta_star, eta_star))
-    tail_cost = math.fsum(
-        (1.0 - t * _sign(z)) * i0
-        for z, t, i0 in zip(mid, theta, gaussian_moments(edges)[0])
-        if abs(z) > eta_star)
-
-    fixed = _rebuild(profile, eta_star)
+    if _tails_fixed(profile, eta_star):
+        fixed, tail_cost = profile, 0.0
+    else:
+        rows = _cut_cells(profile, (-eta_star, eta_star)).rows
+        tail_cost = math.fsum((1.0 - t * _sign(z)) * i0
+                              for z, t, i0, _, _, _ in rows
+                              if abs(z) > eta_star)
+        fixed = _rebuild(profile, eta_star)
 
     inner = theta_moments(fixed, eta_star)[1]
     delta = abs(inner)
@@ -764,11 +966,11 @@ def repair_to_theta(profile: Profile,
     # Inner cost int |repaired - fixed| pdf and the residual inner moment,
     # from one partition: repaired's own cells on (-eta*, eta*), on which
     # fixed is constant too.
-    edges, mid, theta = _cells(repaired, window=eta_star)
-    m0, m1, _, _ = gaussian_moments(edges)
+    rows = (_window_cells(repaired, eta_star)
+            or _reference_cells(repaired, window=eta_star)).rows
     inner_cost = math.fsum(abs(t - fixed.evaluate(z)) * i0
-                           for z, t, i0 in zip(mid, theta, m0))
-    residual = math.fsum(map(operator.mul, m1, theta))
+                           for z, t, i0, _, _, _ in rows)
+    residual = math.fsum(i1 * t for _, t, _, i1, _, _ in rows)
     if abs(residual) > 1e-13:
         raise InternalCheckError(
             f"repair left inner moment {residual}; expected 0"

@@ -253,7 +253,8 @@ def _dual_value_cell_sum(mu, params):
     flip = np.sign(c0 + c1 * mid)
     moments = gaussian_moments(edges)
     term = float((flip * c0) @ moments[0] + (flip * c1) @ moments[1])
-    int_a = _int_A_full(params, gaussian_cdf(-eta), gaussian_pdf(eta))
+    int_a = _int_A_full(params.lam, params.alpha, gaussian_cdf(-eta),
+                        gaussian_pdf(eta))
     return int_a + mu * params.alpha + term
 
 
@@ -564,7 +565,8 @@ def _lp_maximize_reference(params, grid_size):
     theta = np.sign(a)
     theta[walk[order[:lo]]] *= -1.0
     theta[walk[order[lo:hi]]] *= t
-    value = (_int_A_full(params, gaussian_cdf(-eta), gaussian_pdf(eta))
+    value = (_int_A_full(params.lam, params.alpha, gaussian_cdf(-eta),
+                         gaussian_pdf(eta))
              + float(np.dot(c, theta))
              - 2.0 * params.lam * gaussian_cdf(-z_cut))
     prof = Profile(z_cut=z_cut, breakpoints=tuple(edges[1:-1]),
