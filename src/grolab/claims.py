@@ -20,11 +20,11 @@ from typing import Callable
 
 from .baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound, argmax_gap,
                        reeds_lambda)
-from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, K0, L0,
-                    NEAR_DROP_COEFF, STRIP_Z0, C_z0, K_strip, L0_bound,
-                    final_branches, kappa_eff, kg_increment,
+from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, K0, KAPPA0, L0,
+                    NEAR_DROP_COEFF, P3_COEFF, STRIP_Z0, C_z0, K_strip,
+                    L0_bound, final_branches, kappa_eff, kg_increment,
                     neighborhood_drop)
-from .intervals import Num
+from .intervals import Num, arith
 from .pairing import PairingConstants
 
 # The rounded lambda at which the stated Reeds point and constants hold.
@@ -54,8 +54,13 @@ PAIRING = ("B", "A_max", "kappa_Q", "p", "s1", "t2", "transverse",
 # One-sided claims: name -> bound; the relation is the CLAIMS entry's.
 # kg_increment_exceeds is the paper's headline K_G >= c + 1e-26, c the
 # bound's supremum: the increment less baseline.argmax_gap.
+# pairing_lower_vs_KAPPA0 is the pairing_lower constant against the chain's
+# rounded KAPPA0, and P3_coeff the projection leak's coefficient (e/sqrt 3)^3
+# against the chain's rounded P3_COEFF.
 BOUNDS: dict[str, float] = {
     "K0_upper": K0,
+    "pairing_lower_vs_KAPPA0": KAPPA0,
+    "P3_coeff": P3_COEFF,
     "kappa_eff": 0.0058,
     "neighborhood_drop_per_beta": NEAR_DROP_COEFF,
     "kg_increment": 1.596e-26,
@@ -128,6 +133,14 @@ def _pairing(field: str) -> Callable[[Inputs], Num]:
     return lambda x: getattr(x.pairing, field)
 
 
+def _p3_coeff(x: Inputs) -> Num:
+    """(e / sqrt 3)^3, as a product: a tighter enclosure than a power."""
+    one = x.num(1.0)
+    ar = arith(one)
+    y = ar.exp(one) / ar.sqrt(x.num(3.0))
+    return y * y * y
+
+
 def _drop_per_beta(beta: float) -> Callable[[Inputs], Num]:
     return lambda x: neighborhood_drop(x.num(beta)) / x.num(beta)
 
@@ -141,6 +154,9 @@ CLAIMS: tuple[Claim, ...] = (
           lambda x: reeds_lambda(x.eta_argmax)),
     *(Claim(name, "pairing", "within", _pairing(name)) for name in PAIRING),
     Claim("K0_upper", "pairing", "<=", _pairing("K0_upper")),
+    Claim("pairing_lower_vs_KAPPA0", "pairing", ">=",
+          _pairing("pairing_lower")),
+    Claim("P3_coeff", "chain", "<=", _p3_coeff),
     Claim("kappa_eff", "chain", ">=", lambda x: kappa_eff(x.num(EPSILON_STAR))),
     *(Claim("neighborhood_drop_per_beta", "chain", ">=", _drop_per_beta(beta),
             point=beta) for beta in (1e-10, BETA_STAR)),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star
 from .errors import DomainError
-from .gauss import gaussian_moments, gaussian_pdf
+from .gauss import first_moments, gaussian_pdf
 from .profiles import (
     Profile,
     V_value,
@@ -203,7 +203,7 @@ def sample_feasible_profile(seed: int, params: ReedsParams) -> Profile:
     values = rng.uniform(-1.0, 1.0, 12).tolist()
     edges = _grid_edges(len(values), z_cut)
     need = params.alpha - 2.0 * gaussian_pdf(z_cut)
-    cell_m = gaussian_moments(edges)[1]
+    cell_m = first_moments(edges)
     have = math.fsum(map(operator.mul, values, cell_m))
     cap = math.fsum(map(abs, cell_m))
     if not (-cap <= need <= cap):

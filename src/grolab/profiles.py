@@ -59,8 +59,8 @@ import numpy as np
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star, solve_h
 from .errors import DomainError, FeasibilityError, InternalCheckError
 from .gauss import (INV_SQRT_2PI, cell_masses, cell_masses_into,
-                    dedupe_edges, erfc_only, gaussian_cdf, gaussian_moments,
-                    gaussian_pdf, merge_sorted_edges)
+                    dedupe_edges, erfc_only, first_moments, gaussian_cdf,
+                    gaussian_moments, gaussian_pdf, merge_sorted_edges)
 
 SIGN_TAILS = "sign"
 CONST_TAILS = "const"
@@ -880,7 +880,7 @@ def _repair_threshold(profile: Profile, s: float, eta_star: float,
             eta_star]
     weight = [(1.0 + s * profile.evaluate(m)) + (1.0 - s * profile.evaluate(-m))
               for m in (0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))]
-    pieces = list(map(operator.mul, weight, gaussian_moments(cuts)[1]))
+    pieces = list(map(operator.mul, weight, first_moments(cuts)))
     capacity = [math.fsum(pieces[:k]) for k in range(1, len(pieces) + 1)]
     if capacity[-1] < delta - 1e-13:
         raise InternalCheckError(
@@ -895,16 +895,36 @@ def _repair_threshold(profile: Profile, s: float, eta_star: float,
     return min(math.sqrt(t_sq), cuts[j + 1])
 
 
+def _spaced(profile: Profile) -> bool:
+    """Whether the profile's edges lie more than 1e-15 apart: a partition
+    of its window merges none of them."""
+    edges = profile._edges
+    return all(b - a > 1e-15 for a, b in zip(edges, edges[1:]))
+
+
 def _tails_fixed(profile: Profile, eta_star: float) -> bool:
     """Whether repair_to_theta's step 1 is a no-op on the profile: sign tails
     at z_cut = eta* make the tail cost a sum of 0.0 * mass = 0.0; and with
     values in [-1, 1] (no clipping) and edges more than 1e-15 apart (no
     merge, and each midpoint strictly inside its cell) _rebuild(profile,
     eta*) returns the same breakpoints and values, bit for bit."""
-    edges = profile._edges
     return (profile.tail_rule == SIGN_TAILS and profile.z_cut == eta_star
             and all(-1.0 <= v <= 1.0 for v in profile.values)
-            and all(b - a > 1e-15 for a, b in zip(edges, edges[1:])))
+            and _spaced(profile))
+
+
+def _inner_moment(profile: Profile, eta_star: float) -> float:
+    """theta_moments(profile, eta_star)[1], from first_moments on the
+    profile's own edges where those are the window's own partition: z_cut
+    is eta* and the edges lie more than 1e-15 apart, so the partition merges
+    none of them, and each midpoint, inside (-1, 1) as eta* < 1, falls
+    strictly inside its cell and reads the cell's value.  Row 1 of
+    gaussian_moments is first_moments bit for bit on any partition, so the
+    fsum is theta_moments' own.  Elsewhere theta_moments itself."""
+    if profile.z_cut == eta_star and _spaced(profile):
+        return math.fsum(map(operator.mul, first_moments(profile._edges),
+                             profile.values))
+    return theta_moments(profile, eta_star)[1]
 
 
 def repair_to_theta(profile: Profile,
@@ -923,15 +943,16 @@ def repair_to_theta(profile: Profile,
     its own tail-fixed profile.  Else the tail cost is taken on the input's
     cells cut at +-eta* over the whole line (_cut_cells).
 
-    The tail-fixed profile's inner moment and the last step's inner cost
-    and residual inner moment are slices of cell tables (_window_cells):
-    the tail-fixed profile's and the repaired profile's, on (-eta*, eta*),
-    or the window's own partition where a slice could differ from it in
-    the last bit.  The repaired profile's cells already carry every
-    breakpoint of the tail-fixed one (it was cut from its cells), so the
-    tail-fixed profile is constant on each of them.  The member returned
-    carries its table on to the checks that integrate it next
-    (A_bound_check, the beta scan).
+    The tail-fixed profile's inner moment is a first-moment sum over its
+    own edges (_inner_moment), with no cell table: the tail-fixed profile
+    is discarded unless it already is a member.  The last step's inner
+    cost and residual inner moment are a slice of the repaired profile's
+    cell table on (-eta*, eta*) (_window_cells), or the window's own
+    partition where the slice could differ from it in the last bit.  The
+    repaired profile's cells already carry every breakpoint of the
+    tail-fixed one (it was cut from its cells), so the tail-fixed profile
+    is constant on each of them.  The member returned carries its table on
+    to the checks that integrate it next (A_bound_check, the beta scan).
     """
     eta_star = solve_eta_star(lam)
 
@@ -946,7 +967,7 @@ def repair_to_theta(profile: Profile,
                               if abs(z) > eta_star)
         fixed = _rebuild(profile, eta_star)
 
-    inner = theta_moments(fixed, eta_star)[1]
+    inner = _inner_moment(fixed, eta_star)
     delta = abs(inner)
     if delta <= 1e-15:
         return fixed, tail_cost

@@ -62,6 +62,8 @@ PAPER = {
     "pairing_lower": (0.0454039202, 1e-9),
     "final_drop": (4.56e-27, 1e-30),
     "K0_upper": (0.359, None),
+    "pairing_lower_vs_KAPPA0": (0.0454, None),
+    "P3_coeff": (3.87, None),
     "kappa_eff": (0.0058, None),
     "neighborhood_drop_per_beta": (0.0057, None),
     "kg_increment": (1.596e-26, None),

@@ -274,6 +274,82 @@ def test_repair_skips_step_one_only_where_it_is_a_no_op():
             [x.hex() for x in (*ref[0].breakpoints, *ref[0].values)]
 
 
+def _sampler_outputs(seed, params):
+    # both samplers, and the repair's cost on a member input (sign tails at
+    # eta*) and on the feasible profile (z_cut 1, tails not fixed)
+    eta_star = solve_eta_star(LAMBDA_STAR)
+    feasible = sample_feasible_profile(seed, params)
+    member = sample_theta_member(seed)
+    rough = Profile.from_grid(np.random.Generator(np.random.Philox(
+        key=seed)).uniform(-1.0, 1.0, 16).tolist(), z_cut=eta_star)
+    _, member_cost = repair_to_theta(rough)
+    repaired, cost = repair_to_theta(feasible)
+    return [*feasible.values, *member.breakpoints, *member.values,
+            member_cost, *repaired.breakpoints, *repaired.values, cost]
+
+
+def _first_moments_by_row_one(monkeypatch):
+    # the route before first_moments: gaussian_moments' row 1, and the
+    # repair's inner moment from theta_moments of the tail-fixed profile
+    def row_one(edges):
+        return profiles.gaussian_moments(edges)[1]
+    monkeypatch.setattr(explorer, "first_moments", row_one)
+    monkeypatch.setattr(profiles, "first_moments", row_one)
+    monkeypatch.setattr(profiles, "_inner_moment",
+                        lambda p, eta_star: theta_moments(p, eta_star)[1])
+
+
+def test_first_moment_readers_match_row_one_route(monkeypatch):
+    # the samplers and the repair cost, 200 seeds, against the same calls
+    # on gaussian_moments' row 1 and theta_moments(fixed, eta*)
+    params = ReedsParams.at_reeds_point(LAMBDA_STAR)
+    seeds = range(200)
+    got = [[x.hex() for x in _sampler_outputs(s, params)] for s in seeds]
+    _first_moments_by_row_one(monkeypatch)
+    ref = [[x.hex() for x in _sampler_outputs(s, params)] for s in seeds]
+    assert got == ref
+
+
+def test_repair_inner_moment_fallback(monkeypatch):
+    # A tail-fixed profile whose edges lie within 1e-15 of each other takes
+    # theta_moments(fixed, eta*), on which the window's own partition may
+    # differ from the edges; the others take the first-moment sum.
+    eta_star = solve_eta_star(LAMBDA_STAR)
+    near_cut = Profile(z_cut=eta_star, breakpoints=(-eta_star + 5e-16, 0.1),
+                       values=(0.5, -0.25, 0.75))
+    # const tails at z_cut 0.9 (tails not fixed): a breakpoint 5e-16 below
+    # eta* stays an edge of the tail-fixed profile, next to eta*
+    loose_tails = Profile(z_cut=0.9, breakpoints=(-0.3, eta_star - 5e-16),
+                          values=(0.2, 0.9, -0.4), tail_rule="const",
+                          tail_values=(0.5, -0.5))
+    member_input = Profile.from_grid([0.5, -0.25, 0.75, 0.1], z_cut=eta_star)
+    wide_input = Profile.from_grid([0.5, -0.25, 0.75], z_cut=0.9)
+    cases = ((near_cut, True), (loose_tails, True), (member_input, False),
+             (wide_input, False))
+    got = [repair_to_theta(p) for p, _ in cases]
+    fallbacks = []
+    real = profiles.theta_moments
+
+    def recorded(profile, window=math.inf):
+        fallbacks.append(window)
+        return real(profile, window)
+
+    monkeypatch.setattr(profiles, "theta_moments", recorded)
+    for (p, fallback), (member, cost) in zip(cases, got):
+        fallbacks.clear()
+        repair_to_theta(p)
+        assert fallbacks == ([eta_star] if fallback else []), p
+        ref = repair_to_theta_five_partitions(p, lam=LAMBDA_STAR)
+        assert cost.hex() == ref[1].hex()
+        assert [x.hex() for x in (*member.breakpoints, *member.values)] == \
+            [x.hex() for x in (*ref[0].breakpoints, *ref[0].values)]
+    # z_cut 0.9 is not eta*: the profile's edges reach past the window, so
+    # the sum over them is not the window's moment and the fallback is taken
+    for p, _ in cases:
+        assert profiles._inner_moment(p, eta_star).hex() == \
+            real(p, eta_star)[1].hex(), p
+
+
 def _reference_only(monkeypatch):
     monkeypatch.setattr(profiles, "_splice", lambda profile, kinks: None)
     monkeypatch.setattr(profiles, "_window_cells", lambda profile, w: None)

@@ -98,10 +98,12 @@ _CASE_IDS = {**{name: f"pairing_{name}" for name in PAIRING},
              **{f"neighborhood_drop_per_beta_{beta:g}":
                 f"neighborhood_drop({beta:g})" for beta in (1e-10, BETA_STAR)}}
 # Relative width budgets of the claims' enclosures, 1e-14 where not listed:
-# the pairing constants and kappa_eff go through log, pow and differences;
+# the pairing constants (pairing_lower_vs_KAPPA0 is one) and kappa_eff go
+# through log, pow and differences;
 # kg_increment_exceeds subtracts the argmax gap, whose enclosure is [0, g]
 # with g the bound on the gap (about 1.5e-29 at point inputs).
-_CLAIM_REL = {**{name: 1e-11 for name in PAIRING}, "kappa_eff": 1e-12,
+_CLAIM_REL = {**{name: 1e-11 for name in PAIRING},
+              "pairing_lower_vs_KAPPA0": 1e-11, "kappa_eff": 1e-12,
               **{f"neighborhood_drop_per_beta_{beta:g}": 1e-12
                  for beta in (1e-10, BETA_STAR)},
               "kg_increment_exceeds": 1e-3}

@@ -327,6 +327,30 @@ def test_one_pass_moments_equal_list_kernel(rng):
             edges
 
 
+def test_first_moments_are_row_one(rng):
+    # first_moments against gaussian_moments' row 1, bit for bit: seeded
+    # sorted partitions (+-inf ends, edges beyond +-40), partitions on which
+    # gaussian_moments takes the midpoint series for the masses, edges
+    # beyond the +-40 clip, zero signs, one edge and none.
+    inf = math.inf
+    grid = np.linspace(-0.5, 0.5, 1025).tolist()  # 2**-10 wide cells
+    assert gauss._may_take_series(grid)
+    edge_cases = [
+        [-inf, inf], [-inf, -1e300, -41.0, -40.0, -38.7, 0.0],
+        [38.7, 40.0, 40.5, 1e155, 1e300, inf], [-50.0, -45.0, 45.0, 50.0],
+        [-0.0, 0.0], [-1.0, -0.0, 0.0, 1.0], grid, [0.25], [],
+    ]
+    for edges in (_random_partitions(rng) + _series_partitions(rng)
+                  + edge_cases):
+        got = gauss.first_moments(edges)
+        assert all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == \
+            [x.hex() for x in gaussian_moments(edges)[1]], edges
+    got = gauss.first_moments(np.array(grid))  # an array of edges too
+    assert [x.hex() for x in got] == \
+        [x.hex() for x in gaussian_moments(grid)[1]]
+
+
 def test_quadrature_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(truncation=4.0)
