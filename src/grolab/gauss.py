@@ -22,19 +22,16 @@ arrays: it needs only masses and first moments, and takes `cell_masses` and
 `gaussian_moments` inlines the same expression; the midpoint series is
 numpy only, and a partition narrow enough for it is the one case where
 `gaussian_moments` hands its masses to `cell_masses`, which decides the
-regime.  Outside it each cell's moments depend on its two edges alone, so
-a caller may integrate a few cells of a partition in a call of their own
-and get the bits of one call on the whole of it; `erfc_only` tells it, from
-a call's cell count and end edges, that the call will take erfc.
+regime.  Outside it each cell's moments depend on its two edges alone.
+
+Cell edges at most `EDGE_TOL` apart count as one: `dedupe_edges` merges
+them, and a profile's edges lie further apart than that.
 
 Both grid kernels also write into arrays the caller gives:
 `gaussian_pdf(z, out=...)` and `cell_masses_into(edges, out, work)`, whose
-series keeps every intermediate in out and four rows of work.  The grid LP
-passes rows of the work block it keeps per thread for its last grid size
-(7 rows of n + 1 floats, 0.92 MB at 16384 cells): new arrays on every call
-cost it 153 minor page faults per call, as glibc gave the freed heap back
-to the OS and the next call faulted it in again, and the block brings that
-to 0.1.  `cell_masses` returns a new array, through the same code.
+series keeps every intermediate in out and four rows of work; the grid LP
+passes rows of the work block it keeps per thread (profiles.lp_maximize).
+`cell_masses` returns a new array, through the same code.
 
 The adaptive Gauss-Legendre panel rule is kept as an independent oracle: the
 tests check the closed forms against it, and the `closed_form_vs_quadrature`
@@ -61,6 +58,10 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 INV_SQRT_2PI = 1.0 / SQRT_2PI
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT2 = math.sqrt(2.0)
+
+# Cell edges at most this far apart count as one (dedupe_edges); a Profile's
+# edges lie further apart.
+EDGE_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -195,16 +196,6 @@ def _may_take_series(edges) -> bool:
                 and edges[-1] - edges[0] <= n * _SERIES_MAX_WIDTH)
 
 
-def erfc_only(n: int, lo: float, hi: float) -> bool:
-    """Whether gaussian_moments of n cells from edge lo to edge hi takes
-    every mass from erfc, whatever the widths of the cells between: clipped
-    to +-40, as gaussian_moments clips them, the edges span more than
-    n * 2**-10, so some cell is wider than the midpoint series allows.  A
-    False only means the series may apply.  (Where the difference below is
-    positive it is the clipped span: lo < 40 and hi > -40 there.)"""
-    return min(hi, _EDGE_CLIP) - max(lo, -_EDGE_CLIP) > n * _SERIES_MAX_WIDTH
-
-
 def _erfc_masses(edges: list[float]) -> list[float]:
     """Cell masses as Phi differences on floats, one math.erfc per edge.
 
@@ -226,9 +217,7 @@ def cell_masses(edges) -> np.ndarray:
     edges is a nondecreasing array of n + 1 cell edges, which may start at
     -inf and end at +inf; returns the n masses in a new array, from
     cell_masses_into (regimes and accuracy are described there).  The grid
-    LP calls cell_masses_into itself, with rows of the work block it keeps
-    per thread for the last grid size (0.92 MB at 16384 cells), since new
-    intermediates on every call cost it 153 minor page faults per call.
+    LP calls cell_masses_into itself, with rows of its work block.
     """
     edges = np.asarray(edges, dtype=float)
     return cell_masses_into(edges, np.empty(max(len(edges) - 1, 0)))
@@ -379,17 +368,11 @@ def first_moments(edges) -> list[float]:
 
 
 def dedupe_edges(points, lo: float, hi: float) -> list[float]:
-    """Sorted interior points of (lo, hi), duplicates within 1e-15 merged."""
-    return merge_sorted_edges(sorted(map(float, points)), lo, hi)
-
-
-def merge_sorted_edges(points, lo: float, hi: float) -> list[float]:
-    """dedupe_edges of points that are already sorted floats, with no sort:
-    the interior points of (lo, hi), each kept when it lies more than 1e-15
-    above the last one kept."""
+    """Sorted interior points of (lo, hi), each kept when it lies more than
+    EDGE_TOL above the last one kept."""
     out: list[float] = []
-    for p in points:
-        if lo < p < hi and (not out or p - out[-1] > 1e-15):
+    for p in sorted(map(float, points)):
+        if lo < p < hi and (not out or p - out[-1] > EDGE_TOL):
             out.append(p)
     return out
 

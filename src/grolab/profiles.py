@@ -17,16 +17,15 @@ the per-cell coefficients times gauss.gaussian_moments.  The dual
 functional's kinks are fixed points rather than profile breakpoints, so
 dual_value is a closed form instead.
 
-A Profile is cut and integrated once: its cell table (Profile._cell_table,
-built on first use) holds the cells of the whole line, each with its
-midpoint, theta and four moments.  The full-line moments are fsums over it,
-a window's moments a slice of it (_window_cells), and an integral with
-kinks of its own (+-eta for V_value and the gap certificate, the cubic
-roots of the perturbed norm) the table cut at them (_splice): only the
-cells a kink splits are integrated afresh.  Each gives the bits that
-cutting the whole line and integrating every cell (_reference_cells) would
-give; where that is not certain (a kink within 1e-15 of an edge, a
-partition that may take gauss' midpoint series) it takes that path.
+A Profile's consecutive edges, +-z_cut included, lie more than EDGE_TOL =
+1e-15 apart.  It is cut and integrated once: its cell table
+(Profile._cell_table, built on first use) holds the cells of the whole line
+at those edges, each with its midpoint, theta and four moments from one
+gaussian_moments call, and the full-line moments are fsums over it.  Every
+other integral cuts the table at kinks of its own (+-window, +-eta, the
+perturbed norm's cubic roots) by one rule (_cut): a kink within EDGE_TOL of
+an edge cuts nothing, and only the cells a kink splits are integrated
+afresh (_cut_cells).
 
 A profile has a few dozen cells at most in every check except a loaded LP
 file, so profiles and their integrals are on Python floats: a Profile keeps
@@ -34,14 +33,8 @@ tuples, cell lookup is bisect, and every per-cell sum is math.fsum, whose
 result is the correctly rounded sum of the terms (independent of order and
 of any BLAS kernel, and exact enough for a 16384-cell profile).  Only the
 grid LP (_lp_cells, lp_maximize) runs on numpy arrays, on its thousands of
-cells; Profile.evaluate also takes an ndarray, for the quadrature oracle.
-
-The grid LP runs in place, in one work block per thread kept for the last
-grid size (_lp_work): 7 rows of grid_size + 1 floats, 0.92 MB at grid 16384.
-Allocated afresh on every call, its ten or so full-size arrays made glibc
-give the freed heap back to the OS after each call and fault it in again on
-the next: 153 minor page faults per call in a benchmark-like loop.  With the
-block it is 0.1.
+cells, in one work block per thread (_lp_work); Profile.evaluate also takes
+an ndarray, for the quadrature oracle.
 """
 
 from __future__ import annotations
@@ -58,9 +51,9 @@ import numpy as np
 
 from .baseline import LAMBDA_STAR, ReedsParams, solve_eta_star, solve_h
 from .errors import DomainError, FeasibilityError, InternalCheckError
-from .gauss import (INV_SQRT_2PI, cell_masses, cell_masses_into,
-                    dedupe_edges, erfc_only, first_moments, gaussian_cdf,
-                    gaussian_moments, gaussian_pdf, merge_sorted_edges)
+from .gauss import (EDGE_TOL, INV_SQRT_2PI, cell_masses, cell_masses_into,
+                    dedupe_edges, first_moments, gaussian_cdf,
+                    gaussian_moments, gaussian_pdf)
 
 SIGN_TAILS = "sign"
 CONST_TAILS = "const"
@@ -75,12 +68,15 @@ CERTIFICATE_TOL = 1e-8
 class Profile:
     """theta: piecewise constant on (-z_cut, z_cut), symbolic tails outside.
 
-    breakpoints are the interior cell boundaries (strictly increasing, inside
-    the window); values has one entry per cell, len(breakpoints) + 1 total.
-    Both are stored as tuples of Python floats, whatever sequence or array
-    was passed; the cell edges and the values padded with both tails are
-    also kept once as tuples, for evaluate and edges.  The cell table and
-    the full-line moments are computed on first use and kept too.
+    breakpoints are the interior cell boundaries, inside the window; values
+    has one entry per cell, len(breakpoints) + 1 total.  Consecutive edges,
+    +-z_cut included, lie more than EDGE_TOL = 1e-15 apart, or DomainError
+    is raised: closer edges would count as one (gauss.dedupe_edges), and
+    every cut of the line (_cut) keeps them all.  Both are stored as tuples
+    of Python floats, whatever sequence or array was passed; the cell edges
+    and the values padded with both tails are also kept once as tuples, for
+    evaluate and edges.  The cell table and the full-line moments are
+    computed on first use and kept too.
     """
 
     z_cut: float
@@ -102,13 +98,14 @@ class Profile:
                 f"need len(values) == len(breakpoints) + 1, got {len(vals)} vs {len(bp)}"
             )
         edges = (-z_cut, *bp, z_cut)
-        # Strictly increasing edges <=> breakpoints inside the window and
-        # strictly increasing (NaN fails every comparison); the slow branch
-        # only picks the message.
-        if not all(map(operator.lt, edges, edges[1:])):
+        # Edges more than EDGE_TOL apart imply breakpoints inside the window
+        # and strictly increasing (NaN fails every comparison); the slow
+        # branch only picks the message.
+        if not all(b - a > EDGE_TOL for a, b in zip(edges, edges[1:])):
             if not all(-z_cut < b < z_cut for b in bp):
                 raise DomainError("breakpoints must lie strictly inside (-z_cut, z_cut)")
-            raise DomainError("breakpoints must be strictly increasing")
+            raise DomainError("breakpoints must be strictly increasing, with "
+                              f"edges more than {EDGE_TOL:g} apart")
         if not all(abs(v) <= 1.0 + 1e-15 for v in vals):  # NaN fails too
             raise DomainError("profile values must lie in [-1, 1]")
         if self.tail_rule not in (SIGN_TAILS, CONST_TAILS):
@@ -143,13 +140,13 @@ class Profile:
 
     @cached_property
     def _cell_table(self) -> "Cells":
-        """The profile's cells over the whole line with their midpoints,
-        theta and moments, computed on first use and read-only: what
-        _reference_cells(self) gives, but cut at the edges as they are, with
-        the 1e-15 merge and no sort (the edges are strictly increasing)."""
-        edges, mid = _partition_sorted(self._edges, math.inf)
-        return Cells(tuple(edges), tuple(zip(mid, _theta_at(self, mid),
-                                             *gaussian_moments(edges))))
+        """The profile's cells over the whole line, edges (-inf, *edges,
+        inf), with their midpoints, theta (the entries of _table in order)
+        and moments from one gaussian_moments call; computed on first use
+        and read-only."""
+        edges = (-math.inf, *self._edges, math.inf)
+        return Cells(edges, tuple(zip(_mids(edges), self._table,
+                                      *gaussian_moments(edges))))
 
     @cached_property
     def _moments(self) -> tuple[float, float, float, float]:
@@ -185,40 +182,6 @@ def _sign(x: float) -> int:
     return (x > 0.0) - (x < 0.0)
 
 
-def _partition(points, window: float = math.inf):
-    """Cells of (-window, window) cut at the points inside it.
-
-    Returns (edges, mid): the n + 1 cell edges, infinite at both ends when
-    the window is, and a point inside each cell, as lists of floats.
-    """
-    return _partition_sorted(sorted(map(float, points)), window)
-
-
-def _partition_sorted(points, window: float):
-    """_partition of points that are already sorted floats: no sort."""
-    edges = [-window, *merge_sorted_edges(points, -window, window), window]
-    mid = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
-    if math.isinf(window):
-        mid[0], mid[-1] = edges[1] - 1.0, edges[-2] + 1.0
-    return edges, mid
-
-
-def _theta_at(profile: Profile, zs) -> list[float]:
-    """theta at each of the floats zs: Profile.evaluate's lookup."""
-    table, cuts = profile._table, profile._edges
-    return [table[bisect_right(cuts, z)] for z in zs]
-
-
-def _cells(profile: Profile, kinks=(), window: float = math.inf):
-    """Cells of (-window, window) on which theta is constant, also cut at kinks.
-
-    Returns (edges, mid, theta) with theta the profile's value on each cell.
-    """
-    edges, mid = _partition(
-        [*profile.breakpoints, -profile.z_cut, profile.z_cut, *kinks], window)
-    return edges, mid, _theta_at(profile, mid)
-
-
 class Cells(NamedTuple):
     """Cells on which theta is constant: the n + 1 edges, and one row per
     cell, (mid, theta, m0, m1, m2, m3): a point inside it (the midpoint, or
@@ -232,144 +195,99 @@ class Cells(NamedTuple):
 
 def _fsum_moments(rows) -> tuple[float, float, float, float]:
     """(fsum of theta m_k over the rows)_{k=0..3}."""
+    if not rows:
+        return (0.0, 0.0, 0.0, 0.0)
     _, theta, *moments = zip(*rows)
     return tuple(math.fsum(map(operator.mul, m, theta)) for m in moments)
 
 
-def _reference_cells(profile: Profile, kinks=(),
-                     window: float = math.inf) -> Cells:
-    """_cells and one gaussian_moments call on them: the reference path that
-    _splice and _window_cells reproduce bit for bit, and their fallback."""
-    edges, mid, theta = _cells(profile, kinks, window)
-    return Cells(edges, list(zip(mid, theta, *gaussian_moments(edges))))
+def _mids(edges) -> list[float]:
+    """A point inside each cell: its midpoint, or the finite edge -+ 1 for
+    an infinite cell."""
+    mid = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+    if edges[0] == -math.inf:
+        mid[0] = edges[1] - 1.0
+    if edges[-1] == math.inf:
+        mid[-1] = edges[-2] + 1.0
+    return mid
 
 
-def _splice(profile: Profile, kinks) -> Cells | None:
-    """The profile's cell table cut at kinks too: _reference_cells(profile,
-    kinks) to the bit, with only the cells a kink splits integrated afresh.
+def _cut(edges, kinks) -> list[tuple[int, list[float]]]:
+    """The one cut rule, on a profile's cell table edges: the finite kinks
+    are taken in ascending order, and each cuts the cell it falls in (as cut
+    by the kinks before it) unless it lies within EDGE_TOL of one of that
+    cell's edges.  So a kink equal to an edge cuts nothing, and the cut's
+    edges lie more than EDGE_TOL apart, as a Profile's do.
 
-    A cell's moments are a function of its two edges alone, unless
-    gaussian_moments takes the midpoint series, which it decides for the
-    whole call; so the split cells' pieces are taken in one call on their
-    edges, and every other cell keeps the table's row.  The kinks are merged
-    among themselves as the reference merges them (dedupe_edges), and one
-    equal to a table edge cuts nothing.  Returns None, for the reference to
-    be taken instead, where the bits could differ:
-    - a kink within 1e-15 of a table edge: the reference's 1e-15 merge may
-      then keep the kink and drop the edge, or a profile breakpoint that
-      the table merged away;
-    - a partition (the whole cut line, or the pieces' call) on which
-      gaussian_moments may take the series: 81920 cells or more on the
-      line, or split cells spanning at most 2**-10 per piece.
+    Returns (j, [edges[j], k..., edges[j + 1]]) for each cell j a kink cuts,
+    in order.
     """
-    table = profile._cell_table
-    edges = table.edges
-    if not erfc_only(len(edges) - 1 + len(kinks), -math.inf, math.inf):
-        return None
-    cuts: list[float] = []  # each split cell's edges and kinks, in turn
-    split: list[tuple[int, int]] = []  # (table cell, number of pieces)
-    last = -math.inf  # dedupe_edges' merge of the kinks, inline
+    split: list[tuple[int, list[float]]] = []
     for k in sorted(map(float, kinks)):
-        if not (-math.inf < k < math.inf and k - last > 1e-15):
+        if not -math.inf < k < math.inf:
             continue
-        last = k
         j = bisect_right(edges, k) - 1  # edges[j] <= k < edges[j + 1]
-        a, b = edges[j], edges[j + 1]
-        if a == k:
-            continue
-        if k - a <= 1e-15 or b - k <= 1e-15:
-            return None
-        if split and split[-1][0] == j:
-            cuts.insert(-1, k)
-            split[-1] = (j, split[-1][1] + 1)
-        else:
-            cuts += (a, k, b)
-            split.append((j, 2))
-    if not split:
-        return table
-    if not erfc_only(len(cuts) - 1, cuts[0], cuts[-1]):
-        return None
-    # One call for every piece; the gap between two split cells is a cell
-    # of the call too, and is skipped.
-    mid = [0.5 * (a + b) for a, b in zip(cuts, cuts[1:])]
-    if cuts[0] == -math.inf:
-        mid[0] = cuts[1] - 1.0
-    if cuts[-1] == math.inf:
-        mid[-1] = cuts[-2] + 1.0
-    pieces = list(zip(mid, _theta_at(profile, mid), *gaussian_moments(cuts)))
-    rows = table.rows
-    out = Cells([], [])
-    start = pos = 0  # next table cell to copy; next cell of the call
-    for j, n in split:
-        out.edges.extend(edges[start:j + 1])
-        out.edges.extend(cuts[pos + 1:pos + n])
-        out.rows.extend(rows[start:j])
-        out.rows.extend(pieces[pos:pos + n])
-        start, pos = j + 1, pos + n + 1
-    out.edges.extend(edges[start:])
-    out.rows.extend(rows[start:])
-    return out
+        if not split or split[-1][0] != j:
+            split.append((j, [edges[j], edges[j + 1]]))
+        cell = split[-1][1]
+        if k - cell[-2] > EDGE_TOL and cell[-1] - k > EDGE_TOL:
+            cell.insert(-1, k)
+    return [(j, cell) for j, cell in split if len(cell) > 2]
 
 
 def _cut_cells(profile: Profile, kinks) -> Cells:
-    """The profile's cells over the whole line, also cut at kinks."""
-    return _splice(profile, kinks) or _reference_cells(profile, kinks)
+    """The profile's cells over the whole line, also cut at kinks (_cut):
+    its cell table with only the cells a kink splits integrated afresh, all
+    of their pieces in one gaussian_moments call."""
+    table = profile._cell_table
+    split = _cut(table.edges, kinks)
+    if not split:
+        return table
+    # The gap between two split cells is a cell of the call too, skipped.
+    cuts = [e for _, cell in split for e in cell]
+    pieces = list(zip(_mids(cuts), *gaussian_moments(cuts)))
+    edges, rows = list(table.edges), list(table.rows)
+    end = len(pieces)  # where the pieces of the cells left to splice end
+    for j, cell in reversed(split):  # from the last cell, so j holds
+        n, theta = len(cell) - 1, rows[j][1]
+        edges[j + 1:j + 1] = cell[1:-1]
+        rows[j:j + 1] = [(z, theta, *m) for z, *m in pieces[end - n:end]]
+        end -= n + 1  # and the gap cell before them
+    return Cells(edges, rows)
 
 
-def _window_cells(profile: Profile, window: float) -> Cells | None:
-    """_reference_cells(profile, window=window) to the bit, as the slice of
-    the table cut at +-window (_splice) between them; None where the bits
-    could differ.
-
-    The window's own partition restarts the 1e-15 merge at -window: its
-    first point inside is kept however close to -window, where the line's
-    merge drops it.  So a profile edge within 1e-15 above -window, a window
-    the splice cannot cut, and a window partition on which gaussian_moments
-    may take the series (a 16384-cell grid profile's own window, or any
-    window no wider than 2**-10 a cell, such as one whose kinks +-window
-    merge) all return None.
+def _inside(cells: Cells, window: float) -> Cells:
+    """The cells of a cut at +-window that lie inside (-window, window):
+    those whose right edge lies more than EDGE_TOL above -window and whose
+    left edge more than EDGE_TOL below window.  The cut has an edge at or
+    within EDGE_TOL of -window, and of window; the first and last cells
+    kept end at such edges, and the inner edges kept lie more than EDGE_TOL
+    inside, so that (-window, window) cut at them is a valid Profile.
     """
-    if not 0.0 < window < math.inf:
-        return None
-    cells = _splice(profile, (-window, window))
-    if cells is None:
-        return None
     edges = cells.edges
-    lo, hi = bisect_left(edges, -window), bisect_left(edges, window)
-    cuts = profile._edges
-    first = bisect_right(cuts, -window)  # the first profile edge inside
-    if first < len(cuts) and cuts[first] < window \
-            and cuts[first] - (-window) <= 1e-15:
-        return None
-    if not erfc_only(hi - lo, -window, window):
-        return None
+    lo = bisect_right(edges, EDGE_TOL, key=lambda e: e + window) - 1
+    hi = bisect_left(edges, -EDGE_TOL, key=lambda e: e - window)
     return Cells(edges[lo:hi + 1], cells.rows[lo:hi])
-
-
-def _window_moments(profile: Profile, window: float) -> tuple[float, ...]:
-    """theta_moments over (-window, window) on the window's own partition:
-    the reference for theta_moments' slice of the cell table."""
-    return _fsum_moments(_reference_cells(profile, window=window).rows)
 
 
 def theta_moments(profile: Profile,
                   window: float = math.inf) -> tuple[float, float, float, float]:
     """(int theta(z) z^k pdf(z) dz over |z| < window)_{k=0..3}, exactly.
 
-    Sums over the profile's cell table.  With the default infinite window
-    the symbolic tails are included and the profile's own copy is returned:
-    a Profile is immutable, so its full-line moments are computed once.  A
-    finite window is the table's slice between +-window, cut there when they
-    are not profile edges (_window_cells), or, where that slice could differ
-    from the window's own partition in the last bit, that partition
-    (_window_moments).
+    window must be positive (infinity included), else DomainError.  With
+    the default infinite window the symbolic tails are included and the
+    profile's own copy is returned: a Profile is immutable, so its
+    full-line moments are fsums over its cell table, computed once.  A
+    finite window's are fsums over the rows of the table cut at +-window
+    that lie inside it (_inside): an edge within EDGE_TOL of +-window
+    stands in for it.
     """
+    if not window > 0.0:
+        raise DomainError(f"theta_moments requires window > 0, got {window}")
     if window == math.inf:
         return profile._moments
-    cells = _window_cells(profile, window)
-    if cells is None:
-        return _window_moments(profile, window)
-    return _fsum_moments(cells.rows)
+    return _fsum_moments(
+        _inside(_cut_cells(profile, (-window, window)), window).rows)
 
 
 def h3_moment(m) -> float:
@@ -381,16 +299,22 @@ def h3_moment(m) -> float:
 def _rebuild(profile: Profile, window: float, extra_edges=(),
              override=None) -> Profile:
     """Profile restricted to (-window, window) with sign tails, optional cell
-    override.
+    override: the profile's cells cut at +-window and extra_edges (_cut)
+    that lie inside the window (_inside), values clipped to [-1, 1].  No
+    moments are taken.
 
     override(mid) may return a replacement value for the cell centered at mid,
     or None to keep theta(mid).
     """
-    edges, mids, vals = _cells(profile, kinks=extra_edges, window=window)
-    if override is not None:
-        vals = [v if (o := override(m)) is None else o
-                for m, v in zip(mids, vals)]
-    return Profile(z_cut=window, breakpoints=edges[1:-1],
+    edges = (-math.inf, *profile._edges, math.inf)
+    cut, theta = list(edges), list(profile._table)
+    for j, cell in reversed(_cut(edges, (-window, window, *extra_edges))):
+        cut[j + 1:j + 1] = cell[1:-1]  # from the last cell, so j holds
+        theta[j:j] = [theta[j]] * (len(cell) - 2)
+    cells = _inside(Cells(cut, list(zip(_mids(cut), theta))), window)
+    vals = [t if override is None or (o := override(z)) is None else o
+            for z, t, *_ in cells.rows]
+    return Profile(z_cut=window, breakpoints=cells.edges[1:-1],
                    values=[min(1.0, max(-1.0, v)) for v in vals])
 
 
@@ -438,15 +362,6 @@ def check_feasible(profile: Profile, params: ReedsParams) -> None:
         )
 
 
-def _eta_cells(profile: Profile, eta: float):
-    """The rows (mid, theta, m0..m3) of the profile's cells cut at +-eta,
-    where A and B change form: the partition V_value and gap_tail_integral
-    sum over.  It is the cell table with the one or two cells that +-eta
-    split integrated afresh (_cut_cells), and the table itself when +-eta
-    are profile edges, as at a member's z_cut = eta*."""
-    return _cut_cells(profile, (-eta, eta)).rows
-
-
 def _V_sum(rows, params: ReedsParams) -> float:
     lam, alpha, eta = params.lam, params.alpha, params.eta
     # A = lambda, B = -alpha z inside (-eta, eta); A = alpha |z|, B = -lambda
@@ -467,7 +382,7 @@ def V_value(profile: Profile, params: ReedsParams) -> float:
     Evaluated whether or not theta meets the moment constraint; feasibility
     is the caller's concern (see gap_certificate).
     """
-    return _V_sum(_eta_cells(profile, params.eta), params)
+    return _V_sum(_cut_cells(profile, (-params.eta, params.eta)).rows, params)
 
 
 # 1/sqrt(2 pi) - INV_SQRT_2PI, the rounding error of the float pdf(0)
@@ -603,7 +518,8 @@ def _gap_tail_sum(rows, params: ReedsParams) -> float:
 
 def gap_tail_integral(profile: Profile, params: ReedsParams) -> float:
     """int_{|z|>eta} (alpha |z| - lambda)(1 - theta(z) sign(z)) pdf(z) dz."""
-    return _gap_tail_sum(_eta_cells(profile, params.eta), params)
+    return _gap_tail_sum(_cut_cells(profile, (-params.eta, params.eta)).rows,
+                         params)
 
 
 def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
@@ -615,7 +531,7 @@ def gap_certificate(profile: Profile, params: ReedsParams) -> GapCertificate:
     """
     check_feasible(profile, params)
     F = F_value_dual(params)
-    rows = _eta_cells(profile, params.eta)
+    rows = _cut_cells(profile, (-params.eta, params.eta)).rows
     V = _V_sum(rows, params)
     tail = _gap_tail_sum(rows, params)
     return GapCertificate(primal_V=V, dual_D=F, gap=F - V, tail_integral=tail,
@@ -895,36 +811,13 @@ def _repair_threshold(profile: Profile, s: float, eta_star: float,
     return min(math.sqrt(t_sq), cuts[j + 1])
 
 
-def _spaced(profile: Profile) -> bool:
-    """Whether the profile's edges lie more than 1e-15 apart: a partition
-    of its window merges none of them."""
-    edges = profile._edges
-    return all(b - a > 1e-15 for a, b in zip(edges, edges[1:]))
-
-
 def _tails_fixed(profile: Profile, eta_star: float) -> bool:
     """Whether repair_to_theta's step 1 is a no-op on the profile: sign tails
-    at z_cut = eta* make the tail cost a sum of 0.0 * mass = 0.0; and with
-    values in [-1, 1] (no clipping) and edges more than 1e-15 apart (no
-    merge, and each midpoint strictly inside its cell) _rebuild(profile,
-    eta*) returns the same breakpoints and values, bit for bit."""
+    at z_cut = eta* make the tail cost a sum of 0.0 * mass = 0.0, and with
+    values in [-1, 1] (no clipping) _rebuild(profile, eta*) returns the same
+    breakpoints and values, bit for bit."""
     return (profile.tail_rule == SIGN_TAILS and profile.z_cut == eta_star
-            and all(-1.0 <= v <= 1.0 for v in profile.values)
-            and _spaced(profile))
-
-
-def _inner_moment(profile: Profile, eta_star: float) -> float:
-    """theta_moments(profile, eta_star)[1], from first_moments on the
-    profile's own edges where those are the window's own partition: z_cut
-    is eta* and the edges lie more than 1e-15 apart, so the partition merges
-    none of them, and each midpoint, inside (-1, 1) as eta* < 1, falls
-    strictly inside its cell and reads the cell's value.  Row 1 of
-    gaussian_moments is first_moments bit for bit on any partition, so the
-    fsum is theta_moments' own.  Elsewhere theta_moments itself."""
-    if profile.z_cut == eta_star and _spaced(profile):
-        return math.fsum(map(operator.mul, first_moments(profile._edges),
-                             profile.values))
-    return theta_moments(profile, eta_star)[1]
+            and all(-1.0 <= v <= 1.0 for v in profile.values))
 
 
 def repair_to_theta(profile: Profile,
@@ -938,21 +831,20 @@ def repair_to_theta(profile: Profile,
     eta* is tied to the supplied lambda so callers stay on one Reeds point.
 
     Step 1 is skipped where it is a no-op (_tails_fixed): an input with
-    sign tails at exactly eta*, values in [-1, 1] and edges more than 1e-15
-    apart, as every sample_theta_member input is, has tail cost 0.0 and is
-    its own tail-fixed profile.  Else the tail cost is taken on the input's
-    cells cut at +-eta* over the whole line (_cut_cells).
+    sign tails at exactly eta* and values in [-1, 1], as every
+    sample_theta_member input is, has tail cost 0.0 and is its own
+    tail-fixed profile.  Else the tail cost is taken on the input's cells
+    cut at +-eta* over the whole line (_cut_cells).
 
-    The tail-fixed profile's inner moment is a first-moment sum over its
-    own edges (_inner_moment), with no cell table: the tail-fixed profile
-    is discarded unless it already is a member.  The last step's inner
-    cost and residual inner moment are a slice of the repaired profile's
-    cell table on (-eta*, eta*) (_window_cells), or the window's own
-    partition where the slice could differ from it in the last bit.  The
-    repaired profile's cells already carry every breakpoint of the
-    tail-fixed one (it was cut from its cells), so the tail-fixed profile
-    is constant on each of them.  The member returned carries its table on
-    to the checks that integrate it next (A_bound_check, the beta scan).
+    The tail-fixed profile's window is (-eta*, eta*), so its inner moment
+    is a first-moment sum over its own edges, with no cell table: the
+    tail-fixed profile is discarded unless it already is a member.  The
+    last step's inner cost and residual inner moment are read from the
+    inner rows of the repaired profile's cell table.  The repaired
+    profile's cells already carry every breakpoint of the tail-fixed one
+    (it was cut from its cells), so the tail-fixed profile is constant on
+    each of them.  The member returned carries its table on to the checks
+    that integrate it next (A_bound_check, the beta scan).
     """
     eta_star = solve_eta_star(lam)
 
@@ -967,7 +859,8 @@ def repair_to_theta(profile: Profile,
                               if abs(z) > eta_star)
         fixed = _rebuild(profile, eta_star)
 
-    inner = _inner_moment(fixed, eta_star)
+    inner = math.fsum(map(operator.mul, first_moments(fixed._edges),
+                          fixed.values))
     delta = abs(inner)
     if delta <= 1e-15:
         return fixed, tail_cost
@@ -987,8 +880,7 @@ def repair_to_theta(profile: Profile,
     # Inner cost int |repaired - fixed| pdf and the residual inner moment,
     # from one partition: repaired's own cells on (-eta*, eta*), on which
     # fixed is constant too.
-    rows = (_window_cells(repaired, eta_star)
-            or _reference_cells(repaired, window=eta_star)).rows
+    rows = repaired._cell_table.rows[1:-1]
     inner_cost = math.fsum(abs(t - fixed.evaluate(z)) * i0
                            for z, t, i0, _, _, _ in rows)
     residual = math.fsum(i1 * t for _, t, _, i1, _, _ in rows)

@@ -1,6 +1,7 @@
-"""Closed forms, the quadrature wrapper, profile builders and the lambda
-search that only the tests use, as references for the kernels in
-grolab.gauss and grolab.profiles and for grolab.baseline.optimize_lambda.
+"""Closed forms, the quadrature wrapper, profile builders, the whole-line
+partition and the lambda search that only the tests use, as references for
+the kernels in grolab.gauss and grolab.profiles and for
+grolab.baseline.optimize_lambda.
 """
 
 import math
@@ -11,11 +12,11 @@ import numpy as np
 
 from grolab.baseline import LAMBDA_STAR, davie_reeds_bound, solve_eta_star
 from grolab.errors import DomainError, InternalCheckError
-from grolab.gauss import (DEFAULT_SPEC, INV_SQRT_2PI, _erfc_masses,
-                          _may_take_series, cell_masses,
+from grolab.gauss import (DEFAULT_SPEC, EDGE_TOL, INV_SQRT_2PI, _erfc_masses,
+                          _may_take_series, cell_masses, dedupe_edges,
                           gauss_integrate_with_error, gaussian_cdf,
                           gaussian_moments, gaussian_pdf)
-from grolab.profiles import (CONST_TAILS, SIGN_TAILS, Profile, _cells,
+from grolab.profiles import (CONST_TAILS, SIGN_TAILS, Cells, Profile,
                              _rebuild, _repair_threshold, _sign,
                              theta_moments)
 
@@ -89,6 +90,42 @@ def gaussian_moments_lists(edges):
     return m0, m1, m2, m3
 
 
+def partition(points, window: float = math.inf):
+    """Cells of (-window, window) cut at the points inside it, merged within
+    EDGE_TOL (dedupe_edges).
+
+    Returns (edges, mid): the n + 1 cell edges, infinite at both ends when
+    the window is, and a point inside each cell (the midpoint, or an edge
+    -+ 1 for an infinite cell), as lists of floats.
+    """
+    edges = [-window, *dedupe_edges(points, -window, window), window]
+    mid = [0.5 * (a + b) for a, b in zip(edges, edges[1:])]
+    if math.isinf(window):
+        mid[0], mid[-1] = edges[1] - 1.0, edges[-2] + 1.0
+    return edges, mid
+
+
+def cells(profile: Profile, kinks=(), window: float = math.inf):
+    """Cells of (-window, window) on which theta is constant, also cut at
+    the kinks more than EDGE_TOL from every profile edge: grolab's cut rule,
+    under which a kink that close to an edge cuts nothing.
+
+    Returns (edges, mid, theta) with theta the profile's value at each mid.
+    """
+    kept = [k for k in map(float, kinks)
+            if all(abs(k - e) > EDGE_TOL for e in profile.edges)]
+    edges, mid = partition([*profile.edges, *kept], window)
+    return edges, mid, [profile.evaluate(m) for m in mid]
+
+
+def reference_cells(profile: Profile, kinks=(),
+                    window: float = math.inf) -> Cells:
+    """cells() and one gaussian_moments call on the whole partition: the
+    reference for the profile's cell table and every cut of it."""
+    edges, mid, theta = cells(profile, kinks, window)
+    return Cells(edges, list(zip(mid, theta, *gaussian_moments(edges))))
+
+
 def tail_first_moment(eta: float) -> float:
     """Integral of z * pdf(z) over [eta, inf) for eta >= 0; equals pdf(eta)."""
     eta = float(eta)
@@ -125,8 +162,8 @@ def bathtub(h: float, z_cut: float | None = None) -> Profile:
 
 def odd_part(profile: Profile) -> Profile:
     """(theta(z) - theta(-z)) / 2, on the symmetrized cell structure."""
-    edges, mids, theta = _cells(profile, kinks=[-b for b in profile.breakpoints],
-                                window=profile.z_cut)
+    edges, mids, theta = cells(profile, kinks=[-b for b in profile.breakpoints],
+                               window=profile.z_cut)
     vals = [0.5 * (t - profile.evaluate(-m)) for m, t in zip(mids, theta)]
     if profile.tail_rule == SIGN_TAILS:
         return Profile(z_cut=profile.z_cut, breakpoints=edges[1:-1],
@@ -213,7 +250,7 @@ def repair_to_theta_five_partitions(profile: Profile, lam: float = LAMBDA_STAR):
     theta_moments of the repaired profile.  grolab's one-partition last step
     must equal it bit for bit."""
     eta_star = solve_eta_star(lam)
-    edges, mid, theta = _cells(profile, kinks=(-eta_star, eta_star))
+    edges, mid, theta = cells(profile, kinks=(-eta_star, eta_star))
     tail_cost = math.fsum(
         (1.0 - t * _sign(z)) * i0
         for z, t, i0 in zip(mid, theta, gaussian_moments(edges)[0])
@@ -234,8 +271,8 @@ def repair_to_theta_five_partitions(profile: Profile, lam: float = LAMBDA_STAR):
 
     repaired = _rebuild(fixed, eta_star, extra_edges=(-t0, -half, half, t0),
                         override=override)
-    edges, mid, theta = _cells(repaired, kinks=fixed.breakpoints,
-                               window=eta_star)
+    edges, mid, theta = cells(repaired, kinks=fixed.breakpoints,
+                              window=eta_star)
     inner_cost = math.fsum(
         abs(t - fixed.evaluate(z)) * i0
         for z, t, i0 in zip(mid, theta, gaussian_moments(edges)[0]))

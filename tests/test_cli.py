@@ -320,6 +320,7 @@ def test_unwritable_output_exits_2(tmp_path, argv, capsys):
     "1.0,abc,0.5,0.5,sign",             # non-numeric token
     "1.0,0.0,1.5,0.5,sign",             # value outside [-1, 1]
     "1.0,0.0,nan,0.5,sign",             # NaN value
+    "1.0,0.25,0.2500000000000005,0.1,0.2,0.3,sign",  # edges 5e-16 apart
 ])
 def test_bad_profile_file_exits_2(tmp_path, text, capsys):
     saved = tmp_path / "profile.txt"

@@ -20,7 +20,6 @@ from grolab.profiles import (
     V_value,
     _int_A_full,
     _lp_cells,
-    _partition,
     dual_value,
     gap_certificate,
     gap_tail_integral,
@@ -35,7 +34,7 @@ from grolab.profiles import (
 from conftest import LAM
 from oracles import (bathtub, erfc_cell_masses, gauss_integrate,
                      gaussian_moments_array, interval_mass, interval_z_moment,
-                     odd_part, repair_to_theta_five_partitions)
+                     odd_part, partition, repair_to_theta_five_partitions)
 
 
 # -- Profile type -------------------------------------------------------------
@@ -48,6 +47,15 @@ _INVALID_PROFILES = [
     (1.0, (-1.0,), (0.0, 0.0), "sign", (-1.0, 1.0), "strictly inside"),
     (1.0, (math.nan,), (0.0, 0.0), "sign", (-1.0, 1.0), "strictly inside"),
     (1.0, (0.5, 0.2, 1.5), (0.0,) * 4, "sign", (-1.0, 1.0), "strictly inside"),
+    # edges, +-z_cut included, at most 1e-15 apart
+    (1.0, (0.25, 0.2500000000000005), (0.0,) * 3, "sign", (-1.0, 1.0),
+     "more than 1e-15 apart"),
+    (1.0, (-0.3, -0.3 + 1e-15, 0.5), (0.0,) * 4, "sign", (-1.0, 1.0),
+     "more than 1e-15 apart"),
+    (1.0, (-1.0 + 5e-16, 0.0), (0.0,) * 3, "sign", (-1.0, 1.0),
+     "more than 1e-15 apart"),
+    (1.0, (0.0, 1.0 - 8e-16), (0.0,) * 3, "const", (0.5, 0.5),
+     "more than 1e-15 apart"),
     (1.0, (), (1.5,), "sign", (-1.0, 1.0), "values must lie"),
     (1.0, (0.0,), (0.5, math.nan), "sign", (-1.0, 1.0), "values must lie"),
     (1.0, (), (0.0, 0.0), "sign", (-1.0, 1.0), "len(values)"),
@@ -244,7 +252,7 @@ def _dual_value_cell_sum(mu, params):
     if -params.alpha < mu < 0.0:
         w = params.lam / abs(mu)
         kinks.extend((-w, w))
-    edges, mid = _partition(kinks)
+    edges, mid = partition(kinks)
     # B - mu z is linear on each cell and keeps its sign there.
     sign = np.sign(mid)
     inner = np.abs(mid) < eta
@@ -1000,7 +1008,11 @@ def test_repair_random_profiles(rng, eta_star, spec):
 def _repair_stress_profiles(rng, eta_star):
     """300 profiles for the repair: z_cut in {0.8, 1, 1.7} eta* and 1.0,
     values of +-(1 + 1e-15) among random ones, and breakpoints at or within
-    1e-15 of +-eta* and +-eta*/2 where the window leaves room."""
+    1e-15 of +-eta* and +-eta*/2 where the window leaves room.
+
+    Those with two edges (+-z_cut included) at most 1e-15 apart are not
+    profiles: the constructor must reject them, and only the others are
+    returned."""
     out = []
     for k in range(300):
         z_cut = (0.8 * eta_star, eta_star, 1.7 * eta_star, 1.0)[k % 4]
@@ -1013,7 +1025,12 @@ def _repair_stress_profiles(rng, eta_star):
         values = rng.uniform(-1.0, 1.0, len(bp) + 1)
         edge = rng.uniform(size=values.size) < 0.3
         values[edge] = np.where(values[edge] < 0.0, -1.0, 1.0) * (1.0 + 1e-15)
-        out.append(Profile(z_cut=z_cut, breakpoints=bp, values=values))
+        edges = [-z_cut, *bp, z_cut]
+        if min(b - a for a, b in zip(edges, edges[1:])) <= 1e-15:
+            with pytest.raises(DomainError, match="more than 1e-15 apart"):
+                Profile(z_cut=z_cut, breakpoints=bp, values=values)
+        else:
+            out.append(Profile(z_cut=z_cut, breakpoints=bp, values=values))
     return out
 
 
@@ -1119,7 +1136,10 @@ def test_profile_text_malformed():
                  "1.0,0.0,0.5,0.5,const:x:0.2",  # unparsable tail constant
                  "1.0,0.0,nan,0.5,sign",         # NaN value
                  "1.0,0.0,0.5,0.5,const:nan:0.2",  # NaN tail constant
-                 "1.0,0.0,1.5,0.5,sign"):         # value outside [-1, 1]
+                 "1.0,0.0,1.5,0.5,sign",          # value outside [-1, 1]
+                 # breakpoints 5e-16 apart, and one 5e-16 inside -z_cut
+                 "1.0,0.25,0.2500000000000005,0.1,0.2,0.3,sign",
+                 "1.0,-0.9999999999999995,0.1,0.2,sign"):
         with pytest.raises(DomainError):
             profile_from_text(text)
 
