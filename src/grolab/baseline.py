@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .gauss import SQRT_2_OVER_PI, gaussian_pdf
-from .intervals import Num, arith
+from .intervals import Num, arith, endpoints
 
 # Optimal lambda and the resulting lower bound, to double precision.
 LAMBDA_STAR = 0.19747909099498196
@@ -165,17 +165,19 @@ def optimize_lambda() -> float:
     return reeds_lambda(solve_eta_argmax())
 
 
+def F_prime(alpha: Num, lam: Num) -> Num:
+    """F'(alpha) = 4 pdf(lambda/alpha) - 2 alpha, F = profiles.F_value."""
+    ar = arith(alpha, lam)
+    if min(endpoints(alpha)[0], endpoints(lam)[0]) <= 0.0:
+        raise DomainError(f"F' requires positive inputs, got ({alpha}, {lam})")
+    return 4.0 * ar.pdf(lam / alpha) - 2.0 * alpha
+
+
 def F_derivatives(alpha: float, lam: float) -> tuple[float, float]:
-    """Closed forms F'(alpha) = 4 pdf(lambda/alpha) - 2 alpha and F'' of
-    F = profiles.F_value."""
+    """F_prime and the closed form F''(alpha) of F = profiles.F_value."""
     alpha, lam = float(alpha), float(lam)
-    if alpha <= 0.0 or lam <= 0.0:
-        raise DomainError(f"F_derivatives requires positive inputs, got ({alpha}, {lam})")
-    eta = lam / alpha
-    pdf_eta = gaussian_pdf(eta)
-    fp = 4.0 * pdf_eta - 2.0 * alpha
-    fpp = 4.0 * lam * lam * pdf_eta / alpha**3 - 2.0
-    return fp, fpp
+    return (F_prime(alpha, lam),
+            4.0 * lam * lam * gaussian_pdf(lam / alpha) / alpha**3 - 2.0)
 
 
 def solve_h(alpha: float) -> float:

@@ -21,6 +21,7 @@ from .baseline import (_argmax_equation, _eta_equation, solve_eta_argmax,
 from .claims import BOUNDS, CLAIMS, TARGETS, Claim, Inputs
 from .errors import InternalCheckError
 from .intervals import Interval
+from .reporting import spell
 
 
 @dataclass(frozen=True)
@@ -39,18 +40,12 @@ class CertifiedCheck:
     actual: float
 
 
-def _spell(x: float) -> str:
-    """Shortest round-trip digits, spelled 7 and 1e-9 rather than 7.0 and 1e-09."""
-    s = repr(float(x)).replace("e-0", "e-")
-    return s[:-2] if s.endswith(".0") else s
-
-
 def _within(name: str, iv: Interval, claim: str) -> CertifiedCheck:
     """iv inside the +-tolerance window of the claims.TARGETS entry."""
     target, tol = TARGETS[claim]
     nearer_lo = iv.lo - (target - tol) < (target + tol) - iv.hi
     return CertifiedCheck(name, iv.lo, iv.hi,
-                          f"within {_spell(target)} +- {_spell(tol)}",
+                          f"within {spell(target)} +- {spell(tol)}",
                           iv.within(target, tol),
                           iv.lo if nearer_lo else iv.hi)
 
@@ -63,7 +58,7 @@ def _beyond(name: str, iv: Interval, relation: str,
         raise ValueError(f"unknown relation {relation!r}")
     above = relation.startswith(">")
     passed = iv.strictly_above(bound) if above else iv.strictly_below(bound)
-    return CertifiedCheck(name, iv.lo, iv.hi, f"{relation} {_spell(bound)}",
+    return CertifiedCheck(name, iv.lo, iv.hi, f"{relation} {spell(bound)}",
                           passed, iv.lo if above else iv.hi)
 
 

@@ -1,12 +1,12 @@
 """Stability-chain constants and the final inequality chain.
 
 Everything here is explicit scalar arithmetic: the strip and small-ball
-constants, the effective pairing constant on an L1 neighborhood,
-the per-beta norm drop, and the closing chain that converts the drop into an
-increment for the Grothendieck lower bound.  The chain is evaluated at one
-set of reference constants, the module constants below; only beta and
-epsilon are arguments.  The closed forms also take Interval arguments and
-then return enclosures (see intervals.arith); certify calls them that way.
+constants, the effective pairing constant on an L1 neighborhood, the per-beta
+norm drop, the strip-repair facts, and the closing chain that converts the
+drop into an increment for the Grothendieck lower bound.  The chain is
+evaluated at one set of reference constants, the module constants below; only
+beta and epsilon are arguments.  The closed forms also take Interval arguments
+and return enclosures (see intervals.arith); certify calls them that way.
 
 Magnitude discipline: quantities of order 1e-20 and below are computed and
 reported standalone; nothing here ever subtracts a tiny drop from an O(1)
@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .baseline import LAMBDA_STAR, _bound, solve_eta_star
 from .errors import DomainError
-from .gauss import (INV_SQRT_2PI, SQRT_2PI, gaussian_cdf, gaussian_isf,
-                    gaussian_pdf, mills_ratio)
+from .gauss import SQRT_2PI, mills_ratio
 from .intervals import Num, arith, endpoints
 
 # Reference chain constants: rounded-safe values of the pairing constant, the
@@ -46,6 +45,19 @@ ALPHA_ERR = 1e-12
 P3_COEFF = 3.87
 # Half-width of the strip on which the strip constant K_strip is taken.
 STRIP_Z0 = 0.36
+
+# The strip-repair sub-case (strip_facts): the defect d' it rules out, the
+# envelope's coefficient, and the bounds it proves and passes on.
+STRIP_DEFECT = 1e-10
+ENVELOPE_COEFF = 0.583
+STRIP_ENVELOPE = 3.33e-9
+OMEGA_ENVELOPE = 3.34e-9    # omega's numerator; delta's is STRIP_ENVELOPE
+HALF_STRIP_MOMENT = 0.0805
+STRIP_B_MOMENT = 0.012834
+STRIP_DELTA = 4.2e-8
+STRIP_OMEGA = 2.61e-7
+QUARTER_STRIP_MASS = 0.051
+STRIP_TOTAL = 1e-7
 
 
 def C_z0(z0: Num) -> Num:
@@ -242,49 +254,36 @@ def log_tail_envelope_margin(a: float) -> float:
         raise DomainError(f"envelope is only claimed for a >= 2.3, got {a}")
     log_r = math.log(mills_ratio(a))
     log_sf = log_r - 0.5 * a * a - math.log(SQRT_2PI)   # log Phi(-a)
-    return math.log(0.583) + log_r + math.log(-log_sf)
+    return math.log(ENVELOPE_COEFF) + log_r + math.log(-log_sf)
 
 
-def strip_case_checks() -> list[tuple[str, float, float, bool]]:
-    """Scalar facts behind the strip-repair contradiction sub-case.
+def strip_facts(eta: Num) -> dict[str, Num]:
+    """The 1-D facts of the strip-repair sub-case (its n-dimensional geometry
+    is out of scope), by claim name, at eta the threshold root at LAMBDA_STAR.
 
-    The n-dimensional geometry is out of scope; these are its 1-D moment
-    ingredients, each checked against the constant the chain uses.  Entries
-    are (name, value, bound, ok); the comparison direction is in the name.
+    The half-space of mass q = 1.25 d', Phi(-a) = q, has first moment 2 pdf(a).
+    Mills' Phi(-a) >= pdf(a) a/(a^2 + 1) gives pdf(a) <= q (a + 1/a); a + 1/a
+    increases on a >= 1, and 1 < a < a0 = sqrt(2 log(1/q)) since Phi(-1) > q
+    and Phi(-a0) <= pdf(a0)/a0 = q/(sqrt(2 pi) a0) < q.  So 2 pdf(a) <=
+    2 q (a0^2 + 1)/a0, which strip_halfspace_margin puts under the envelope.
     """
-    eta_star = solve_eta_star(LAMBDA_STAR)
-    d_prime = 1e-10
-    checks: list[tuple[str, float, float, bool]] = []
-
-    # Half-space first moment at mass 1.25e-10, then its log envelope.
-    a = gaussian_isf(1.25 * d_prime)         # Phi(-a) = 1.25 d'
-    halfspace = 2.0 * gaussian_pdf(a)
-    envelope = 0.583 * 2.5 * d_prime * math.log(1.0 / (1.25 * d_prime))
-    checks.append(("halfspace_moment <= envelope", halfspace, envelope,
-                   halfspace <= envelope))
-    checks.append(("envelope <= 3.33e-9", envelope, 3.33e-9, envelope <= 3.33e-9))
-
-    # Half-strip moment: strip mass times the one-sided first moment of a
-    # standard Gaussian coordinate.
-    p = 2.0 * gaussian_cdf(eta_star) - 1.0
-    half_strip = p * INV_SQRT_2PI   # pdf(0)
-    checks.append(("half_strip_moment >= 0.0805", half_strip, 0.0805,
-                   half_strip >= 0.0805))
-
-    # One-sided strip first moment along the distinguished direction.
-    strip_b = (1.0 - math.exp(-0.5 * eta_star * eta_star)) / SQRT_2PI
-    checks.append(("strip_b_moment >= 0.012834", strip_b, 0.012834,
-                   strip_b >= 0.012834))
-
-    delta = 3.33e-9 / 0.0805
-    omega = 3.34e-9 / 0.012834
-    checks.append(("delta <= 4.2e-8", delta, 4.2e-8, delta <= 4.2e-8))
-    checks.append(("omega <= 2.61e-7", omega, 2.61e-7, omega <= 2.61e-7))
-
-    quarter_strip = p / 4.0
-    checks.append(("quarter_strip_mass <= 0.051", quarter_strip, 0.051,
-                   quarter_strip <= 0.051))
-
-    total = (6.0 * 4.2e-8 + 6.0 * 2.61e-7) * 0.051 + 1e-10
-    checks.append(("contradiction_total < 1e-7", total, 1e-7, total < 1e-7))
-    return checks
+    ar = arith(eta)
+    d = ar.exact(STRIP_DEFECT)
+    q = 1.25 * d
+    a0 = ar.sqrt(2.0 * ar.log(1.0 / q))
+    envelope = ar.exact(ENVELOPE_COEFF) * 2.5 * d * ar.log(1.0 / q)
+    # The strip's mass; times pdf(0), the half-strip's one-sided moment.
+    p = 2.0 * ar.cdf(eta) - 1.0
+    return {
+        "strip_halfspace_margin": envelope - 2.0 * q * (a0 * a0 + 1.0) / a0,
+        "strip_envelope": envelope,
+        "strip_half_strip_moment": p * ar.INV_SQRT_2PI,
+        # One-sided strip first moment along the distinguished direction.
+        "strip_b_moment": (1.0 - ar.exp(-0.5 * eta * eta)) / ar.SQRT_2PI,
+        "strip_delta": ar.exact(STRIP_ENVELOPE) / HALF_STRIP_MOMENT,
+        "strip_omega": ar.exact(OMEGA_ENVELOPE) / STRIP_B_MOMENT,
+        "strip_quarter_strip_mass": p / 4.0,
+        "strip_contradiction_total":
+            (6.0 * ar.exact(STRIP_DELTA) + 6.0 * ar.exact(STRIP_OMEGA))
+            * QUARTER_STRIP_MASS + d,
+    }

@@ -1,15 +1,15 @@
 """The paper's point claims, each stated once: its number and its check.
 
-TARGETS and BOUNDS hold the numbers; where a value is already a named
-constant elsewhere, the entry refers to it.  CLAIMS holds, for each claim,
-the suite that reports it, its relation to the number and its formula: one
-function of the shared Inputs.  The CLI evaluates every formula in floats
-(Inputs(float, solve_eta_star, solve_eta_argmax)) and certify in
-outward-rounded intervals (Inputs(Interval.exact, eta_star_enclosure,
-eta_argmax_enclosure)), so a claim's float line and its certified line
-check one expression against one number.
+TARGETS and BOUNDS hold the numbers, by reference where one is a named
+constant elsewhere (the chain's rounded constants, strip decimals).  CLAIMS
+holds, for each claim, the suite that reports it, its relation to the number
+and its formula: one function of the shared Inputs.  The CLI evaluates every
+formula in floats (Inputs(float, solve_eta_star, solve_eta_argmax)) and
+certify in outward-rounded intervals (Inputs(Interval.exact,
+eta_star_enclosure, eta_argmax_enclosure)), so a claim's float line and its
+certified line check one expression against one number.
 
-Outside the table: the sampled, scanned and strip checks.
+Outside the table: the sampled, scanned and closed-form cross-checks.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .baseline import (DAVIE_REEDS_C, LAMBDA_STAR, _bound, argmax_gap,
-                       reeds_lambda)
-from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, K0, KAPPA0, L0,
-                    NEAR_DROP_COEFF, P3_COEFF, STRIP_Z0, C_z0, K_strip,
-                    L0_bound, final_branches, kappa_eff, kg_increment,
-                    neighborhood_drop)
+from .baseline import (DAVIE_REEDS_C, LAMBDA_STAR, F_prime, _bound,
+                       argmax_gap, reeds_lambda)
+from .chain import (ALPHA_MIN, BETA_STAR, EPSILON_STAR, HALF_STRIP_MOMENT, K0,
+                    KAPPA0, L0, NEAR_DROP_COEFF, P3_COEFF, QUARTER_STRIP_MASS,
+                    STRIP_B_MOMENT, STRIP_DELTA, STRIP_ENVELOPE, STRIP_OMEGA,
+                    STRIP_TOTAL, STRIP_Z0, C_z0, K_strip, L0_bound,
+                    final_branches, kappa_eff, kg_increment,
+                    neighborhood_drop, strip_facts)
 from .intervals import Num, arith
 from .pairing import PairingConstants
 
@@ -36,6 +38,7 @@ TARGETS: dict[str, tuple[float, float]] = {
     "lambda_star": (LAMBDA_STAR, 1e-8),
     "eta_star": (0.255730213173163, 1e-11),
     "alpha_star": (0.772216503281451, 1e-11),
+    "F_prime_at_alpha_star": (0.0, 1e-9),
     "B": (-0.721715133242779, 1e-9),
     "A_max": (0.000839319067615, 1e-9),
     "kappa_Q": (0.086812004849191, 1e-9),
@@ -50,6 +53,16 @@ TARGETS: dict[str, tuple[float, float]] = {
 # The PairingConstants fields among TARGETS, in report order.
 PAIRING = ("B", "A_max", "kappa_Q", "p", "s1", "t2", "transverse",
            "pairing_lower")
+
+# chain.strip_facts' keys in report order, with their relations and bounds.
+STRIP = (("strip_halfspace_margin", ">=", 0.0),
+         ("strip_envelope", "<=", STRIP_ENVELOPE),
+         ("strip_half_strip_moment", ">=", HALF_STRIP_MOMENT),
+         ("strip_b_moment", ">=", STRIP_B_MOMENT),
+         ("strip_delta", "<=", STRIP_DELTA),
+         ("strip_omega", "<=", STRIP_OMEGA),
+         ("strip_quarter_strip_mass", "<=", QUARTER_STRIP_MASS),
+         ("strip_contradiction_total", "<=", STRIP_TOTAL))
 
 # One-sided claims: name -> bound; the relation is the CLAIMS entry's.
 # kg_increment_exceeds is the paper's headline K_G >= c + 1e-26, c the
@@ -68,6 +81,7 @@ BOUNDS: dict[str, float] = {
     "K_strip": 7.0,
     "L0_bound": L0,
     "C_z0": 1.7,
+    **{name: bound for name, _, bound in STRIP},
 }
 
 
@@ -78,8 +92,8 @@ class Inputs:
     Interval.exact); eta_of gives the threshold root at a lambda
     (solve_eta_star, or eta_star_enclosure); eta_argmax gives the root of
     baseline._argmax_equation (solve_eta_argmax, or eta_argmax_enclosure).
-    That root, the pairing constants, the final drop and the K_G increment
-    are computed on first use, once per instance.
+    That root, the pairing constants, the final drop, the K_G increment and
+    the strip facts are computed on first use, once per instance.
     """
 
     def __init__(self, num: Callable[[float], Num],
@@ -107,6 +121,10 @@ class Inputs:
     def increment(self) -> Num:
         """The K_G increment the final drop gives at lambda_star."""
         return kg_increment(self.drop, self.eta_lambda_star)
+
+    @cached_property
+    def strip(self) -> dict[str, Num]:
+        return strip_facts(self.eta_lambda_star)
 
 
 @dataclass(frozen=True)
@@ -152,6 +170,8 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("alpha_star", "baseline", "within", lambda x: x.num(LAM_LIT) / x.eta),
     Claim("lambda_star", "baseline", "within",
           lambda x: reeds_lambda(x.eta_argmax)),
+    Claim("F_prime_at_alpha_star", "baseline", "within",
+          lambda x: F_prime(x.num(TARGETS["alpha_star"][0]), x.num(LAM_LIT))),
     *(Claim(name, "pairing", "within", _pairing(name)) for name in PAIRING),
     Claim("K0_upper", "pairing", "<=", _pairing("K0_upper")),
     Claim("pairing_lower_vs_KAPPA0", "pairing", ">=",
@@ -168,6 +188,8 @@ CLAIMS: tuple[Claim, ...] = (
           lambda x: K_strip(x.num(STRIP_Z0), x.num(ALPHA_MIN))),
     Claim("L0_bound", "chain", "<=", lambda x: L0_bound(x.num(ALPHA_MIN))),
     Claim("C_z0", "chain", "<=", lambda x: C_z0(x.num(STRIP_Z0))),
+    *(Claim(name, "chain", relation, lambda x, name=name: x.strip[name])
+      for name, relation, _ in STRIP),
 )
 
 

@@ -157,28 +157,6 @@ def mills_ratio(a: float) -> float:
     raise AccuracyError(f"Mills-ratio continued fraction did not converge at a={a}")
 
 
-def gaussian_isf(q: float) -> float:
-    """The a > 0 with Phi(-a) = q, for 0 < q < 1/2.
-
-    Newton's method on log Phi(-a) - log q, whose derivative is -1/R(a).  The
-    function is concave and decreasing, so from a0 = sqrt(-2 log q), where
-    Phi(-a0) < pdf(a0)/a0 <= q, the iterates decrease monotonically to the
-    root.  Each step is log(Phi(-a)/q) R(a): the log of a ratio near 1, which
-    keeps the last steps accurate.  Iteration stops once rounding noise no
-    longer lets a step decrease a.
-    """
-    q = float(q)
-    if not 0.0 < q < 0.5:
-        raise DomainError(f"gaussian_isf requires 0 < q < 1/2, got {q}")
-    a = math.sqrt(-2.0 * math.log(q))
-    for _ in range(100):
-        step = math.log(gaussian_cdf(-a) / q) * mills_ratio(a)
-        if not a + step < a:
-            return a
-        a += step
-    raise AccuracyError(f"gaussian_isf did not converge at q={q}")
-
-
 # pdf(z) and Phi(-|z|) underflow to exactly 0.0 for |z| >= 38.6, so clipping
 # edges (infinite ones included) to +-40 leaves every moment unchanged.
 _EDGE_CLIP = 40.0

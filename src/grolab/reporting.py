@@ -26,6 +26,12 @@ class VerificationOutcome:
         object.__setattr__(self, "overall", all(c.passed for c in self.checks))
 
 
+def spell(x: float) -> str:
+    """Shortest round-trip digits, spelled 7 and 1e-9 rather than 7.0 and 1e-09."""
+    s = repr(float(x)).replace("e-0", "e-")
+    return s[:-2] if s.endswith(".0") else s
+
+
 def approx_check(name: str, expected: float, actual: float,
                  tolerance: float) -> Check:
     return Check(name=name, expected=expected, actual=actual,
@@ -37,7 +43,7 @@ def bound_check(name: str, bound: float, actual: float,
     if direction not in (">=", "<="):
         raise ValueError(f"unknown direction {direction!r}")
     ok = actual >= bound if direction == ">=" else actual <= bound
-    return Check(name=f"{name} {direction} {bound:g}", expected=bound,
+    return Check(name=f"{name} {direction} {spell(bound)}", expected=bound,
                  actual=actual, tolerance=None, passed=ok)
 
 

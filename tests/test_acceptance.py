@@ -52,6 +52,7 @@ PAPER = {
     "lambda_star": (0.19747909099498196, 1e-8),
     "eta_star": (0.255730213173163, 1e-11),
     "alpha_star": (0.772216503281451, 1e-11),
+    "F_prime_at_alpha_star": (0.0, 1e-9),
     "B": (-0.721715133242779, 1e-9),
     "A_max": (0.000839319067615, 1e-9),
     "kappa_Q": (0.086812004849191, 1e-9),
@@ -71,6 +72,14 @@ PAPER = {
     "K_strip": (7.0, None),
     "L0_bound": (2.66, None),
     "C_z0": (1.7, None),
+    "strip_halfspace_margin": (0.0, None),
+    "strip_envelope": (3.33e-9, None),
+    "strip_half_strip_moment": (0.0805, None),
+    "strip_b_moment": (0.012834, None),
+    "strip_delta": (4.2e-8, None),
+    "strip_omega": (2.61e-7, None),
+    "strip_quarter_strip_mass": (0.051, None),
+    "strip_contradiction_total": (1e-7, None),
 }
 PAIRING = ("B", "A_max", "kappa_Q", "p", "s1", "t2", "transverse",
            "pairing_lower")

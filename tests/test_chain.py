@@ -21,7 +21,7 @@ from grolab.chain import (
     log_tail_envelope_margin,
     neighborhood_drop,
     sign_stability,
-    strip_case_checks,
+    strip_facts,
     strip_z0,
 )
 from grolab import claims
@@ -106,7 +106,14 @@ _CLAIM_REL = {**{name: 1e-11 for name in PAIRING},
               "pairing_lower_vs_KAPPA0": 1e-11, "kappa_eff": 1e-12,
               **{f"neighborhood_drop_per_beta_{beta:g}": 1e-12
                  for beta in (1e-10, BETA_STAR)},
-              "kg_increment_exceeds": 1e-3}
+              "kg_increment_exceeds": 1e-3,
+              # 2 Phi(eta) - 1 and 1 - exp(-eta^2/2) lose digits to
+              # cancellation: 1.0e-14 and 1.9e-14 here, 1.5e-14 and 2.2e-14
+              # at the certified eta enclosure
+              "strip_half_strip_moment": 3e-14, "strip_b_moment": 3e-14}
+# Absolute width budgets, for claims whose value is near 0: F' at alpha* is
+# 4.4e-16, its enclosure 2.9e-15 wide.
+_CLAIM_ABS = {"F_prime_at_alpha_star": 5e-15}
 
 
 def _claim_inputs(num):
@@ -116,23 +123,25 @@ def _claim_inputs(num):
 
 
 def _own_interval_cases():
-    """id -> (f, rel): f(num) evaluates one shared formula with its inputs
-    made by num, float or Interval.exact; rel bounds the relative width.
+    """id -> (f, rel, abs): f(num) evaluates one shared formula with its
+    inputs made by num, float or Interval.exact; the width is at most rel
+    times the value, or at most abs.
     Every claims.CLAIMS entry, plus C_z0 at more points, the denominator and
     the argmax equation."""
     cases = {_CASE_IDS.get(c.label, c.label):
              (lambda num, c=c: c.formula(_claim_inputs(num)),
-              _CLAIM_REL.get(c.label, 1e-14))
+              _CLAIM_REL.get(c.label, 1e-14), _CLAIM_ABS.get(c.label, 0.0))
              for c in CLAIMS}
     eta = solve_eta_star(LAM_LIT)
-    cases.update({f"C_z0({z0!r})": (lambda num, z0=z0: C_z0(num(z0)), 1e-14)
+    cases.update({f"C_z0({z0!r})":
+                  (lambda num, z0=z0: C_z0(num(z0)), 1e-14, 0.0)
                   for z0 in _Z0S})
     cases["denominator"] = (
-        lambda num: _denominator(num(LAM_LIT), num(eta)), 1e-14)
+        lambda num: _denominator(num(LAM_LIT), num(eta)), 1e-14, 0.0)
     for eta_s in (0.1, 0.7):
         # S ~ 0.2-0.4 here, a sum of O(1) terms with erf's 8-ulp margin
         cases[f"argmax_equation({eta_s})"] = (
-            lambda num, eta_s=eta_s: _argmax_equation(num(eta_s)), 1e-13)
+            lambda num, eta_s=eta_s: _argmax_equation(num(eta_s)), 1e-13, 0.0)
     return cases
 
 
@@ -160,10 +169,10 @@ def test_inputs_take_kg_increment_once(monkeypatch, num):
 def test_float_inside_own_interval(case):
     # the float report's value lies in the interval evaluation of the same
     # formula at the same inputs, and that enclosure is tight
-    f, rel = _OWN_INTERVAL_CASES[case]
+    f, rel, abs_width = _OWN_INTERVAL_CASES[case]
     value, iv = f(float), f(Interval.exact)
     assert iv.lo <= value <= iv.hi
-    assert iv.width <= rel * abs(value)
+    assert iv.width <= max(rel * abs(value), abs_width)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -332,17 +341,41 @@ def test_gaussian_tail_envelope_matches_mpmath():
             ref = c + log_sf + mpmath.log(-log_sf) - mpmath.log(mpmath.npdf(a))
             assert log_tail_envelope_margin(a) == pytest.approx(
                 float(ref), rel=1e-14, abs=1e-14)
-        q = mpmath.mpf(1.25e-10)
-        a_q = mpmath.findroot(lambda x: mpmath.ncdf(-x) - q, 6.3)
-        halfspace_ref = float(2 * mpmath.npdf(a_q))
-    halfspace = dict((name, value) for name, value, _, _ in
-                     strip_case_checks())["halfspace_moment <= envelope"]
-    assert halfspace == pytest.approx(halfspace_ref, rel=1e-14)
 
 
-def test_strip_case_checks():
-    checks = strip_case_checks()
-    assert len(checks) == 8
-    for name, value, bound, ok in checks:
-        assert ok, f"{name}: {value} vs {bound}"
+def test_strip_halfspace_proof_at_200_bits():
+    # the Mills-ratio argument behind strip_halfspace_margin, at 200 bits:
+    # the root a of Phi(-a) = q lies in (1, a0), and 2 pdf(a) sits under the
+    # closed form 2 q (a0^2 + 1)/a0, which sits under the envelope
+    mpmath = pytest.importorskip("mpmath")
+    facts = strip_facts(solve_eta_star(LAMBDA_STAR))
+    with mpmath.workprec(200):
+        q = mpmath.mpf(1.25) * mpmath.mpf(1e-10)
+        a0 = mpmath.sqrt(2 * mpmath.log(1 / q))
+        a = mpmath.findroot(lambda x: mpmath.ncdf(-x) - q, 6.3)
+        assert 1 < a < a0
+        closed = 2 * q * (a0 * a0 + 1) / a0
+        envelope = mpmath.mpf(0.583) * mpmath.mpf(2.5) * mpmath.mpf(1e-10) \
+            * mpmath.log(1 / q)
+        assert 2 * mpmath.npdf(a) <= closed <= envelope
+        margin = float(envelope - closed)
+    assert facts["strip_halfspace_margin"] == pytest.approx(margin, rel=1e-14)
 
+
+def test_strip_facts_keep_their_bits():
+    # the seven strip values besides the half-space margin (checked at 200
+    # bits above), bit for bit, and every fact on its side of its bound
+    facts = strip_facts(solve_eta_star(LAMBDA_STAR))
+    assert {name: value.hex() for name, value in facts.items()
+            if name != "strip_halfspace_margin"} == {
+        "strip_envelope": "0x1.c8c71216926dcp-29",
+        "strip_half_strip_moment": "0x1.49d2522ffb3b7p-4",
+        "strip_b_moment": "0x1.a48ba2e66d580p-7",
+        "strip_delta": "0x1.6355ce85398f7p-25",
+        "strip_omega": "0x1.176fefbf3d6efp-22",
+        "strip_quarter_strip_mass": "0x1.9d5eba6dedc48p-5",
+        "strip_contradiction_total": "0x1.8ea678636992cp-24",
+    }
+    for name, relation, bound in claims.STRIP:
+        assert (facts[name] >= bound if relation == ">="
+                else facts[name] <= bound), name

@@ -48,8 +48,31 @@ def test_run_profile_and_explore():
 def test_explore_line_names():
     # a line deleted from the suite that comes back, or a new one, fails here
     names = [c.name for c in run(RunConfig(command="explore")).checks]
-    assert names == ["scan_limit_0", "scan_limit_vs_kappa_Q_0 >= 0.086812",
-                     "scan_limit_1", "scan_limit_vs_kappa_Q_1 >= 0.086812"]
+    bound = "0.08681200384919079"   # kappa_Q - 1e-9, spelled as it is
+    assert names == ["scan_limit_0", f"scan_limit_vs_kappa_Q_0 >= {bound}",
+                     "scan_limit_1", f"scan_limit_vs_kappa_Q_1 >= {bound}"]
+
+
+# The report lines outside claims.CLAIMS: sampled, scanned and closed-form
+# cross-checks, in no particular order.
+CROSS_CHECKS = [
+    "taylor_gap_scan",
+    "F_dual_vs_ratio", "lp_vs_dual", "gap_identity_max_dev",
+    "maximizer_gap_zero", "closed_form_vs_quadrature",
+    "signflip_inequality_100k", "A_bound_20_members", "t2_identity",
+    "gaussian_tail_envelope",
+    "scan_limit_0", "scan_limit_vs_kappa_Q_0",
+    "scan_limit_1", "scan_limit_vs_kappa_Q_1",
+]
+
+
+def test_report_lines_are_claims_or_cross_checks():
+    # every float line of verify-all is a claims.CLAIMS entry or one of the
+    # cross-checks above: a line that is neither, or a lost one, fails here
+    names = [c.name.split(" ")[0]
+             for c in run(RunConfig(command="verify-all")).checks]
+    assert sorted(names) == sorted([c.label for c in claims.CLAIMS]
+                                   + CROSS_CHECKS)
 
 
 def test_unknown_command_rejected():
@@ -321,6 +344,8 @@ def test_unwritable_output_exits_2(tmp_path, argv, capsys):
     "1.0,0.0,1.5,0.5,sign",             # value outside [-1, 1]
     "1.0,0.0,nan,0.5,sign",             # NaN value
     "1.0,0.25,0.2500000000000005,0.1,0.2,0.3,sign",  # edges 5e-16 apart
+    "1.0,0.0,sign",                     # dual not attained at its moment
+    "1.0,-0.5,const:-1.0:-1.0",         # first moment 0
 ])
 def test_bad_profile_file_exits_2(tmp_path, text, capsys):
     saved = tmp_path / "profile.txt"
@@ -329,7 +354,10 @@ def test_bad_profile_file_exits_2(tmp_path, text, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"profile = {saved}\n", encoding="utf-8")
     assert main(["profile", "--config", str(cfg)]) == 2
-    assert "usage error" in capsys.readouterr().err
+    # the message names the file
+    err = capsys.readouterr().err
+    assert f"usage error: cannot read profile {saved}" in err \
+        or f"usage error: invalid profile {saved}" in err
 
 
 def test_config_file_errors(tmp_path, capsys):

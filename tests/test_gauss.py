@@ -13,7 +13,6 @@ from grolab.gauss import (
     cell_masses,
     cell_masses_into,
     gaussian_cdf,
-    gaussian_isf,
     gaussian_moments,
     gaussian_pdf,
     mills_ratio,
@@ -558,18 +557,3 @@ def test_mills_ratio_matches_mpmath():
         mills_ratio(-1.0)
     with pytest.raises(DomainError):
         mills_ratio(math.inf)
-
-
-@pytest.mark.parametrize("q", [1.25e-10, 0.25, 1e-3, 1e-30, 1e-300])
-def test_gaussian_isf_matches_mpmath(q):
-    mpmath = pytest.importorskip("mpmath")
-    a = gaussian_isf(q)
-    with mpmath.workprec(200):
-        ref = float(mpmath.findroot(lambda x: mpmath.ncdf(-x) - q, a))
-    assert abs(a - ref) <= 2 * math.ulp(ref)
-
-
-@pytest.mark.parametrize("q", [0.0, 0.5, -1e-3, math.nan])
-def test_gaussian_isf_domain(q):
-    with pytest.raises(DomainError):
-        gaussian_isf(q)
