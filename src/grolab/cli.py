@@ -189,13 +189,8 @@ def _profile_checks(cfg: RunConfig) -> list[Check]:
 def _pairing_checks(cfg: RunConfig) -> list[Check]:
     x = _float_inputs()
     checks = _claim_checks("pairing", x)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    a = rng.uniform(-10, 10, 100_000)
-    b = rng.uniform(-10, 10, 100_000)
-    bet = rng.uniform(0, 1, 100_000)
-    lhs, rhs = pairing.signflip_check(a, b, bet)
     checks.append(flag_check("signflip_inequality_100k",
-                             bool(np.all(lhs <= rhs + 1e-12))))
+                             pairing.signflip_sample_holds(cfg.seed, 100_000)))
     ok = True
     for k in range(20):
         member = explorer.sample_theta_member(cfg.seed + 1000 + k, lam=LAM_LIT)

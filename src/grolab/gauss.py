@@ -154,7 +154,10 @@ def mills_ratio(a: float) -> float:
         f *= delta
         if abs(delta - 1.0) <= 2.3e-16:
             return 1.0 / f
-    raise AccuracyError(f"Mills-ratio continued fraction did not converge at a={a}")
+    # The last step's relative change, |delta - 1|, sizes the error left.
+    raise AccuracyError(
+        f"Mills-ratio continued fraction did not converge at a={a}",
+        estimate=1.0 / f, error_bound=abs(delta - 1.0) / abs(f))
 
 
 # pdf(z) and Phi(-|z|) underflow to exactly 0.0 for |z| >= 38.6, so clipping

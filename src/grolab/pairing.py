@@ -18,6 +18,11 @@ from .profiles import Profile, h3_moment, theta_moments
 # Inner moments must vanish this tightly for the |A| bound hypothesis.
 _INNER_MOMENT_TOL = 1e-9
 
+# Doubles per array in one block of the sampled sign-flip check: 64 KiB,
+# below glibc's 128 KiB mmap threshold, so the heap reuses the blocks
+# instead of mapping and faulting in fresh pages for each one.
+_SIGNFLIP_BLOCK = 8192
+
 
 # The closed forms below take a float eta, or an Interval eta (then every
 # result is an enclosure); see intervals.arith.
@@ -151,3 +156,29 @@ def signflip_check(a, b, beta):
     if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(beta) == 0:
         return float(lhs), float(rhs)
     return lhs, rhs
+
+
+def signflip_sample_holds(seed: int, n: int) -> bool:
+    """Whether signflip_check's lhs <= rhs + 1e-12 on n seeded triples.
+
+    The sample is the one-shot draw from Generator(Philox(key=seed)):
+    uniform(-10, 10, n) for a, then uniform(-10, 10, n) for b, then
+    uniform(0, 1, n) for beta.  Philox gives 4 doubles per counter step,
+    so with n a multiple of 4 the stream advanced by k n / 4 steps starts
+    where the k-th array starts, and the three arrays are drawn side by
+    side in blocks of _SIGNFLIP_BLOCK, in bounded memory.
+    """
+    if n <= 0 or n % 4:
+        raise DomainError(f"signflip_sample_holds requires n a positive "
+                          f"multiple of 4, got {n}")
+    ga, gb, gbeta = (np.random.Generator(np.random.Philox(key=seed)
+                                         .advance(k * n // 4))
+                     for k in range(3))
+    for start in range(0, n, _SIGNFLIP_BLOCK):
+        m = min(_SIGNFLIP_BLOCK, n - start)
+        lhs, rhs = signflip_check(ga.uniform(-10, 10, m),
+                                  gb.uniform(-10, 10, m),
+                                  gbeta.uniform(0, 1, m))
+        if not np.all(lhs <= rhs + 1e-12):
+            return False
+    return True

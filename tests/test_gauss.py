@@ -557,3 +557,12 @@ def test_mills_ratio_matches_mpmath():
         mills_ratio(-1.0)
     with pytest.raises(DomainError):
         mills_ratio(math.inf)
+
+
+def test_mills_ratio_nonconvergence_carries_estimate(monkeypatch):
+    # Near 0 the continued fraction converges far too slowly for 200 terms.
+    monkeypatch.setattr(gauss, "_MILLS_CF_FROM", 0.0)
+    with pytest.raises(AccuracyError) as info:
+        mills_ratio(0.05)
+    assert math.isfinite(info.value.estimate)
+    assert info.value.error_bound > 0.0

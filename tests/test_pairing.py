@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from grolab.baseline import solve_h
-from grolab import intervals
+from grolab import intervals, pairing
+from grolab.cli import DEFAULT_SEED
 from grolab.errors import DomainError, FeasibilityError
 from grolab.explorer import sample_theta_member
 from grolab.gauss import gaussian_pdf
@@ -15,6 +16,7 @@ from grolab.pairing import (
     inner_constants,
     kappa_Q,
     signflip_check,
+    signflip_sample_holds,
     transverse_bound,
 )
 from grolab.profiles import Profile
@@ -179,6 +181,35 @@ def test_signflip_random_bulk(rng):
     beta = rng.uniform(0, 1, n)
     lhs, rhs = signflip_check(a, b, beta)
     assert np.all(lhs <= rhs + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 10**9 + 10**4])
+def test_signflip_sample_streams_the_one_shot_draw(monkeypatch, seed):
+    # The blocks, joined, are the one-shot draw bit for bit: a, then b, then
+    # beta from one Philox stream.  This fails if numpy changes how many
+    # doubles Philox.advance skips per step.
+    n = 100_000
+    blocks = []
+
+    def recording(a, b, beta):
+        blocks.append((a.copy(), b.copy(), beta.copy()))
+        return signflip_check(a, b, beta)
+
+    monkeypatch.setattr(pairing, "signflip_check", recording)
+    assert signflip_sample_holds(seed, n)
+    assert [len(blk[0]) for blk in blocks] == [8192] * 12 + [1696]
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    for k, (lo, hi) in enumerate([(-10, 10), (-10, 10), (0, 1)]):
+        joined = np.concatenate([blk[k] for blk in blocks])
+        assert np.array_equal(joined.view(np.uint64),
+                              rng.uniform(lo, hi, n).view(np.uint64))
+
+
+def test_signflip_sample_needs_a_multiple_of_4():
+    assert signflip_sample_holds(0, 4)
+    for n in (0, -4, 6, 100_001):
+        with pytest.raises(DomainError):
+            signflip_sample_holds(0, n)
 
 
 def test_t2_identity(eta_star):
